@@ -8,6 +8,7 @@ own output.  Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path as FsPath
 
@@ -15,14 +16,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import Bundle, ConfigError, build_bundle, parse_config_file
+from .config import Bundle, ConfigError, ExperimentConfig, build_bundle, parse_config_file
 from .harness import (
     estimate_moments,
     galerkin_convergence_study,
     pathwise_stability_study,
     strong_order_study,
 )
-from .solver import SolverConfig, simulate_path
+from .solver import simulate_path
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -51,13 +52,13 @@ def _write_artifact(path: FsPath, bundle: Bundle, body_lines) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _solver_config(bundle: Bundle, seed_override) -> SolverConfig:
-    cfg = bundle.solver_config
-    if seed_override is None:
-        return cfg
-    return SolverConfig(
-        T=cfg.T, dt=cfg.dt, n_modes=cfg.n_modes, n_noise=cfg.n_noise, taming=cfg.taming,
-        cap_R=cfg.cap_R, cap_mode=cfg.cap_mode, master_seed=seed_override,
+def _seeded(bundle: Bundle, seed) -> Bundle:
+    """The bundle with ``--seed`` applied to the solver and to the configuration the headers record."""
+    if seed is None:
+        return bundle
+    config = ExperimentConfig({**bundle.config.values, "solver.master_seed": seed})
+    return dataclasses.replace(
+        bundle, config=config, solver_config=dataclasses.replace(bundle.solver_config, master_seed=seed)
     )
 
 
@@ -85,6 +86,7 @@ def cmd_check_hypotheses(bundle: Bundle, out: FsPath, args) -> int:
 
 
 def cmd_simulate(bundle: Bundle, out: FsPath, args) -> int:
+    bundle = _seeded(bundle, args.seed)
     report = bundle.admissibility()
     if not report.ok:
         print(
@@ -92,7 +94,7 @@ def cmd_simulate(bundle: Bundle, out: FsPath, args) -> int:
             "(sufficient conditions only); simulating anyway",
             file=sys.stderr,
         )
-    cfg = _solver_config(bundle, args.seed)
+    cfg = bundle.solver_config
     path = simulate_path(bundle.setup, cfg, bundle.config["solver.x0_scale"] * bundle.x0_shape, path_index=0)
     rows = ["time,l2_norm,gagliardo_seminorm,lq_norm,stopped_flag"]
     for i, t in enumerate(path.times):
@@ -109,8 +111,9 @@ def cmd_simulate(bundle: Bundle, out: FsPath, args) -> int:
 
 
 def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
+    bundle = _seeded(bundle, args.seed)
     report = bundle.admissibility()
-    cfg = _solver_config(bundle, args.seed)
+    cfg = bundle.solver_config
     config = bundle.config
     p_max = report.p_max
     admissible = tuple(p for p in config["harness.p_values"] if p < p_max)
@@ -157,7 +160,8 @@ def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
 
 
 def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
-    cfg = _solver_config(bundle, args.seed)
+    bundle = _seeded(bundle, args.seed)
+    cfg = bundle.solver_config
     config = bundle.config
     x0 = config["solver.x0_scale"] * bundle.x0_shape
     n_paths = config["harness.n_paths"]
@@ -197,8 +201,9 @@ def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
 
 
 def cmd_uniqueness(bundle: Bundle, out: FsPath, args) -> int:
+    bundle = _seeded(bundle, args.seed)
     report = bundle.admissibility()
-    cfg = _solver_config(bundle, args.seed)
+    cfg = bundle.solver_config
     config = bundle.config
     x0 = config["solver.x0_scale"] * bundle.x0_shape
     n_paths = config["harness.n_paths"]
@@ -238,7 +243,7 @@ def _selftest() -> int:
     from .fracop import FracQuadrature, apply_A1_weak, check_scalar_monotonicity, gagliardo_seminorm
     from .harness import time_seminorm_sq
     from .hypotheses import HypothesisParams, check_gap, compute_kappa
-    from .solver import SimulationSetup, brownian_increments
+    from .solver import SimulationSetup, SolverConfig, brownian_increments
     from .space import build_space, project
 
     checks = []

@@ -10,9 +10,18 @@ The double integral over the domain splits into element pairs:
 
 Zero extension outside the domain contributes ``2 * int |v|^{p-2} v u * tail``
 with the tail kernel integrated analytically over a truncated exterior box.
-The same quadrature points back every operation in this module, so algebraic
-identities between the seminorm, the weak form and the assembled p = 2
-stiffness matrix hold to rounding accuracy.
+
+Every rule is a weighted sum over sampled values of the hat interpolant, so
+the plan stores one sparse operator ``D`` from the interior nodal values to
+those samples and one weight vector ``wts``.  With ``dv = D v`` and the flux
+``f = wts * |dv|^{p-2} dv``:
+
+* ``[v]^p = wts . |dv|^p``,
+* the form residual ``B(v, e_i)`` is ``D^T f`` and ``B(v, u) = f . (D u)``,
+* the p = 2 stiffness is ``(C/2) D^T diag(wts) D``.
+
+Because every form reads the same ``D``, the algebraic identities between the
+seminorm, the weak form and the stiffness matrix hold to rounding accuracy.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .domain import FracOperatorParams
 from .space import GalerkinSpace
@@ -43,18 +53,17 @@ class FracQuadrature:
 class FracPlan:
     """Precomputed quadrature data for one (space, quad, s, p) combination.
 
-    All pair weights already contain the kernel value and the factor 2 from
-    enumerating unordered element pairs; the singular diagonal is never
-    sampled.  ``elx``/``lx`` locate each x-point inside its element, so nodal
-    vectors are evaluated by a gather against the padded vector.
+    ``D`` (CSR, columns = the m interior nodes) maps a nodal vector to its
+    sampled values: first ``v(x) - v(y)`` at every pair point, then the slope
+    of every element (the closed-form same-element term), then ``v(x)`` at
+    every exterior-tail point.  ``wts`` holds the matching weights: ``w``,
+    ``j_same`` per element and ``wt``.  The weights already contain the kernel
+    value and the factor 2 from enumerating unordered element pairs; the
+    singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
+    ``elt``/``lt`` locate each sample point inside its element (element e
+    spans padded nodes e and e + 1).
     """
 
-    m: int
-    h: float
-    inv_h: float
-    exponent: float  # n + p*s
-    p: float
-    c_kernel: float
     elx: np.ndarray
     lx: np.ndarray
     ely: np.ndarray
@@ -65,6 +74,8 @@ class FracPlan:
     lt: np.ndarray
     wt: np.ndarray
     tail_truncation_bound: float
+    D: sparse.csr_array
+    wts: np.ndarray
 
 
 def _gauss01(n: int):
@@ -81,6 +92,36 @@ def _graded_cells(width: float, levels: int):
     starts = np.concatenate(([0.0], edges[::-1][:-1]))
     widths = np.diff(np.concatenate(([0.0], edges[::-1])))
     return starts, widths
+
+
+def _sampling_operator(m, h, elx, lx, ely, ly, elt, lt) -> sparse.csr_array:
+    """CSR rows: ``v(x) - v(y)`` per pair point, the slope per element, ``v(x)`` per tail point.
+
+    Every row gets four slots in padded node indices (unused slots stay 0);
+    entries at the exterior nodes 0 and m + 1 are zeroed, then zeros dropped.
+    """
+    n_pair, n_el = lx.size, m + 1
+    rows = n_pair + n_el + lt.size
+    cols = np.zeros((rows, 4), dtype=np.int32)
+    vals = np.zeros((rows, 4))
+    el = np.arange(n_el)
+    for sel, nodes, coefs in (
+        (slice(0, n_pair), (elx, elx + 1, ely, ely + 1), (1.0 - lx, lx, ly - 1.0, -ly)),
+        (slice(n_pair, n_pair + n_el), (el, el + 1), (-1.0 / h, 1.0 / h)),
+        (slice(n_pair + n_el, rows), (elt, elt + 1), (1.0 - lt, lt)),
+    ):
+        for k, (node, coef) in enumerate(zip(nodes, coefs)):
+            cols[sel, k] = node
+            vals[sel, k] = coef
+    cols -= 1
+    vals[(cols < 0) | (cols >= m)] = 0.0
+    np.clip(cols, 0, m - 1, out=cols)
+    D = sparse.csr_array(
+        (vals.ravel(), cols.ravel(), np.arange(0, 4 * rows + 1, 4, dtype=np.int32)), shape=(rows, m)
+    )
+    D.sum_duplicates()
+    D.eliminate_zeros()
+    return D.copy()  # compact storage, without the dropped slots
 
 
 def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> FracPlan:
@@ -125,8 +166,8 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
     xoff = -(starts[:, None] + widths[:, None] * loc[None, :])      # (L, G)
     yoff = starts[:, None] + widths[:, None] * loc[None, :]
     cell_w = widths[:, None] * gw[None, :]                          # (L, G)
-    D = np.abs(xoff.reshape(-1)[:, None] - yoff.reshape(-1)[None, :])
-    Krel = D ** (-expo)
+    dist = np.abs(xoff.reshape(-1)[:, None] - yoff.reshape(-1)[None, :])
+    Krel = dist ** (-expo)
     Wrel = 2.0 * cell_w.reshape(-1)[:, None] * cell_w.reshape(-1)[None, :] * Krel
     lx_rel = 1.0 + xoff.reshape(-1) / h      # local coordinate in the left element
     ly_rel = yoff.reshape(-1) / h
@@ -182,23 +223,18 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
 
     trunc_bound = 2.0 * wt_box ** (-ps) / ps
 
+    # the sample points do not depend on s or p, so every plan of a space shares D
+    D = space._cache.get(("fracD", G, L))
+    if D is None:
+        D = space._cache[("fracD", G, L)] = _sampling_operator(m, h, elx, lx, ely, ly, elt, lt)
+    # w and wt are views into the weight vector of D's rows
+    wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
-        m=m, h=h, inv_h=1.0 / h, exponent=1.0 + ps, p=p, c_kernel=params.c_kernel,
-        elx=elx, lx=lx, ely=ely, ly=ly, w=w, j_same=j_same,
-        elt=elt, lt=lt, wt=wt, tail_truncation_bound=trunc_bound,
+        elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size], j_same=j_same,
+        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, D=D, wts=wts,
     )
     space._cache[key] = plan
     return plan
-
-
-def _pair_diffs(plan: FracPlan, vbar: np.ndarray) -> np.ndarray:
-    vx = vbar[plan.elx] * (1.0 - plan.lx) + vbar[plan.elx + 1] * plan.lx
-    vy = vbar[plan.ely] * (1.0 - plan.ly) + vbar[plan.ely + 1] * plan.ly
-    return vx - vy
-
-
-def _tail_vals(plan: FracPlan, vbar: np.ndarray) -> np.ndarray:
-    return vbar[plan.elt] * (1.0 - plan.lt) + vbar[plan.elt + 1] * plan.lt
 
 
 def _odd_power(x: np.ndarray, p: float) -> np.ndarray:
@@ -208,42 +244,15 @@ def _odd_power(x: np.ndarray, p: float) -> np.ndarray:
     return np.abs(x) ** (p - 2.0) * x
 
 
+def _flux(plan: FracPlan, v: np.ndarray, p: float):
+    """Sampled values ``D v`` and the weighted flux ``wts * |D v|^(p-2) D v``."""
+    dv = plan.D @ np.asarray(v, dtype=float)
+    return dv, plan.wts * _odd_power(dv, p)
+
+
 def seminorm_p(plan: FracPlan, v: np.ndarray, p: float) -> float:
     """p-th power of the Gagliardo seminorm of the hat interpolant."""
-    vbar = np.zeros(plan.m + 2)
-    vbar[1:-1] = v
-    dv = _pair_diffs(plan, vbar)
-    slopes = np.diff(vbar) * plan.inv_h
-    vt = _tail_vals(plan, vbar)
-    return float(
-        np.dot(plan.w, np.abs(dv) ** p)
-        + plan.j_same * np.sum(np.abs(slopes) ** p)
-        + np.dot(plan.wt, np.abs(vt) ** p)
-    )
-
-
-def _form_residual(plan: FracPlan, vbar: np.ndarray, p: float):
-    """Values B(v, e_i) of the p-form against every interior hat, plus B(v, v)."""
-    dv = _pair_diffs(plan, vbar)
-    slopes = np.diff(vbar) * plan.inv_h
-    vt = _tail_vals(plan, vbar)
-    f_pairs = plan.w * _odd_power(dv, p)
-    f_same = plan.j_same * _odd_power(slopes, p)
-    f_tail = plan.wt * _odd_power(vt, p)
-    size = plan.m + 2
-    gbar = (
-        np.bincount(plan.elx, weights=f_pairs * (1.0 - plan.lx), minlength=size)
-        + np.bincount(plan.elx + 1, weights=f_pairs * plan.lx, minlength=size)
-        - np.bincount(plan.ely, weights=f_pairs * (1.0 - plan.ly), minlength=size)
-        - np.bincount(plan.ely + 1, weights=f_pairs * plan.ly, minlength=size)
-        + np.bincount(plan.elt, weights=f_tail * (1.0 - plan.lt), minlength=size)
-        + np.bincount(plan.elt + 1, weights=f_tail * plan.lt, minlength=size)
-    )
-    el = np.arange(plan.m + 1)
-    gbar += np.bincount(el, weights=-f_same * plan.inv_h, minlength=size)
-    gbar += np.bincount(el + 1, weights=f_same * plan.inv_h, minlength=size)
-    value = float(np.dot(f_pairs, dv) + np.dot(f_same, slopes) + np.dot(f_tail, vt))
-    return gbar[1:-1], value
+    return float(np.dot(plan.wts, np.abs(plan.D @ v) ** p))
 
 
 def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
@@ -252,10 +261,8 @@ def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
     The residual is ``(1/p)`` times the gradient of ``[v]^p`` in the nodal
     values; the weak operator action is ``-(C/2)`` times it.
     """
-    vbar = np.zeros(plan.m + 2)
-    vbar[1:-1] = v
-    residual, value = _form_residual(plan, vbar, p)
-    return value, residual
+    dv, f = _flux(plan, v, p)
+    return float(np.dot(f, dv)), plan.D.T @ f
 
 
 def gagliardo_seminorm(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, params: FracOperatorParams) -> float:
@@ -270,63 +277,26 @@ def gagliardo_seminorm(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray
 def apply_A1_weak(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, u: np.ndarray, params: FracOperatorParams) -> float:
     """Duality pairing of the operator action at v against u (both nodal)."""
     plan = get_plan(space, quad, params)
-    vbar = np.zeros(space.m + 2)
-    vbar[1:-1] = np.asarray(v, dtype=float)
-    ubar = np.zeros(space.m + 2)
-    ubar[1:-1] = np.asarray(u, dtype=float)
-    p = params.p
-    dv = _pair_diffs(plan, vbar)
-    du = _pair_diffs(plan, ubar)
-    sv = np.diff(vbar) * plan.inv_h
-    su = np.diff(ubar) * plan.inv_h
-    vt = _tail_vals(plan, vbar)
-    ut = _tail_vals(plan, ubar)
-    form = (
-        np.dot(plan.w * _odd_power(dv, p), du)
-        + plan.j_same * np.dot(_odd_power(sv, p), su)
-        + np.dot(plan.wt * _odd_power(vt, p), ut)
-    )
-    return float(-0.5 * params.c_kernel * form)
+    _, f = _flux(plan, v, params.p)
+    return float(-0.5 * params.c_kernel * np.dot(f, plan.D @ np.asarray(u, dtype=float)))
 
 
 def apply_A1_residual(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, params: FracOperatorParams) -> np.ndarray:
     """Vector of pairings against every interior hat, in one quadrature sweep."""
     plan = get_plan(space, quad, params)
-    vbar = np.zeros(space.m + 2)
-    vbar[1:-1] = np.asarray(v, dtype=float)
-    residual, _ = _form_residual(plan, vbar, params.p)
-    return -0.5 * params.c_kernel * residual
+    _, f = _flux(plan, v, params.p)
+    return -0.5 * params.c_kernel * (plan.D.T @ f)
 
 
 def assemble_frac_stiffness(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> np.ndarray:
-    """Matrix S with ``v^T S v = (C/2) [v]^2``; only defined for p = 2."""
+    """Matrix ``S = (C/2) D^T diag(wts) D`` with ``v^T S v = (C/2) [v]^2``; p = 2 only."""
     if params.p != 2.0:
         raise ValueError(f"stiffness assembly requires p = 2, got p={params.p}")
     key = ("fracstiff", quad.panel_rule, quad.near_diag_split, params.s)
     if key in space._cache:
         return space._cache[key]
     plan = get_plan(space, quad, params)
-    size = plan.m + 2
-    flat = np.zeros(size * size)
-    idx = (plan.elx, plan.elx + 1, plan.ely, plan.ely + 1)
-    coef = (1.0 - plan.lx, plan.lx, -(1.0 - plan.ly), -plan.ly)
-    for ia, ca in zip(idx, coef):
-        for ib, cb in zip(idx, coef):
-            flat += np.bincount(ia * size + ib, weights=plan.w * ca * cb, minlength=size * size)
-    tidx = (plan.elt, plan.elt + 1)
-    tcoef = (1.0 - plan.lt, plan.lt)
-    for ia, ca in zip(tidx, tcoef):
-        for ib, cb in zip(tidx, tcoef):
-            flat += np.bincount(ia * size + ib, weights=plan.wt * ca * cb, minlength=size * size)
-    S = flat.reshape(size, size)
-    el = np.arange(plan.m + 1)
-    same = plan.j_same * plan.inv_h**2
-    np.add.at(S, (el, el), same)
-    np.add.at(S, (el + 1, el + 1), same)
-    np.add.at(S, (el, el + 1), -same)
-    np.add.at(S, (el + 1, el), -same)
-    S = 0.5 * params.c_kernel * S[1:-1, 1:-1]
-    S = np.ascontiguousarray(S)
+    S = 0.5 * params.c_kernel * (plan.D.T @ (sparse.diags_array(plan.wts) @ plan.D)).toarray()
     space._cache[key] = S
     return S
 

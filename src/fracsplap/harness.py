@@ -7,6 +7,7 @@ reproducible for a fixed master seed regardless of the thread count.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,20 +18,16 @@ from .solver import Path, SimulationSetup, SolverConfig, brownian_increments, re
 from .space import l2_norm
 
 
-def run_ensemble(setup, config, x0, n_paths, threads=1, simulate=simulate_path, dw_for=None):
-    """Simulate paths 0..n_paths-1; deterministic collection by path index."""
+def run_ensemble(one, n_paths, threads=1):
+    """``[one(j) for j in range(n_paths)]``, on ``threads`` worker threads when above 1.
 
-    def one(j):
-        dW = dw_for(j) if dw_for is not None else None
-        return simulate(setup, config, x0, path_index=j, dW=dW)
-
+    ``pool.map`` yields results in index order, so the list is the same at
+    any thread count.
+    """
     if threads <= 1:
         return [one(j) for j in range(n_paths)]
-    out = [None] * n_paths
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for j, path in zip(range(n_paths), pool.map(one, range(n_paths))):
-            out[j] = path
-    return out
+        return list(pool.map(one, range(n_paths)))
 
 
 def _completed(paths):
@@ -38,10 +35,6 @@ def _completed(paths):
     if not done:
         raise RuntimeError("every path diverged; no statistics available")
     return done
-
-
-def diverged_fraction(paths) -> float:
-    return sum(1 for p in paths if p.diverged_at is not None) / max(len(paths), 1)
 
 
 @dataclass
@@ -104,7 +97,7 @@ def estimate_moments(
     for si, scale in enumerate(x_scales):
         x0 = scale * np.asarray(x0_shape, dtype=float)
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
-        paths = run_ensemble(setup, config, x0, n_paths, threads=threads)
+        paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, threads)
         diverged += sum(1 for p in paths if p.diverged_at is not None)
         done = _completed(paths)
         sup_l2 = np.array([np.max(p.l2_norms) for p in done])
@@ -234,22 +227,11 @@ def galerkin_convergence_study(
         dW = brownian_increments(config.master_seed, j, K, config.n_noise, config.dt)
         paths = []
         for nm in ladder:
-            cfg = SolverConfig(
-                T=config.T, dt=config.dt, n_modes=nm, n_noise=config.n_noise,
-                taming=config.taming, cap_R=config.cap_R, cap_mode=config.cap_mode,
-                master_seed=config.master_seed,
-            )
+            cfg = dataclasses.replace(config, n_modes=nm)
             paths.append(simulate_path(setup, cfg, x0, path_index=j, dW=dW))
         return [_pairwise_gap_sq(a, b, config.dt) for a, b in zip(paths, paths[1:])]
 
-    if threads <= 1:
-        rows = [one(j) for j in range(n_paths)]
-    else:
-        rows = [None] * n_paths
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for j, row in zip(range(n_paths), pool.map(one, range(n_paths))):
-                rows[j] = row
-    gaps_sq = np.array(rows)  # (n_paths, n_rungs-1)
+    gaps_sq = np.array(run_ensemble(one, n_paths, threads))  # (n_paths, n_rungs-1)
     gaps = tuple(np.sqrt(gaps_sq.mean(axis=0)))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     return ConvergenceReport(mode_ladder=ladder, pairwise_gaps=gaps, gaps_monotone=monotone, n_paths=n_paths)
@@ -279,10 +261,9 @@ def strong_order_study(
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("every dt rung must be a multiple of the refined step")
 
-    ref_cfg = SolverConfig(
-        T=config.T, dt=dt_fine, n_modes=config.n_modes, n_noise=config.n_noise,
-        taming=False, master_seed=config.master_seed,
-    )
+    # the study never stops a path: cap_R and cap_mode are reset to their defaults
+    uncapped = dataclasses.replace(config, cap_R=math.inf, cap_mode="record")
+    ref_cfg = dataclasses.replace(uncapped, dt=dt_fine, taming=False)
 
     def one(j):
         dWf = brownian_increments(config.master_seed, j, K_fine, config.n_noise, dt_fine)
@@ -291,22 +272,11 @@ def strong_order_study(
         for d in dts:
             r = int(round(d / dt_fine))
             dW = dWf.reshape(-1, r, config.n_noise).sum(axis=1)
-            cfg = SolverConfig(
-                T=config.T, dt=d, n_modes=config.n_modes, n_noise=config.n_noise,
-                taming=config.taming, master_seed=config.master_seed,
-            )
-            em = simulate_path(setup, cfg, x0, path_index=j, dW=dW)
+            em = simulate_path(setup, dataclasses.replace(uncapped, dt=d), x0, path_index=j, dW=dW)
             errs.append(float(np.sum((em.states[-1] - ref.states[-1]) ** 2)))
         return errs
 
-    if threads <= 1:
-        rows = [one(j) for j in range(n_paths)]
-    else:
-        rows = [None] * n_paths
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for j, row in zip(range(n_paths), pool.map(one, range(n_paths))):
-                rows[j] = row
-    err_sq = np.array(rows)
+    err_sq = np.array(run_ensemble(one, n_paths, threads))
     rms = np.sqrt(err_sq.mean(axis=0))
     slope = float(np.polyfit(np.log2(dts), np.log2(rms), 1)[0])
     return ConvergenceReport(dt_ladder=dts, strong_errors=tuple(rms), strong_slope=slope, n_paths=n_paths)
@@ -355,13 +325,7 @@ def pathwise_stability_study(
         nonincr = bool(np.all(np.diff(diff) <= 1e-14 * max(diff[0], 1e-300)))
         return float(np.max(diff)), identical, nonincr
 
-    if threads <= 1:
-        rows = [one(j) for j in range(n_paths)]
-    else:
-        rows = [None] * n_paths
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for j, row in zip(range(n_paths), pool.map(one, range(n_paths))):
-                rows[j] = row
+    rows = run_ensemble(one, n_paths, threads)
     sup_gap = np.array([r[0] for r in rows])
     identical = all(r[1] for r in rows)
     nonincr = all(r[2] for r in rows)

@@ -286,12 +286,3 @@ def stopping_functional(path: Path, upto_index: int) -> float:
     acc = float(np.trapezoid(path.energy_series[: upto_index + 1], dx=dt))
     return float(path.l2_norms[upto_index]) + acc
 
-
-def first_stop_index(path: Path, radius: float) -> int | None:
-    """First grid index where the stopping functional reaches the radius."""
-    for i in range(path.times.shape[0]):
-        if not np.isfinite(path.energy_series[i]):
-            return None
-        if stopping_functional(path, i) >= radius:
-            return i
-    return None

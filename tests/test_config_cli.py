@@ -125,6 +125,18 @@ def test_simulate_reproducible_and_headers(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfg_path2), "--out", str(tmp_path / "r3")])
     assert rc == 0
     assert (tmp_path / "r3" / "path.csv").read_bytes() == b1
+    # a --seed run records the seed it used, so its header reproduces it too
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "s1"), "--seed", "77"])
+    assert rc == 0
+    seeded = (tmp_path / "s1" / "path.csv").read_bytes()
+    assert seeded != b1
+    recovered = parse_resolved_header(tmp_path / "s1" / "path.csv")
+    assert recovered["solver.master_seed"] == 77
+    cfg_path3 = tmp_path / "recovered_seeded.cfg"
+    cfg_path3.write_text(recovered.resolved_text())
+    rc = main(["simulate", "--config", str(cfg_path3), "--out", str(tmp_path / "s2")])
+    assert rc == 0
+    assert (tmp_path / "s2" / "path.csv").read_bytes() == seeded
 
 
 def test_seed_override_changes_output(tmp_path):

@@ -8,10 +8,11 @@ from fracsplap import (
     apply_A1_residual,
     apply_A1_weak,
     assemble_frac_stiffness,
+    build_space,
     check_scalar_monotonicity,
     gagliardo_seminorm,
 )
-from fracsplap.fracop import get_plan
+from fracsplap.fracop import get_plan, seminorm_p, seminorm_p_with_residual
 
 from oracles import gagliardo_seminorm_oracle
 
@@ -82,6 +83,22 @@ def test_residual_matches_weak_form(space16, quad):
     for _ in range(5):
         u = rng.standard_normal(16)
         assert r @ u == pytest.approx(apply_A1_weak(space16, quad, v, u, params), rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [8, 24])
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_residual_is_seminorm_gradient(unit_domain, quad, p, m):
+    # the Poincare search's L-BFGS gradient relies on residual = (1/p) grad [v]^p
+    space = build_space(unit_domain, m=m, n_modes=m)
+    plan = get_plan(space, quad, FracOperatorParams(s=0.5, p=p))
+    v = np.random.default_rng(m).standard_normal(m)
+    value, residual = seminorm_p_with_residual(plan, v, p)
+    assert value == pytest.approx(seminorm_p(plan, v, p), rel=1e-12)
+    eps = 1e-5
+    grad = np.array(
+        [(seminorm_p(plan, v + eps * e, p) - seminorm_p(plan, v - eps * e, p)) / (2.0 * eps) for e in np.eye(m)]
+    )
+    np.testing.assert_allclose(residual, grad / p, rtol=1e-6, atol=1e-6 * np.max(np.abs(residual)))
 
 
 def test_stiffness_symmetric_and_consistent(space32, quad, params_s05_p2):

@@ -91,8 +91,13 @@ def test_moment_affinity_and_self_consistency(moment_setup):
 def test_ensemble_thread_count_invariance(moment_setup):
     setup, shape = moment_setup
     cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=9)
-    seq = run_ensemble(setup, cfg, shape, 8, threads=1)
-    par = run_ensemble(setup, cfg, shape, 8, threads=4)
+
+    def one(j):
+        return simulate_path(setup, cfg, shape, path_index=j)
+
+    seq = run_ensemble(one, 8, threads=1)
+    par = run_ensemble(one, 8, threads=4)
+    assert [p.path_index for p in par] == list(range(8))
     for a, b in zip(seq, par):
         assert np.array_equal(a.states, b.states)
 

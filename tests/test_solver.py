@@ -18,7 +18,7 @@ from fracsplap import (
     simulate_path,
     stopping_functional,
 )
-from fracsplap.solver import Path, first_stop_index
+from fracsplap.solver import Path
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +143,23 @@ def test_stopping_functional_closed_forms():
         stopped_at=None, diverged_at=None, master_seed=0, path_index=0,
     )
     assert all(stopping_functional(zero, k) == 0.0 for k in range(K + 1))
-    assert first_stop_index(zero, 1e-9) is None
-    assert first_stop_index(path, 0.1) == 0  # radius below the initial norm
+
+
+def test_record_mode_stops_at_first_crossing(linear_setup):
+    x0 = 0.5 * np.sin(np.pi * linear_setup.space.nodes)
+    base = dict(T=0.5, dt=2.0**-5, n_modes=12, n_noise=4, master_seed=4)
+    free = simulate_path(linear_setup, SolverConfig(**base), x0)
+    assert free.stopped_at is None
+    values = np.array([stopping_functional(free, i) for i in range(free.times.size)])
+    # a radius halfway between two neighbouring sorted values, reached after step 0
+    ladder = np.unique(values)
+    mid = ladder.size // 2
+    radius = 0.5 * (ladder[mid - 1] + ladder[mid])
+    assert values[0] < radius
+    rec = simulate_path(linear_setup, SolverConfig(**base, cap_R=radius), x0)
+    assert rec.stopped_at == int(np.argmax(values >= radius))
+    assert rec.stopped_at > 0
+    assert np.array_equal(rec.states, free.states)  # record mode does not alter the path
 
 
 def test_cap_modes(linear_setup):
