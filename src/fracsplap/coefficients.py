@@ -217,13 +217,6 @@ class SuperlinearNoiseSpec:
             amps = np.where(i <= self.cutoff, amps, 0.0)
         return np.sin(np.outer(xi, i) * math.pi) * amps[None, :]
 
-    def sigma1_sq_sum(self, space: GalerkinSpace, n_noise: int = 512) -> float:
-        """Sum of ``||sigma_{1,i}||_H^2`` over the first n_noise directions."""
-        if self.sigma1_amplitude == 0.0:
-            return 0.0
-        cols = self.sigma1_nodal(space, 0.0, n_noise)
-        return float(np.sum(np.einsum("ik,ij,jk->k", cols, space.mass_matrix, cols)))
-
     def _verify(self, seed=2, tol=1e-12):
         rng = np.random.default_rng(seed)
         u1, u2 = _sample_pairs(rng)
@@ -380,24 +373,16 @@ def eval_G(
     return spec.g_fields * rv[:, None]
 
 
-def _interp_vals(vb: np.ndarray, loc: np.ndarray) -> np.ndarray:
-    return vb[:-1, None] * (1.0 - loc)[None, :] + vb[1:, None] * loc[None, :]
-
-
 def _triple_product(space: GalerkinSpace, f: np.ndarray, g: np.ndarray, u: np.ndarray) -> float:
     """Exact integral of a product of three hat interpolants (Gauss-2 per element)."""
-    _, ws, loc = space.element_gauss(2)
-    return float(np.sum(ws * _interp_vals(space.pad(f), loc) * _interp_vals(space.pad(g), loc) * _interp_vals(space.pad(u), loc)))
+    E, w = space.gauss_rule(2)
+    return float(np.sum(w * (E @ f) * (E @ g) * (E @ u)))
 
 
 def _project_product(space: GalerkinSpace, g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """L2 projection of the product of two hat interpolants back onto the hat space."""
-    _, ws, loc = space.element_gauss(2)
-    gv = ws * _interp_vals(space.pad(g), loc) * _interp_vals(space.pad(v), loc)
-    rhs = np.zeros(space.m + 2)
-    np.add.at(rhs, np.arange(space.m + 1), np.sum(gv * (1.0 - loc)[None, :], axis=1))
-    np.add.at(rhs, np.arange(1, space.m + 2), np.sum(gv * loc[None, :], axis=1))
-    return np.linalg.solve(space.mass_matrix, rhs[1:-1])
+    E, w = space.gauss_rule(2)
+    return np.linalg.solve(space.mass_matrix, E.T @ (w * (E @ g) * (E @ v)))
 
 
 def check_adjoint_identity(

@@ -13,8 +13,10 @@ with the tail kernel integrated analytically over a truncated exterior box.
 
 Every rule is a weighted sum over sampled values of the hat interpolant, so
 the plan stores one sparse operator ``D`` from the interior nodal values to
-those samples and one weight vector ``wts``.  With ``dv = D v`` and the flux
-``f = wts * |dv|^{p-2} dv``:
+those samples and one weight vector ``wts``.  ``D`` is stacked from
+:meth:`GalerkinSpace.eval_matrix` at the sample points: ``P(x) - P(y)`` per
+pair point, ``(P(1) - P(0)) / h`` per element and ``P(t)`` per tail point.
+With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
 * ``[v]^p = wts . |dv|^p``,
 * the form residual ``B(v, e_i)`` is ``D^T f`` and ``B(v, u) = f . (D u)``,
@@ -60,8 +62,8 @@ class FracPlan:
     ``j_same`` per element and ``wt``.  The weights already contain the kernel
     value and the factor 2 from enumerating unordered element pairs; the
     singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
-    ``elt``/``lt`` locate each sample point inside its element (element e
-    spans padded nodes e and e + 1).
+    ``elt``/``lt`` locate each sample point inside its element, as
+    :meth:`GalerkinSpace.eval_matrix` reads them.
     """
 
     elx: np.ndarray
@@ -92,36 +94,6 @@ def _graded_cells(width: float, levels: int):
     starts = np.concatenate(([0.0], edges[::-1][:-1]))
     widths = np.diff(np.concatenate(([0.0], edges[::-1])))
     return starts, widths
-
-
-def _sampling_operator(m, h, elx, lx, ely, ly, elt, lt) -> sparse.csr_array:
-    """CSR rows: ``v(x) - v(y)`` per pair point, the slope per element, ``v(x)`` per tail point.
-
-    Every row gets four slots in padded node indices (unused slots stay 0);
-    entries at the exterior nodes 0 and m + 1 are zeroed, then zeros dropped.
-    """
-    n_pair, n_el = lx.size, m + 1
-    rows = n_pair + n_el + lt.size
-    cols = np.zeros((rows, 4), dtype=np.int32)
-    vals = np.zeros((rows, 4))
-    el = np.arange(n_el)
-    for sel, nodes, coefs in (
-        (slice(0, n_pair), (elx, elx + 1, ely, ely + 1), (1.0 - lx, lx, ly - 1.0, -ly)),
-        (slice(n_pair, n_pair + n_el), (el, el + 1), (-1.0 / h, 1.0 / h)),
-        (slice(n_pair + n_el, rows), (elt, elt + 1), (1.0 - lt, lt)),
-    ):
-        for k, (node, coef) in enumerate(zip(nodes, coefs)):
-            cols[sel, k] = node
-            vals[sel, k] = coef
-    cols -= 1
-    vals[(cols < 0) | (cols >= m)] = 0.0
-    np.clip(cols, 0, m - 1, out=cols)
-    D = sparse.csr_array(
-        (vals.ravel(), cols.ravel(), np.arange(0, 4 * rows + 1, 4, dtype=np.int32)), shape=(rows, m)
-    )
-    D.sum_duplicates()
-    D.eliminate_zeros()
-    return D.copy()  # compact storage, without the dropped slots
 
 
 def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> FracPlan:
@@ -226,7 +198,10 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
     # the sample points do not depend on s or p, so every plan of a space shares D
     D = space._cache.get(("fracD", G, L))
     if D is None:
-        D = space._cache[("fracD", G, L)] = _sampling_operator(m, h, elx, lx, ely, ly, elt, lt)
+        P, el = space.eval_matrix, np.arange(n_el)
+        D = space._cache[("fracD", G, L)] = sparse.vstack(
+            (P(elx, lx) - P(ely, ly), (P(el, 1.0) - P(el, 0.0)) / h, P(elt, lt)), format="csr"
+        )
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
@@ -252,7 +227,7 @@ def _flux(plan: FracPlan, v: np.ndarray, p: float):
 
 def seminorm_p(plan: FracPlan, v: np.ndarray, p: float) -> float:
     """p-th power of the Gagliardo seminorm of the hat interpolant."""
-    return float(np.dot(plan.wts, np.abs(plan.D @ v) ** p))
+    return float(np.einsum("i,i->", plan.wts, np.abs(plan.D @ v) ** p))
 
 
 def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
@@ -262,7 +237,7 @@ def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
     values; the weak operator action is ``-(C/2)`` times it.
     """
     dv, f = _flux(plan, v, p)
-    return float(np.dot(f, dv)), plan.D.T @ f
+    return float(np.einsum("i,i->", f, dv)), plan.D.T @ f
 
 
 def gagliardo_seminorm(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, params: FracOperatorParams) -> float:
@@ -278,7 +253,7 @@ def apply_A1_weak(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, u: 
     """Duality pairing of the operator action at v against u (both nodal)."""
     plan = get_plan(space, quad, params)
     _, f = _flux(plan, v, params.p)
-    return float(-0.5 * params.c_kernel * np.dot(f, plan.D @ np.asarray(u, dtype=float)))
+    return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.D @ np.asarray(u, dtype=float)))
 
 
 def apply_A1_residual(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, params: FracOperatorParams) -> np.ndarray:

@@ -100,14 +100,14 @@ def estimate_moments(
         paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, threads)
         diverged += sum(1 for p in paths if p.diverged_at is not None)
         done = _completed(paths)
-        sup_l2 = np.array([np.max(p.l2_norms) for p in done])
-        energy = np.array([np.trapezoid(p.energy_series, dx=dt) for p in done])
+        l2 = np.array([p.l2_norms for p in done])  # (n_done, K+1)
+        en = np.array([p.energy_series for p in done])
+        sup_l2 = np.max(l2, axis=1)
+        energy = np.trapezoid(en, dx=dt, axis=1)
         for pi, p in enumerate(p_values):
             sup_samples = sup_l2 ** (2.0 * p)
             en_samples = energy**p
-            cr_samples = np.array(
-                [np.trapezoid(pp.l2_norms ** (2.0 * p - 2.0) * pp.energy_series, dx=dt) for pp in done]
-            )
+            cr_samples = np.trapezoid(l2 ** (2.0 * p - 2.0) * en, dx=dt, axis=1)
             root = math.sqrt(len(done))
             sup_m[pi, si] = sup_samples.mean()
             sup_se[pi, si] = sup_samples.std(ddof=1) / root

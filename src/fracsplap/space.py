@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import cholesky, solve_triangular
 
 from .domain import DomainSpec
@@ -40,24 +41,31 @@ class GalerkinSpace:
         """Mesh nodes including the two boundary nodes."""
         return np.concatenate(([self.domain.a], self.nodes, [self.domain.b]))
 
-    def pad(self, v: np.ndarray) -> np.ndarray:
-        """Interior nodal vector -> full nodal vector with zero boundary values."""
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.m,):
-            raise ValueError(f"expected nodal vector of length {self.m}, got shape {v.shape}")
-        out = np.zeros(self.m + 2)
-        out[1:-1] = v
-        return out
+    def eval_matrix(self, el, loc) -> sparse.csr_array:
+        """CSR map from the m interior nodal values to the interpolant at points ``(el, loc)``.
 
-    def element_gauss(self, n_points: int = 8):
-        """Gauss points/weights on every element, cached per point count."""
-        key = ("egauss", n_points)
+        Point k sits at local coordinate ``loc[k]`` in [0, 1] of element
+        ``el[k]``, which spans nodes ``el[k]`` and ``el[k] + 1`` of
+        :attr:`all_nodes`.  The two exterior nodes carry the value zero, so
+        their columns are dropped.
+        """
+        el, loc = np.broadcast_arrays(np.asarray(el, dtype=np.int64), np.asarray(loc, dtype=float))
+        el, loc = el.ravel(), loc.ravel()
+        cols = np.stack((el - 1, el), axis=1)  # interior indices of the left and right node
+        vals = np.stack((1.0 - loc, loc), axis=1)
+        rows = np.broadcast_to(np.arange(el.size)[:, None], cols.shape)
+        keep = (cols >= 0) & (cols < self.m) & (vals != 0.0)
+        return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=(el.size, self.m))
+
+    def gauss_rule(self, n_points: int = 8):
+        """Per-element Gauss rule ``(E, w)``: ``w . g(E v)`` integrates g of the interpolant."""
+        key = ("gauss", n_points)
         if key not in self._cache:
             xi, w = np.polynomial.legendre.leggauss(n_points)
             loc = 0.5 * (xi + 1.0)
-            xs = self.all_nodes[:-1, None] + self.h * loc[None, :]
-            ws = np.broadcast_to(0.5 * self.h * w[None, :], xs.shape)
-            self._cache[key] = (xs, np.array(ws), loc)
+            el = np.repeat(np.arange(self.m + 1), n_points)
+            E = self.eval_matrix(el, np.tile(loc, self.m + 1))
+            self._cache[key] = (E, np.tile(0.5 * self.h * w, self.m + 1))
         return self._cache[key]
 
 
@@ -111,18 +119,12 @@ def lp_norm(space: GalerkinSpace, v: np.ndarray, p: float, n_points: int = 8, wi
 
     With ``with_grad`` also returns the nodal gradient of ``||v||_p^p``.
     """
-    vbar = space.pad(v)
-    xs, ws, loc = space.element_gauss(n_points)
-    vals = vbar[:-1, None] * (1.0 - loc)[None, :] + vbar[1:, None] * loc[None, :]
-    total = float(np.sum(ws * np.abs(vals) ** p))
-    norm = total ** (1.0 / p)
+    E, w = space.gauss_rule(n_points)
+    vals = E @ np.asarray(v, dtype=float)
+    norm = float(np.sum(w * np.abs(vals) ** p)) ** (1.0 / p)
     if not with_grad:
         return norm
-    gfac = p * ws * np.abs(vals) ** (p - 2.0) * vals
-    gbar = np.zeros(space.m + 2)
-    np.add.at(gbar, np.arange(space.m + 1), np.sum(gfac * (1.0 - loc)[None, :], axis=1))
-    np.add.at(gbar, np.arange(1, space.m + 2), np.sum(gfac * loc[None, :], axis=1))
-    return norm, gbar[1:-1]
+    return norm, E.T @ (p * w * np.abs(vals) ** (p - 2.0) * vals)
 
 
 def lp_norm_nodal(space: GalerkinSpace, v: np.ndarray, p: float) -> float:
@@ -130,11 +132,9 @@ def lp_norm_nodal(space: GalerkinSpace, v: np.ndarray, p: float) -> float:
 
     Dominates :func:`lp_norm` by Jensen's inequality; the coefficient growth
     checks use this variant so that pointwise bounds survive discretization.
+    The exterior nodes are zero, so only the interior values contribute.
     """
-    vbar = space.pad(v)
-    w = np.full(space.m + 2, space.h)
-    w[0] = w[-1] = space.h / 2.0
-    return float(np.sum(w * np.abs(vbar) ** p) ** (1.0 / p))
+    return float(space.h * np.sum(np.abs(np.asarray(v, dtype=float)) ** p)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,22 @@ def test_plan_weights_finite(space16, quad):
     assert plan.tail_truncation_bound > 0
 
 
+def test_sampling_operator_matches_point_values(space16, quad):
+    plan = get_plan(space16, quad, FracOperatorParams(s=0.5, p=3.0))
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(space16.m)
+    nodes, h = space16.all_nodes, space16.h
+    vbar = np.concatenate(([0.0], v, [0.0]))
+
+    def at(el, loc):
+        return np.interp(nodes[el] + h * loc, nodes, vbar)
+
+    slopes = np.diff(vbar) / h
+    expected = np.concatenate((at(plan.elx, plan.lx) - at(plan.ely, plan.ly), slopes, at(plan.elt, plan.lt)))
+    assert plan.D.shape == (expected.size, space16.m)
+    assert np.allclose(plan.D @ v, expected, rtol=0.0, atol=1e-12)
+
+
 def test_plan_rejects_multidimensional(space16, quad):
     with pytest.raises(ValueError):
         get_plan(space16, quad, FracOperatorParams(s=0.5, p=2.0, n=2))

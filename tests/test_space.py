@@ -26,9 +26,22 @@ def test_mass_matrix_spd(space16):
 
 
 def test_basis_vanishes_at_boundary(space16):
-    # hats live on interior nodes; the padded vector pins the endpoints to zero
-    vbar = space16.pad(space16.h_basis[:, 3])
-    assert vbar[0] == 0.0 and vbar[-1] == 0.0
+    # hats live on interior nodes; the interpolant is zero at both endpoints
+    E = space16.eval_matrix([0, space16.m], [0.0, 1.0])
+    assert E.nnz == 0
+    assert np.all(E @ space16.h_basis == 0.0)
+
+
+def test_eval_matrix_matches_interp(space16):
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(space16.m)
+    vbar = np.concatenate(([0.0], v, [0.0]))
+    el = np.concatenate(([0, 0, space16.m, space16.m], rng.integers(0, space16.m + 1, 200)))
+    loc = np.concatenate(([0.0, 0.3, 0.8, 1.0], rng.uniform(0.0, 1.0, 200)))
+    x = space16.all_nodes[el] + space16.h * loc
+    E = space16.eval_matrix(el, loc)
+    assert E.shape == (el.size, space16.m)
+    assert np.allclose(E @ v, np.interp(x, space16.all_nodes, vbar), rtol=0.0, atol=1e-13)
 
 
 def test_build_space_rejects_bad_dims(unit_domain):
@@ -112,10 +125,10 @@ def test_lp_norms(space32):
         assert lp_norm_nodal(space32, w, p) >= lp_norm(space32, w, p) - 1e-12
 
 
-def test_lp_norm_gradient(space16):
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_lp_norm_gradient(space16, p):
     rng = np.random.default_rng(6)
     v = rng.standard_normal(16)
-    p = 3.0
     _, grad = lp_norm(space16, v, p, with_grad=True)
     eps = 1e-6
     for i in (0, 7, 15):
