@@ -37,5 +37,5 @@ print("  (enlarging the span can only lower the minimum Rayleigh quotient)")
 
 print("\nheuristic estimate for p = 3 (reported as a heuristic, not certified):")
 space = build_space(domain, 24, 12)
-est = poincare_constant(space, FracOperatorParams(s=0.5, p=3.0), quad, n_random=400)
+est = poincare_constant(space, FracOperatorParams(s=0.5, p=3.0), quad)
 print(f"  lambda_hat = {est.value:.6f} (certified = {est.certified})")

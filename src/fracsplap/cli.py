@@ -335,6 +335,12 @@ def main(argv=None) -> int:
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        print(f"error: --seed must lie in [0, 2**64), got {args.seed}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if args.threads < 1:
+        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.command == "selftest":
         return _selftest()
     try:

@@ -271,7 +271,7 @@ def hs_norm_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.
 def sqrt_operator(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> np.ndarray:
     """Matrix of the spectral square root of the p = 2 nonlocal form.
 
-    Built from the generalized eigendecomposition of (S, M); satisfies
+    Built from the eigenpairs of (S, M) that :func:`frac_eigenpairs` caches; satisfies
     ``||R v||_{L2}^2 = v^T S v`` on nodal vectors and is self-adjoint in the
     mass inner product.
     """
@@ -280,10 +280,7 @@ def sqrt_operator(space: GalerkinSpace, quad: FracQuadrature, params: FracOperat
     key = ("sqrtop", quad.panel_rule, quad.near_diag_split, params.s)
     if key in space._cache:
         return space._cache[key]
-    from scipy.linalg import eigh
-
-    S = assemble_frac_stiffness(space, quad, params)
-    vals, vecs = eigh(S, space.mass_matrix)
+    vals, vecs = frac_eigenpairs(space, quad, params)
     vals = np.clip(vals, 0.0, None)
     R = vecs @ (np.sqrt(vals)[:, None] * (vecs.T @ space.mass_matrix))
     space._cache[key] = R

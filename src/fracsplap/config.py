@@ -105,7 +105,6 @@ _SCHEMA = {
     "harness.n_paths": (int, 400),
     "harness.p_values": (_parse_float_list, (1.0, 2.0)),
     "harness.x_scales": (_parse_float_list, (0.0, 1.0, 2.0, 4.0)),
-    "harness.sigma": (float, 0.25),
     "harness.mode_ladder": (_parse_int_list, (8, 16, 32)),
     "harness.dt_ladder": (_parse_float_list, ()),
     "harness.ref_refine": (int, 16),
@@ -201,7 +200,7 @@ class Bundle:
             from .domain import poincare_constant
             from .hypotheses import admissibility_report
 
-            self.poincare = poincare_constant(self.space, self.op_params, self.quad, n_random=400, seed=0)
+            self.poincare = poincare_constant(self.space, self.op_params, self.quad)
             self.report = admissibility_report(
                 self.op_params, self.drift, self.lip, self.noise, self.transport,
                 self.poincare, self.config["solver.T"],
@@ -293,8 +292,6 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
         ladder = config["harness.mode_ladder"]
         if ladder and any(b <= a for a, b in zip(ladder, ladder[1:])):
             raise ConfigError("harness.mode_ladder must be strictly increasing")
-        if config["harness.sigma"] <= 0 or config["harness.sigma"] >= 0.5:
-            raise ConfigError("harness.sigma must lie in (0, 1/2)")
     except ConfigError:
         raise
     except ValueError as exc:

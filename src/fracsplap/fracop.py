@@ -63,7 +63,8 @@ class FracPlan:
     value and the factor 2 from enumerating unordered element pairs; the
     singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
     ``elt``/``lt`` locate each sample point inside its element, as
-    :meth:`GalerkinSpace.eval_matrix` reads them.
+    :meth:`GalerkinSpace.eval_matrix` reads them.  ``DT`` is ``D^T`` as CSR, built
+    once so that a sweep's residual ``D^T f`` does not transpose ``D`` again.
     """
 
     elx: np.ndarray
@@ -77,6 +78,7 @@ class FracPlan:
     wt: np.ndarray
     tail_truncation_bound: float
     D: sparse.csr_array
+    DT: sparse.csr_array
     wts: np.ndarray
 
 
@@ -195,18 +197,20 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
 
     trunc_bound = 2.0 * wt_box ** (-ps) / ps
 
-    # the sample points do not depend on s or p, so every plan of a space shares D
-    D = space._cache.get(("fracD", G, L))
-    if D is None:
+    # the sample points do not depend on s or p, so every plan of a space shares D and D^T
+    d_key = ("fracD", G, L)
+    if d_key not in space._cache:
         P, el = space.eval_matrix, np.arange(n_el)
-        D = space._cache[("fracD", G, L)] = sparse.vstack(
+        D = sparse.vstack(
             (P(elx, lx) - P(ely, ly), (P(el, 1.0) - P(el, 0.0)) / h, P(elt, lt)), format="csr"
         )
+        space._cache[d_key] = (D, D.T.tocsr())
+    D, DT = space._cache[d_key]
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
         elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size], j_same=j_same,
-        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, D=D, wts=wts,
+        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, D=D, DT=DT, wts=wts,
     )
     space._cache[key] = plan
     return plan
@@ -237,7 +241,7 @@ def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
     values; the weak operator action is ``-(C/2)`` times it.
     """
     dv, f = _flux(plan, v, p)
-    return float(np.einsum("i,i->", f, dv)), plan.D.T @ f
+    return float(np.einsum("i,i->", f, dv)), plan.DT @ f
 
 
 def gagliardo_seminorm(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, params: FracOperatorParams) -> float:
@@ -260,7 +264,7 @@ def apply_A1_residual(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray,
     """Vector of pairings against every interior hat, in one quadrature sweep."""
     plan = get_plan(space, quad, params)
     _, f = _flux(plan, v, params.p)
-    return -0.5 * params.c_kernel * (plan.D.T @ f)
+    return -0.5 * params.c_kernel * (plan.DT @ f)
 
 
 def assemble_frac_stiffness(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> np.ndarray:

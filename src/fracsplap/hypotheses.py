@@ -19,7 +19,7 @@ moment-exponent range to their expected special forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class HypothesisParams:
     gamma1: tuple
     gamma2: tuple
     alpha: float = 0.0
-    alpha1: float = 0.0
-    alpha2: float = 0.0
     beta1: tuple | None = None
     beta2: tuple | None = None
     g_l1_norm: float = 0.0
@@ -60,7 +58,7 @@ class HypothesisParams:
                 raise ValueError(f"coercivity constant gamma1_{j + 1} must be positive")
             if self.gamma2[j] < 0 or self.beta1[j] < 0 or self.beta2[j] < 0:
                 raise ValueError("growth constants must be nonnegative")
-        if self.alpha < 0 or self.alpha1 < 0 or self.alpha2 < 0 or self.g_l1_norm < 0:
+        if self.alpha < 0 or self.g_l1_norm < 0:
             raise ValueError("scalar growth constants must be nonnegative")
 
     @property
@@ -233,10 +231,8 @@ def theorem3_hypothesis_params(
     horizon: float,
 ) -> HypothesisParams:
     base = theorem2_hypothesis_params(op_params, drift, lip, noise, horizon)
-    return HypothesisParams(
-        q=base.q,
-        theta=base.theta,
-        gamma1=base.gamma1,
+    return replace(
+        base,
         gamma2=(transport.delta4, base.gamma2[1], 0.0),
         g_l1_norm=base.g_l1_norm + transport.phi4_l1(horizon),
     )

@@ -53,6 +53,8 @@ class SolverConfig:
             raise ValueError(f"unknown cap_mode {self.cap_mode!r}")
         if not self.cap_R > 0:
             raise ValueError("cap radius must be positive")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master seed must lie in [0, 2**64), got {self.master_seed}")
 
     @property
     def n_steps(self) -> int:

@@ -159,6 +159,31 @@ def test_validation_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--seed", str(2**64)], ["--threads", "0"], ["--threads", "-2"]]
+)
+def test_out_of_range_flags_exit_2(tmp_path, capsys, flags):
+    cfg_path = tmp_path / "mini.cfg"
+    cfg_path.write_text(MINI)
+    out = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out), *flags])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flags[0] in err
+
+
+def test_out_of_range_config_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    for seed in (-1, 2**64):
+        cfg_path = tmp_path / "seed.cfg"
+        cfg_path.write_text(MINI + f"solver.master_seed = {seed}\n")
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        assert "master seed" in capsys.readouterr().err
+
+
 def test_moments_exponent_filtering(tmp_path, capsys):
     rc = main([
         "moments", "--config", str(CONFIG_DIR / "theorem2_ok.cfg"), "--out", str(tmp_path / "m"),

@@ -94,6 +94,9 @@ def test_residual_is_seminorm_gradient(unit_domain, quad, p, m):
     v = np.random.default_rng(m).standard_normal(m)
     value, residual = seminorm_p_with_residual(plan, v, p)
     assert value == pytest.approx(seminorm_p(plan, v, p), rel=1e-12)
+    # the cached CSR transpose gives the bits of the per-call transpose
+    dv = plan.D @ v
+    assert np.array_equal(residual, plan.D.T @ (plan.wts * (np.abs(dv) ** (p - 2.0) * dv)))
     eps = 1e-5
     grad = np.array(
         [(seminorm_p(plan, v + eps * e, p) - seminorm_p(plan, v - eps * e, p)) / (2.0 * eps) for e in np.eye(m)]

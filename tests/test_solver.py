@@ -50,6 +50,10 @@ def test_config_validation():
         SolverConfig(T=1.0, dt=0.25, n_modes=0, n_noise=2)
     with pytest.raises(ValueError):
         SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2, cap_mode="bogus")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master seed"):
+            SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2, master_seed=seed)
+    assert SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2, master_seed=2**64 - 1).master_seed == 2**64 - 1
     cfg = SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2)
     assert cfg.n_steps == 4
 
