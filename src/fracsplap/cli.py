@@ -18,6 +18,7 @@ import scipy
 from . import __version__
 from .config import Bundle, ConfigError, ExperimentConfig, build_bundle, parse_config_file
 from .harness import (
+    EnsembleDiverged,
     estimate_moments,
     galerkin_convergence_study,
     pathwise_stability_study,
@@ -358,6 +359,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except EnsembleDiverged as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -252,13 +252,22 @@ def eval_drift(spec: DriftSpec, hspec: LipschitzPerturbationSpec, t: float, v: n
 
 
 def eval_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.ndarray, n_noise: int) -> np.ndarray:
-    """Diffusion columns sigma_i(t, ., v(.)) at the nodes, shape (m, n_noise)."""
-    if n_noise < 1:
-        raise ValueError("n_noise must be >= 1")
-    v = np.asarray(v, dtype=float)
-    i = np.arange(1, n_noise + 1)
-    cols = np.sqrt(spec.beta(i))[None, :] * spec.sigma2_profile(v)[:, None]
-    return cols + spec.sigma1_nodal(space, t, n_noise)
+    """Diffusion columns sigma_i(t, ., v(.)) at the nodes, shape (m, n_noise).
+
+    The state-free parts, ``sqrt(beta_i)`` and the forcing columns (which do
+    not depend on t), are computed once per ``(spec, n_noise)`` and kept in
+    the space's cache; the returned array is always a fresh one.
+    """
+    key = ("eval_B", spec, n_noise)
+    try:
+        scale, forcing = space._cache[key]
+    except KeyError:
+        if n_noise < 1:
+            raise ValueError("n_noise must be >= 1") from None
+        scale = np.sqrt(spec.beta(np.arange(1, n_noise + 1)))
+        forcing = spec.sigma1_nodal(space, t, n_noise)
+        space._cache[key] = scale, forcing
+    return scale * spec.sigma2_profile(v)[:, None] + forcing
 
 
 def hs_norm_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.ndarray, n_noise: int) -> float:

@@ -10,7 +10,7 @@ same format.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,11 +30,18 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parse_float_list(text: str):
     text = text.strip()
     if not text:
         return ()
-    return tuple(float(tok) for tok in text.split(","))
+    return tuple(_parse_finite(tok) for tok in text.split(","))
 
 
 def _parse_int_list(text: str):
@@ -56,51 +63,52 @@ def _fmt_value(val) -> str:
     return str(val)
 
 
-# key -> (parser, default); _REQUIRED marks keys without defaults
+# key -> (parser, default); _REQUIRED marks keys without defaults.  Every float
+# must be finite except solver.cap_R, whose default inf means "never stop".
 _SCHEMA = {
     "operator.n": (int, 1),
-    "operator.s": (float, _REQUIRED),
-    "operator.p": (float, 2.0),
-    "domain.a": (float, 0.0),
-    "domain.b": (float, 1.0),
-    "domain.exterior_truncation": (float, 0.0),  # 0 = default (10x the domain length)
+    "operator.s": (_parse_finite, _REQUIRED),
+    "operator.p": (_parse_finite, 2.0),
+    "domain.a": (_parse_finite, 0.0),
+    "domain.b": (_parse_finite, 1.0),
+    "domain.exterior_truncation": (_parse_finite, 0.0),  # 0 = default (10x the domain length)
     "domain.mesh_m": (int, _REQUIRED),
     "domain.n_modes": (int, _REQUIRED),
     "quadrature.panel_gauss": (int, 6),
     "quadrature.graded_levels": (int, 6),
     "drift.family": (str, "power"),
-    "drift.q": (float, _REQUIRED),
-    "drift.delta": (float, _REQUIRED),
-    "drift.linear": (float, 0.0),
-    "drift.delta3": (float, -1.0),  # -1 = the family default delta/2, 0 = weak monotonicity only
+    "drift.q": (_parse_finite, _REQUIRED),
+    "drift.delta": (_parse_finite, _REQUIRED),
+    "drift.linear": (_parse_finite, 0.0),
+    "drift.delta3": (_parse_finite, -1.0),  # -1 = the family default delta/2, 0 = weak monotonicity only
     "lipschitz.family": (str, "bounded_slope"),
-    "lipschitz.phi3": (float, 0.0),
+    "lipschitz.phi3": (_parse_finite, 0.0),
     "noise.family": (str, "power_sine"),
-    "noise.p1": (float, 2.0),
-    "noise.beta_b0": (float, 0.0),
-    "noise.beta_r": (float, 2.0),
-    "noise.gamma_g0": (float, 0.0),
-    "noise.gamma_r": (float, 2.0),
+    "noise.p1": (_parse_finite, 2.0),
+    "noise.beta_b0": (_parse_finite, 0.0),
+    "noise.beta_r": (_parse_finite, 2.0),
+    "noise.gamma_g0": (_parse_finite, 0.0),
+    "noise.gamma_r": (_parse_finite, 2.0),
     "noise.cutoff": (int, 0),  # 0 = infinite power-law family
-    "noise.sigma1_amplitude": (float, 0.0),
-    "noise.sigma1_decay": (float, 2.0),
+    "noise.sigma1_amplitude": (_parse_finite, 0.0),
+    "noise.sigma1_decay": (_parse_finite, 2.0),
     "transport.enabled": (_parse_bool, False),
     "transport.family": (str, "sine"),
     "transport.n_g": (int, 2),
-    "transport.amplitude": (float, 0.0),
-    "transport.decay": (float, 1.0),
-    "transport.phi4": (float, 0.0),
-    "solver.T": (float, _REQUIRED),
-    "solver.dt": (float, _REQUIRED),
+    "transport.amplitude": (_parse_finite, 0.0),
+    "transport.decay": (_parse_finite, 1.0),
+    "transport.phi4": (_parse_finite, 0.0),
+    "solver.T": (_parse_finite, _REQUIRED),
+    "solver.dt": (_parse_finite, _REQUIRED),
     "solver.n_noise": (int, _REQUIRED),
     "solver.taming": (_parse_bool, True),
-    "solver.cap_R": (float, math.inf),
+    "solver.cap_R": (float, math.inf),  # the one float key that takes inf
     "solver.cap_mode": (str, "record"),
     "solver.master_seed": (int, 0),
     "solver.x0_profile": (str, "bump"),  # "bump" or "sine"
-    "solver.x0_scale": (float, 1.0),
-    "solver.x0_center": (float, 0.25),
-    "solver.x0_width": (float, 0.1),
+    "solver.x0_scale": (_parse_finite, 1.0),
+    "solver.x0_center": (_parse_finite, 0.25),
+    "solver.x0_width": (_parse_finite, 0.1),
     "solver.x0_support": (int, 0),  # zero the profile beyond this node index (0 = keep all)
     "harness.n_paths": (int, 400),
     "harness.p_values": (_parse_float_list, (1.0, 2.0)),
@@ -108,9 +116,9 @@ _SCHEMA = {
     "harness.mode_ladder": (_parse_int_list, (8, 16, 32)),
     "harness.dt_ladder": (_parse_float_list, ()),
     "harness.ref_refine": (int, 16),
-    "harness.affinity_factor": (float, 3.0),
-    "harness.max_diverged_fraction": (float, 0.0),
-    "harness.stability_epsilon": (float, 1e-3),
+    "harness.affinity_factor": (_parse_finite, 3.0),
+    "harness.max_diverged_fraction": (_parse_finite, 0.0),
+    "harness.stability_epsilon": (_parse_finite, 1e-3),
 }
 
 
@@ -259,6 +267,18 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
         )
         op_params = FracOperatorParams(s=config["operator.s"], p=config["operator.p"], n=config["operator.n"])
         quad = FracQuadrature(config["quadrature.panel_gauss"], config["quadrature.graded_levels"])
+        # the solver configurations validate every path's size before any operator is built
+        solver_config = SolverConfig(
+            T=config["solver.T"], dt=config["solver.dt"],
+            n_modes=config["domain.n_modes"], n_noise=config["solver.n_noise"],
+            taming=config["solver.taming"], cap_R=config["solver.cap_R"],
+            cap_mode=config["solver.cap_mode"], master_seed=config["solver.master_seed"],
+        )
+        if config["harness.dt_ladder"]:
+            if config["harness.ref_refine"] < 1:
+                raise ConfigError("harness.ref_refine must be >= 1")
+            # the strong-order reference runs at the finest rung divided by ref_refine
+            replace(solver_config, dt=min(config["harness.dt_ladder"]) / config["harness.ref_refine"])
         space = build_space(domain, config["domain.mesh_m"], config["domain.n_modes"])
         delta3 = config["drift.delta3"]
         drift = DriftSpec(
@@ -281,12 +301,6 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
                 n_g=config["transport.n_g"], amplitude=config["transport.amplitude"],
                 decay=config["transport.decay"], phi4_amplitude=config["transport.phi4"],
             )
-        solver_config = SolverConfig(
-            T=config["solver.T"], dt=config["solver.dt"],
-            n_modes=config["domain.n_modes"], n_noise=config["solver.n_noise"],
-            taming=config["solver.taming"], cap_R=config["solver.cap_R"],
-            cap_mode=config["solver.cap_mode"], master_seed=config["solver.master_seed"],
-        )
         setup = SimulationSetup(space, op_params, quad, drift, lip, noise, transport)
         x0_shape = _x0_shape(config, space)
         ladder = config["harness.mode_ladder"]

@@ -29,6 +29,7 @@ seminorm, the weak form and the stiffness matrix hold to rounding accuracy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -64,7 +65,8 @@ class FracPlan:
     singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
     ``elt``/``lt`` locate each sample point inside its element, as
     :meth:`GalerkinSpace.eval_matrix` reads them.  ``DT`` is ``D^T`` as CSR, built
-    once so that a sweep's residual ``D^T f`` does not transpose ``D`` again.
+    on first use (only a residual reads it, so p = 2 runs never build it) so
+    that a sweep's residual ``D^T f`` does not transpose ``D`` again.
     """
 
     elx: np.ndarray
@@ -78,8 +80,11 @@ class FracPlan:
     wt: np.ndarray
     tail_truncation_bound: float
     D: sparse.csr_array
-    DT: sparse.csr_array
     wts: np.ndarray
+
+    @cached_property
+    def DT(self) -> sparse.csr_array:
+        return self.D.T.tocsr()
 
 
 def _gauss01(n: int):
@@ -197,20 +202,19 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
 
     trunc_bound = 2.0 * wt_box ** (-ps) / ps
 
-    # the sample points do not depend on s or p, so every plan of a space shares D and D^T
+    # the sample points do not depend on s or p, so every plan of a space shares D
     d_key = ("fracD", G, L)
     if d_key not in space._cache:
         P, el = space.eval_matrix, np.arange(n_el)
-        D = sparse.vstack(
+        space._cache[d_key] = sparse.vstack(
             (P(elx, lx) - P(ely, ly), (P(el, 1.0) - P(el, 0.0)) / h, P(elt, lt)), format="csr"
         )
-        space._cache[d_key] = (D, D.T.tocsr())
-    D, DT = space._cache[d_key]
+    D = space._cache[d_key]
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
         elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size], j_same=j_same,
-        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, D=D, DT=DT, wts=wts,
+        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, D=D, wts=wts,
     )
     space._cache[key] = plan
     return plan

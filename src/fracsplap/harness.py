@@ -30,10 +30,14 @@ def run_ensemble(one, n_paths, threads=1):
         return list(pool.map(one, range(n_paths)))
 
 
-def _completed(paths):
+class EnsembleDiverged(RuntimeError):
+    """Every path of an ensemble diverged, so it has no statistics."""
+
+
+def _completed(paths, scale):
     done = [p for p in paths if p.diverged_at is None]
     if not done:
-        raise RuntimeError("every path diverged; no statistics available")
+        raise EnsembleDiverged(f"all {len(paths)} paths at x_scale {scale!r} diverged; no statistics available")
     return done
 
 
@@ -99,7 +103,7 @@ def estimate_moments(
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
         paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, threads)
         diverged += sum(1 for p in paths if p.diverged_at is not None)
-        done = _completed(paths)
+        done = _completed(paths, scale)
         l2 = np.array([p.l2_norms for p in done])  # (n_done, K+1)
         en = np.array([p.energy_series for p in done])
         sup_l2 = np.max(l2, axis=1)

@@ -291,7 +291,10 @@ class AdmissibilityReport:
         out = [
             f"Admissibility report -- setting: {self.setting}",
             f"  Poincare estimate: {_fmt(self.lambda_hat)}"
-            + (" (certified on the discrete space)" if self.lambda_certified else " (heuristic lower bound)"),
+            + (
+                " (certified on the discrete space)" if self.lambda_certified
+                else " (attained quotient: an upper bound on the discrete minimum, not certified)"
+            ),
             f"  growth indices kappa: ({', '.join(_fmt(k) for k in self.kappa)})",
             f"  gap condition: max kappa = {_fmt(self.gap.lhs)} "
             + ("<" if self.gap.ok else ">=")

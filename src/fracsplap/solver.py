@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +27,11 @@ from .coefficients import (
 from .domain import FracOperatorParams
 from .fracop import FracQuadrature, assemble_frac_stiffness, get_plan, seminorm_p_with_residual
 from .space import GalerkinSpace, lp_norm
+
+
+# Largest n_steps * max(n_modes, n_noise) of one path: its state array and its
+# noise increments stay below 80 MB each.
+MAX_PATH_ENTRIES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -45,10 +51,15 @@ class SolverConfig:
         if not (self.T > 0 and self.dt > 0):
             raise ValueError("horizon and time step must be positive")
         steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
             raise ValueError(f"dt must divide T, got T/dt = {steps}")
         if self.n_modes < 1 or self.n_noise < 1:
             raise ValueError("n_modes and n_noise must be >= 1")
+        if round(steps) * max(self.n_modes, self.n_noise) > MAX_PATH_ENTRIES:
+            raise ValueError(
+                f"a path of {round(steps)} steps with {self.n_modes} modes and {self.n_noise} noise directions "
+                f"exceeds n_steps * max(n_modes, n_noise) <= {MAX_PATH_ENTRIES}"
+            )
         if self.cap_mode not in ("record", "truncate"):
             raise ValueError(f"unknown cap_mode {self.cap_mode!r}")
         if not self.cap_R > 0:
@@ -79,6 +90,14 @@ class Path:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
+
+
+class Reduced(NamedTuple):
+    """Contiguous rank-k slices of the setup's operators: ``H[:, :k]``, ``(H^T M)[:k]``, ``S_red[:k, :k]``."""
+
+    H: np.ndarray
+    HT_M: np.ndarray
+    S: np.ndarray | None  # p = 2 only
 
 
 class SimulationSetup:
@@ -117,18 +136,29 @@ class SimulationSetup:
             self.R = sqrt_operator(space, quad, op_params)
         else:
             self.R = None
+        self._reduced = {}
+
+    def reduced(self, k: int) -> Reduced:
+        """The rank-k operators of the loop, built once per k."""
+        ops = self._reduced.get(k)
+        if ops is None:
+            S = None if self.S_red is None else np.ascontiguousarray(self.S_red[:k, :k])
+            ops = Reduced(np.ascontiguousarray(self.H[:, :k]), np.ascontiguousarray(self.HT_M[:k]), S)
+            self._reduced[k] = ops
+        return ops
 
     def a1_coeffs(self, z: np.ndarray, nodal: np.ndarray, k: int) -> np.ndarray:
         """Mode coefficients of the operator action (pairings against h_1..h_k)."""
-        if self.S_red is not None:
-            return -(self.S_red[:k, :k] @ z)
+        ops = self.reduced(k)
+        if ops.S is not None:
+            return -(ops.S @ z)
         _, residual = seminorm_p_with_residual(self.plan, nodal, self.op_params.p)
-        return self.H[:, :k].T @ (-0.5 * self.op_params.c_kernel * residual)
+        return ops.H.T @ (-0.5 * self.op_params.c_kernel * residual)
 
     def v1_seminorm(self, z: np.ndarray, nodal: np.ndarray, k: int) -> float:
-        if self.S_red is not None:
-            val = 2.0 / self.op_params.c_kernel * float(z @ (self.S_red[:k, :k] @ z))
-            return math.sqrt(max(val, 0.0))
+        S = self.reduced(k).S
+        if S is not None:
+            return math.sqrt(max(2.0 / self.op_params.c_kernel * float(z @ (S @ z)), 0.0))
         value, _ = seminorm_p_with_residual(self.plan, nodal, self.op_params.p)
         return value ** (1.0 / self.op_params.p)
 
@@ -162,10 +192,11 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
     if dW.shape != (K, config.n_noise):
         raise ValueError(f"noise increments must have shape {(K, config.n_noise)}, got {dW.shape}")
 
+    ops = setup.reduced(k)
     q = setup.drift.q
     p = setup.op_params.p
-    z = setup.HT_M[:k] @ x0  # projection onto the retained span
-    times = config.dt * np.arange(K + 1)
+    dt, cap_R, truncate = config.dt, config.cap_R, config.cap_mode == "truncate"
+    times = dt * np.arange(K + 1)
     states = np.full((K + 1, k), np.nan)
     l2 = np.full(K + 1, np.nan)
     v1 = np.full(K + 1, np.nan)
@@ -174,39 +205,37 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
     stopped_at = None
     diverged_at = None
 
-    def record(i, zi, nodal):
+    def record(i, zi, nodal, zz):
         states[i] = zi
-        with np.errstate(over="ignore"):
-            l2[i] = float(np.sqrt(zi @ zi))
-            v1[i] = setup.v1_seminorm(zi, nodal, k)
-            lq[i] = lp_norm(space, nodal, q)
-            energy[i] = v1[i] ** p + lq[i] ** q + l2[i] ** 2
+        l2[i] = math.sqrt(zz)
+        v1[i] = setup.v1_seminorm(zi, nodal, k)
+        lq[i] = lp_norm(space, nodal, q)
+        energy[i] = v1[i] ** p + lq[i] ** q + l2[i] ** 2  # numpy scalars: an overflow gives inf
 
-    nodal = setup.H[:, :k] @ z
-    record(0, z, nodal)
-    running_energy = 0.0
-    if l2[0] >= config.cap_R:
-        stopped_at = 0
-    frozen = stopped_at is not None and config.cap_mode == "truncate"
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = ops.HT_M @ x0  # projection onto the retained span
+        nodal = ops.H @ z
+        zz = float(z @ z)
+        record(0, z, nodal, zz)
+        running_energy = 0.0
+        if l2[0] >= cap_R:
+            stopped_at = 0
+        frozen = stopped_at is not None and truncate
 
-    for i in range(K):
-        if frozen:
-            record(i + 1, z, nodal)
-            running_energy += config.dt * 0.5 * (energy[i] + energy[i + 1])
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            z_new = stepper(times[i], z, nodal, dW[i], k)
-        if not np.all(np.isfinite(z_new)):
-            diverged_at = i + 1
-            break
-        z = z_new
-        nodal = setup.H[:, :k] @ z
-        record(i + 1, z, nodal)
-        running_energy += config.dt * 0.5 * (energy[i] + energy[i + 1])
-        if stopped_at is None and l2[i + 1] + running_energy >= config.cap_R:
-            stopped_at = i + 1
-            if config.cap_mode == "truncate":
-                frozen = True
+        for i in range(K):
+            if not frozen:
+                z_new = stepper(times[i], z, nodal, dW[i], ops)
+                zz = float(z_new @ z_new)  # finite only when every entry is
+                if not math.isfinite(zz) and not np.isfinite(z_new).all():
+                    diverged_at = i + 1
+                    break
+                z = z_new
+                nodal = ops.H @ z
+            record(i + 1, z, nodal, zz)
+            running_energy += dt * 0.5 * (energy[i] + energy[i + 1])
+            if stopped_at is None and l2[i + 1] + running_energy >= cap_R:
+                stopped_at = i + 1
+                frozen = truncate
 
     return Path(
         times=times,
@@ -234,14 +263,18 @@ def simulate_path(
     The taming factor rescales the whole projected drift vector, preserving
     its direction; the diffusion increment is left untouched.
     """
+    dt, taming, n_noise, k = config.dt, config.taming, config.n_noise, config.n_modes
+    drift, lip = setup.drift, setup.lip
 
-    def stepper(t, z, nodal, dw, k):
-        drift_nodal = setup.drift.f(t, nodal) + setup.lip.h(t, nodal)
-        D = setup.a1_coeffs(z, nodal, k) + setup.HT_M[:k] @ drift_nodal
-        if config.taming:
-            D = D / (1.0 + config.dt * float(np.sqrt(D @ D)))
-        cols = setup.diffusion_cols(t, nodal, config.n_noise)
-        return z + config.dt * D + (setup.HT_M[:k] @ cols) @ dw
+    def stepper(t, z, nodal, dw, ops):
+        drift_nodal = drift.f(t, nodal)
+        if lip.phi3_amplitude != 0.0:  # the zero perturbation adds nothing
+            drift_nodal = drift_nodal + lip.h(t, nodal)
+        D = setup.a1_coeffs(z, nodal, k) + ops.HT_M @ drift_nodal
+        if taming:
+            D = D / (1.0 + dt * math.sqrt(D @ D))
+        cols = setup.diffusion_cols(t, nodal, n_noise)
+        return z + dt * D + ops.HT_M @ (cols @ dw)
 
     return _integrate(setup, config, x0, path_index, dW, stepper)
 
@@ -267,13 +300,14 @@ def reference_solution_p2_linear(
         raise ValueError("the exponential reference does not support the bounded-slope perturbation")
     k = config.n_modes
     c_lin = setup.drift.delta + setup.drift.linear
-    A = setup.S_red[:k, :k] + c_lin * np.eye(k)
+    A = setup.reduced(k).S + c_lin * np.eye(k)
     vals, vecs = np.linalg.eigh(A)
     decay = vecs @ (np.exp(-vals * config.dt)[:, None] * vecs.T)
+    n_noise = config.n_noise
 
-    def stepper(t, z, nodal, dw, k_):
-        cols = setup.diffusion_cols(t, nodal, config.n_noise)
-        return decay @ z + (setup.HT_M[:k_] @ cols) @ dw
+    def stepper(t, z, nodal, dw, ops):
+        cols = setup.diffusion_cols(t, nodal, n_noise)
+        return decay @ z + ops.HT_M @ (cols @ dw)
 
     return _integrate(setup, config, x0, path_index, dW, stepper)
 

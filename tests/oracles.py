@@ -104,3 +104,81 @@ def gagliardo_seminorm_oracle(space, v, s, p, refine=4, gauss=12, levels=12):
         total += 2.0 * float(np.sum(cw.reshape(-1) * tail_kernel(xs.reshape(-1)) * vals))
 
     return total ** (1.0 / p)
+
+
+def euler_maruyama_oracle(setup, config, x0, dW):
+    """The tamed Euler-Maruyama path, written out one step at a time.
+
+    Every operator is sliced, every diffusion column and every norm is
+    recomputed at every step, and the L^q norm uses its own per-element Gauss
+    rule on ``np.interp``; only the p != 2 quadrature sweep is the library's.
+    Returns the fields of ``solver.Path`` that the scheme determines.
+    """
+    from fracsplap.fracop import seminorm_p_with_residual
+
+    space, noise = setup.space, setup.noise
+    k, K, dt = config.n_modes, config.n_steps, config.dt
+    p, q, c = setup.op_params.p, setup.drift.q, setup.op_params.c_kernel
+    H, HT_M = setup.H[:, :k], setup.HT_M[:k]
+    xi, gw = np.polynomial.legendre.leggauss(8)
+    x_q = (space.all_nodes[:-1, None] + 0.5 * space.h * (xi + 1.0)[None, :]).ravel()
+    w_q = np.tile(0.5 * space.h * gw, space.m + 1)
+
+    def v1_of(z, nodal):
+        if p == 2.0:
+            return np.sqrt(max(2.0 / c * float(z @ (setup.S_red[:k, :k] @ z)), 0.0))
+        return seminorm_p_with_residual(setup.plan, nodal, p)[0] ** (1.0 / p)
+
+    def lq_of(nodal):
+        vals = np.interp(x_q, space.all_nodes, np.concatenate(([0.0], nodal, [0.0])))
+        return float(np.sum(w_q * np.abs(vals) ** q)) ** (1.0 / q)
+
+    def step(t, z, nodal, dw):
+        drift = setup.drift.f(t, nodal) + setup.lip.h(t, nodal)
+        if p == 2.0:
+            a1 = -(setup.S_red[:k, :k] @ z)
+        else:
+            a1 = H.T @ (-0.5 * c * seminorm_p_with_residual(setup.plan, nodal, p)[1])
+        D = a1 + HT_M @ drift
+        if config.taming:
+            D = D / (1.0 + dt * np.sqrt(D @ D))
+        i = np.arange(1, config.n_noise + 1)
+        cols = np.sqrt(noise.beta(i))[None, :] * noise.sigma2_profile(nodal)[:, None]
+        cols = cols + noise.sigma1_nodal(space, t, config.n_noise)
+        return z + dt * D + (HT_M @ cols) @ dw
+
+    out = {name: np.full(K + 1, np.nan) for name in ("l2", "v1", "lq", "energy")}
+    states = np.full((K + 1, k), np.nan)
+    stopped_at = diverged_at = None
+
+    def record(i, z, nodal):
+        states[i] = z
+        with np.errstate(over="ignore"):
+            out["l2"][i] = np.sqrt(z @ z)
+            out["v1"][i] = v1_of(z, nodal)
+            out["lq"][i] = lq_of(nodal)
+            out["energy"][i] = out["v1"][i] ** p + out["lq"][i] ** q + out["l2"][i] ** 2
+
+    z = HT_M @ np.asarray(x0, dtype=float)
+    nodal = H @ z
+    record(0, z, nodal)
+    running = 0.0
+    if out["l2"][0] >= config.cap_R:
+        stopped_at = 0
+    frozen = stopped_at is not None and config.cap_mode == "truncate"
+    for i in range(K):
+        if not frozen:
+            with np.errstate(over="ignore", invalid="ignore"):
+                z_new = step(dt * i, z, nodal, dW[i])
+            if not np.all(np.isfinite(z_new)):
+                diverged_at = i + 1
+                break
+            z = z_new
+            nodal = H @ z
+        record(i + 1, z, nodal)
+        running += dt * 0.5 * (out["energy"][i] + out["energy"][i + 1])
+        if stopped_at is None and out["l2"][i + 1] + running >= config.cap_R:
+            stopped_at = i + 1
+            frozen = config.cap_mode == "truncate"
+    return dict(states=states, l2_norms=out["l2"], v1_seminorms=out["v1"], lq_norms=out["lq"],
+                energy_series=out["energy"], stopped_at=stopped_at, diverged_at=diverged_at)

@@ -273,3 +273,30 @@ def test_adjoint_identity_constant_multiplier(space16, quad, params_s05_p2):
     rng = np.random.default_rng(12)
     u = rng.standard_normal(16)
     assert check_adjoint_identity(tr, space16, quad, params_s05_p2, u, u) < 1e-12
+
+
+def test_eval_B_cache_is_bitwise_and_per_spec(unit_domain):
+    from fracsplap import build_space
+
+    space = build_space(unit_domain, m=16, n_modes=16)
+    forced = SuperlinearNoiseSpec(
+        p1=3.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.55, gamma_r=2.0, sigma1_amplitude=2.0, sigma1_decay=1.0
+    )
+    cut = SuperlinearNoiseSpec(p1=2.0, beta_b0=0.4, beta_r=2.0, gamma_g0=0.4, gamma_r=2.0, cutoff=3, sigma1_amplitude=0.5)
+    v = np.random.default_rng(3).standard_normal(16)
+
+    def fresh(spec, n):
+        i = np.arange(1, n + 1)
+        return np.sqrt(spec.beta(i))[None, :] * spec.sigma2_profile(v)[:, None] + spec.sigma1_nodal(space, 0.0, n)
+
+    first = eval_B(forced, space, 0.0, v, 6)
+    again = eval_B(forced, space, 0.7, v, 6)  # the forcing does not depend on t
+    assert np.array_equal(first, fresh(forced, 6)) and np.array_equal(again, first)
+    first[:] = 0.0  # the caller owns the returned array
+    assert np.array_equal(eval_B(forced, space, 0.0, v, 6), fresh(forced, 6))
+    assert np.array_equal(eval_B(cut, space, 0.0, v, 6), fresh(cut, 6))
+    assert np.array_equal(eval_B(forced, space, 0.0, v, 4), fresh(forced, 4))
+    keys = {key[1:] for key in space._cache if key[0] == "eval_B"}
+    assert keys == {(forced, 6), (cut, 6), (forced, 4)}
+    with pytest.raises(ValueError):
+        eval_B(forced, space, 0.0, v, 0)

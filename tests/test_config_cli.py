@@ -240,3 +240,58 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "FAIL" not in out
+
+
+def _with(text, **values):
+    """``text`` with each dotted key (``__`` for ``.``) set to its value, replacing a line that sets it."""
+    lines = text.strip().splitlines()
+    for key, value in values.items():
+        key = key.replace("__", ".")
+        lines = [line for line in lines if line.partition("=")[0].strip() != key] + [f"{key} = {value}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, values, needle",
+    [
+        ("simulate", {"noise__beta_b0": "nan"}, "noise.beta_b0"),
+        ("simulate", {"drift__linear": "inf"}, "drift.linear"),
+        ("simulate", {"solver__T": "-inf"}, "solver.T"),
+        ("moments", {"harness__x_scales": "0.0,nan"}, "harness.x_scales"),
+        ("simulate", {"solver__T": "1e300"}, "n_steps * max(n_modes, n_noise)"),
+        ("simulate", {"solver__T": "0.5", "solver__dt": "1e-320"}, "dt must divide T"),
+        ("simulate", {"solver__n_noise": "1500000"}, "n_steps * max(n_modes, n_noise)"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.015625", "harness__ref_refine": "100000000"},
+         "n_steps * max(n_modes, n_noise)"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.015625", "harness__ref_refine": "0"}, "ref_refine"),
+    ],
+    ids=["nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine"],
+)
+def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):
+    # rejected while the configuration is read: one line on stderr, no traceback, nothing written
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(_with(MINI, **values))
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and needle in err
+
+
+def test_cap_radius_accepts_inf():
+    assert parse_config_text(_with(MINI, solver__cap_R="inf"))["solver.cap_R"] == math.inf
+    with pytest.raises(ConfigError):
+        build_bundle(parse_config_text(_with(MINI, solver__cap_R="nan")))
+
+
+def test_fully_diverged_moments_scale_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "diverge.cfg"
+    text = (CONFIG_DIR / "moments.cfg").read_text()
+    cfg_path.write_text(_with(text, solver__dt="0.25", noise__sigma1_amplitude="1e200", harness__n_paths="100"))
+    out = tmp_path / "out"
+    rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "diverged" in err
+    assert not any(out.iterdir())

@@ -197,3 +197,24 @@ def test_sampling_operator_matches_point_values(space16, quad):
 def test_plan_rejects_multidimensional(space16, quad):
     with pytest.raises(ValueError):
         get_plan(space16, quad, FracOperatorParams(s=0.5, p=2.0, n=2))
+
+
+def test_transpose_built_on_first_residual(unit_domain, quad):
+    # a p = 2 run reads D only; D^T is built when a residual first needs it
+    from fracsplap import DriftSpec, LipschitzPerturbationSpec, SimulationSetup, SolverConfig, SuperlinearNoiseSpec
+    from fracsplap import simulate_path
+
+    space = build_space(unit_domain, m=8, n_modes=8)
+    p2 = FracOperatorParams(s=0.5, p=2.0)
+    setup = SimulationSetup(
+        space, p2, quad, DriftSpec(q=2.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0)
+    )
+    simulate_path(setup, SolverConfig(T=0.25, dt=0.125, n_modes=8, n_noise=1), np.ones(8))
+    plan = get_plan(space, quad, p2)
+    assert "DT" not in vars(plan)
+    p3_plan = get_plan(space, quad, FracOperatorParams(s=0.5, p=3.0))
+    assert p3_plan.D is plan.D and "DT" not in vars(p3_plan)
+    seminorm_p_with_residual(p3_plan, np.ones(8), 3.0)
+    built, fresh = vars(p3_plan)["DT"], plan.D.T.tocsr()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(built, attr), getattr(fresh, attr))

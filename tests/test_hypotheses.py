@@ -195,3 +195,19 @@ def test_report_determinism_and_content():
     assert not bad.ok
     failing = [c for chk in bad.theorem_checks for c in chk.conditions if not c.ok]
     assert failing and all(c.label for c in failing)
+
+
+def test_report_labels_p3_poincare_as_attained_upper_bound(space16, quad):
+    # the p != 2 estimate is an attained Rayleigh quotient: an upper bound on the discrete minimum
+    from fracsplap.domain import poincare_constant
+
+    op = FracOperatorParams(s=0.6, p=3.0)
+    est = poincare_constant(space16, op, quad)
+    assert not est.certified
+    rep = admissibility_report(
+        op, DriftSpec(q=4.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
+        None, est, horizon=1.0,
+    )
+    line = next(line for line in rep.to_text().splitlines() if "Poincare estimate" in line)
+    assert "upper bound on the discrete minimum, not certified" in line
+    assert "lower bound" not in line and "heuristic" not in line

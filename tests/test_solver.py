@@ -266,3 +266,91 @@ def test_nonlinear_p_path_runs(quad):
 
     nodal = space.h_basis[:, :6] @ path.states[-1]
     assert path.v1_seminorms[-1] == pytest.approx(gagliardo_seminorm(space, quad, nodal, params), rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def superlinear_setup():
+    # moments.cfg's coefficient families on a 24-node mesh: p = 2, superlinear drift and noise, forcing
+    space = build_space(DomainSpec(), 24, 12)
+    noise = SuperlinearNoiseSpec(
+        p1=3.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.55, gamma_r=2.0, sigma1_amplitude=2.0, sigma1_decay=1.0
+    )
+    return SimulationSetup(
+        space, FracOperatorParams(s=0.4, p=2.0), FracQuadrature(),
+        DriftSpec(q=4.0, delta=1.0), LipschitzPerturbationSpec(0.0), noise,
+    )
+
+
+@pytest.fixture(scope="module")
+def p3_setup():
+    space = build_space(DomainSpec(), 8, 6)
+    return SimulationSetup(
+        space, FracOperatorParams(s=0.4, p=3.0), FracQuadrature(),
+        DriftSpec(q=3.0, delta=1.0), LipschitzPerturbationSpec(0.1),
+        SuperlinearNoiseSpec(p1=2.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0, sigma1_amplitude=0.5),
+    )
+
+
+def _assert_matches_oracle(path, want):
+    assert (path.stopped_at, path.diverged_at) == (want["stopped_at"], want["diverged_at"])
+    for name in ("states", "l2_norms", "v1_seminorms", "lq_norms", "energy_series"):
+        got, ref = getattr(path, name), want[name]
+        finite = np.isfinite(ref)
+        assert np.array_equal(got[~finite], ref[~finite], equal_nan=True), name
+        scale = np.max(np.abs(ref[finite]), initial=0.0)
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12 * scale), name
+
+
+@pytest.mark.parametrize("which", ["p2", "p3"])
+@pytest.mark.parametrize("case", ["tamed", "plain", "record", "truncate", "diverging"])
+def test_path_matches_per_step_oracle(superlinear_setup, p3_setup, which, case):
+    from oracles import euler_maruyama_oracle
+
+    setup = superlinear_setup if which == "p2" else p3_setup
+    space = setup.space
+    base = dict(T=0.5, dt=2.0**-5, n_modes=space.n_modes, n_noise=4, master_seed=13)
+    x0 = np.sin(np.pi * space.nodes)
+    if case == "plain":
+        base["taming"] = False
+    if case in ("record", "truncate"):
+        free = simulate_path(setup, SolverConfig(**base), x0, path_index=2)
+        values = np.array([stopping_functional(free, i) for i in range(free.times.size)])
+        base.update(cap_R=0.5 * (values[8] + values[9]), cap_mode=case)
+    if case == "diverging":
+        base.update(T=2.0, dt=0.25, taming=False)
+        x0 = 40.0 * x0
+    cfg = SolverConfig(**base)
+    path = simulate_path(setup, cfg, x0, path_index=2)
+    dW = brownian_increments(cfg.master_seed, 2, cfg.n_steps, cfg.n_noise, cfg.dt)
+    _assert_matches_oracle(path, euler_maruyama_oracle(setup, cfg, x0, dW))
+    if case in ("record", "truncate"):
+        assert 0 < path.stopped_at < cfg.n_steps
+    if case == "truncate":
+        assert np.all(path.states[path.stopped_at:] == path.states[path.stopped_at])
+    assert (path.diverged_at is not None) == (case == "diverging")
+
+
+@pytest.mark.parametrize("which", ["p2", "p3", "reference"])
+def test_per_path_call_counts(monkeypatch, superlinear_setup, p3_setup, linear_setup, which):
+    # the traced benchmark's closed form: per path K diffusion evaluations, K + 1 L^q norms
+    # and, at p != 2, 2K + 1 quadrature sweeps (one per step for the drift, one per state)
+    from collections import Counter
+
+    from fracsplap import solver
+
+    counts = Counter()
+    for name in ("eval_B", "lp_norm", "seminorm_p_with_residual"):
+        def counted(*args, _fn=getattr(solver, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    setup = {"p2": superlinear_setup, "p3": p3_setup, "reference": linear_setup}[which]
+    run = reference_solution_p2_linear if which == "reference" else simulate_path
+    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=setup.space.n_modes, n_noise=3, master_seed=1)
+    n_paths, K = 3, cfg.n_steps
+    for j in range(n_paths):
+        assert run(setup, cfg, np.sin(np.pi * setup.space.nodes), path_index=j).diverged_at is None
+    sweeps = (2 * K + 1) * n_paths if which == "p3" else 0
+    assert counts == Counter({"eval_B": K * n_paths, "lp_norm": (K + 1) * n_paths,
+                              "seminorm_p_with_residual": sweeps}) - Counter()
