@@ -11,7 +11,6 @@ import numpy as np
 from fracsplap import (
     DomainSpec,
     FracOperatorParams,
-    FracQuadrature,
     apply_A1_weak,
     assemble_frac_stiffness,
     build_space,
@@ -21,7 +20,6 @@ from fracsplap import (
 
 rng = np.random.default_rng(0)
 space = build_space(DomainSpec(), 32, 32)
-quad = FracQuadrature()
 
 print("scalar monotonicity (|a|^{p-2}a - |b|^{p-2}b)(a-b) >= 2^{1-p}|a-b|^p:")
 for p in (2.0, 3.0, 4.0, 6.0):
@@ -32,8 +30,8 @@ print("\ncoercivity identity <A1 v, v> = -(C/2) [v]^p (shared quadrature):")
 for p in (2.0, 3.0, 4.0):
     params = FracOperatorParams(s=0.5, p=p)
     v = rng.standard_normal(32)
-    lhs = apply_A1_weak(space, quad, v, v, params)
-    rhs = -0.5 * params.c_kernel * gagliardo_seminorm(space, quad, v, params) ** p
+    lhs = apply_A1_weak(space, v, v, params)
+    rhs = -0.5 * params.c_kernel * gagliardo_seminorm(space, v, params) ** p
     print(f"  p = {p}: lhs = {lhs:+.10e}, relative gap = {abs(lhs - rhs) / abs(rhs):.2e}")
 
 print("\noperator monotonicity <A1 u - A1 v, u - v> <= -2^{1-p} C [u-v]^p:")
@@ -42,17 +40,17 @@ for p in (2.0, 3.0, 4.0):
     worst = -np.inf
     for _ in range(50):
         u, v = rng.standard_normal((2, 32))
-        gap = apply_A1_weak(space, quad, u, u - v, params) - apply_A1_weak(space, quad, v, u - v, params)
-        bound = -(2.0 ** (1.0 - p)) * params.c_kernel * gagliardo_seminorm(space, quad, u - v, params) ** p
+        gap = apply_A1_weak(space, u, u - v, params) - apply_A1_weak(space, v, u - v, params)
+        bound = -(2.0 ** (1.0 - p)) * params.c_kernel * gagliardo_seminorm(space, u - v, params) ** p
         worst = max(worst, gap - bound)
     print(f"  p = {p}: worst (lhs - bound) over 50 pairs = {worst:.3e}  (<= 0 up to rounding)")
 
 params2 = FracOperatorParams(s=0.5, p=2.0)
-S = assemble_frac_stiffness(space, quad, params2)
+S = assemble_frac_stiffness(space, params2)
 v, u = rng.standard_normal((2, 32))
 print("\np = 2 stiffness consistency:")
 print(f"  max |S - S^T|        = {np.max(np.abs(S - S.T)):.2e}")
-print(f"  |<A1 v,u> + u^T S v| = {abs(apply_A1_weak(space, quad, v, u, params2) + u @ (S @ v)):.2e}")
+print(f"  |<A1 v,u> + u^T S v| = {abs(apply_A1_weak(space, v, u, params2) + u @ (S @ v)):.2e}")
 from scipy.linalg import eigh
 
 print(f"  smallest generalized eigenvalue of (S, M): {eigh(S, space.mass_matrix, eigvals_only=True)[0]:.6f} > 0")

@@ -29,8 +29,6 @@ from .domain import (
 )
 from .space import GalerkinSpace, NoiseTruncation, build_space, project
 from .fracop import (
-    FracQuadrature,
-    apply_A1_residual,
     apply_A1_weak,
     assemble_frac_stiffness,
     check_scalar_monotonicity,
@@ -41,11 +39,7 @@ from .coefficients import (
     LipschitzPerturbationSpec,
     SuperlinearNoiseSpec,
     TransportNoiseSpec,
-    check_adjoint_identity,
     eval_B,
-    eval_G,
-    eval_drift,
-    hs_norm_B,
     noise_truncation,
 )
 from .hypotheses import (

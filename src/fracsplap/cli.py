@@ -241,7 +241,7 @@ def _selftest() -> int:
 
     from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec
     from .domain import DomainSpec, FracOperatorParams, kernel_constant
-    from .fracop import FracQuadrature, apply_A1_weak, check_scalar_monotonicity, gagliardo_seminorm
+    from .fracop import apply_A1_weak, check_scalar_monotonicity, gagliardo_seminorm
     from .harness import time_seminorm_sq
     from .hypotheses import HypothesisParams, check_gap, compute_kappa
     from .solver import SimulationSetup, SolverConfig, brownian_increments
@@ -283,10 +283,9 @@ def _selftest() -> int:
 
     def coercivity_identity():
         params = FracOperatorParams(s=0.5, p=3.0)
-        quad = FracQuadrature()
         v = rng.standard_normal(16)
-        lhs = apply_A1_weak(space, quad, v, v, params)
-        rhs = -0.5 * params.c_kernel * gagliardo_seminorm(space, quad, v, params) ** 3
+        lhs = apply_A1_weak(space, v, v, params)
+        rhs = -0.5 * params.c_kernel * gagliardo_seminorm(space, v, params) ** 3
         return abs(lhs - rhs) < 1e-8 * abs(rhs)
 
     check("coercivity identity under a shared quadrature", coercivity_identity)
@@ -301,8 +300,7 @@ def _selftest() -> int:
     def solver_fixed_point():
         params = FracOperatorParams(s=0.4, p=2.0)
         setup = SimulationSetup(
-            space, params, FracQuadrature(),
-            DriftSpec(q=2.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
+            space, params, DriftSpec(q=2.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0)
         )
         cfg = SolverConfig(T=0.25, dt=2.0**-4, n_modes=8, n_noise=1, master_seed=0)
         return np.all(simulate_path(setup, cfg, np.zeros(16)).states == 0.0)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .domain import FracOperatorParams
-from .fracop import FracQuadrature, assemble_frac_stiffness, gagliardo_seminorm
+from .fracop import assemble_frac_stiffness, gagliardo_seminorm
 from .space import GalerkinSpace, NoiseTruncation
 
 _SAMPLE_RANGE = 25.0
@@ -245,12 +245,6 @@ def noise_truncation(spec: SuperlinearNoiseSpec, n_noise: int) -> NoiseTruncatio
     return NoiseTruncation(n_noise=n_noise, beta_tail=spec.beta_tail(n_noise), gamma_tail=spec.gamma_tail(n_noise))
 
 
-def eval_drift(spec: DriftSpec, hspec: LipschitzPerturbationSpec, t: float, v: np.ndarray) -> np.ndarray:
-    """Nodal values of f(t, ., v) + h(t, ., v)."""
-    v = np.asarray(v, dtype=float)
-    return spec.f(t, v) + hspec.h(t, v)
-
-
 def eval_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.ndarray, n_noise: int) -> np.ndarray:
     """Diffusion columns sigma_i(t, ., v(.)) at the nodes, shape (m, n_noise).
 
@@ -270,14 +264,7 @@ def eval_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.nda
     return scale * spec.sigma2_profile(v)[:, None] + forcing
 
 
-def hs_norm_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.ndarray, n_noise: int) -> float:
-    """Hilbert-Schmidt norm of the truncated diffusion map."""
-    cols = eval_B(spec, space, t, v, n_noise)
-    sq = np.einsum("ik,ij,jk->k", cols, space.mass_matrix, cols)
-    return float(np.sqrt(np.sum(sq)))
-
-
-def sqrt_operator(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> np.ndarray:
+def sqrt_operator(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:
     """Matrix of the spectral square root of the p = 2 nonlocal form.
 
     Built from the eigenpairs of (S, M) that :func:`frac_eigenpairs` caches; satisfies
@@ -286,24 +273,24 @@ def sqrt_operator(space: GalerkinSpace, quad: FracQuadrature, params: FracOperat
     """
     if params.p != 2.0:
         raise ValueError("the spectral square root requires p = 2")
-    key = ("sqrtop", quad.panel_rule, quad.near_diag_split, params.s)
+    key = ("sqrtop", params.s)
     if key in space._cache:
         return space._cache[key]
-    vals, vecs = frac_eigenpairs(space, quad, params)
+    vals, vecs = frac_eigenpairs(space, params)
     vals = np.clip(vals, 0.0, None)
     R = vecs @ (np.sqrt(vals)[:, None] * (vecs.T @ space.mass_matrix))
     space._cache[key] = R
     return R
 
 
-def frac_eigenpairs(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams):
+def frac_eigenpairs(space: GalerkinSpace, params: FracOperatorParams):
     """Generalized eigenpairs of (S, M) with M-orthonormal eigenvectors."""
-    key = ("fraceig", quad.panel_rule, quad.near_diag_split, params.s)
+    key = ("fraceig", params.s)
     if key in space._cache:
         return space._cache[key]
     from scipy.linalg import eigh
 
-    S = assemble_frac_stiffness(space, quad, params)
+    S = assemble_frac_stiffness(space, params)
     vals, vecs = eigh(S, space.mass_matrix)
     space._cache[key] = (vals, vecs)
     return vals, vecs
@@ -331,7 +318,6 @@ class TransportNoiseSpec:
     @staticmethod
     def from_family(
         space: GalerkinSpace,
-        quad: FracQuadrature,
         params: FracOperatorParams,
         n_g: int,
         amplitude: float,
@@ -348,7 +334,7 @@ class TransportNoiseSpec:
         amps = amplitude * i ** (-decay)
         g = np.sin(np.outer(xi, i) * math.pi) * amps[None, :]
         linf = np.max(np.abs(g), axis=0)
-        v1 = np.array([gagliardo_seminorm(space, quad, g[:, k], params) for k in range(n_g)])
+        v1 = np.array([gagliardo_seminorm(space, g[:, k], params) for k in range(n_g)])
         if not np.isfinite(np.sum(linf**2 + v1**2)):
             raise ValueError("multiplier family norms must be summable")
         d = 0.5 * params.c_kernel * float(np.sum(linf**2))
@@ -364,55 +350,3 @@ class TransportNoiseSpec:
 
     def phi4_l1(self, horizon: float) -> float:
         return self.phi4_amplitude * horizon
-
-
-def eval_G(
-    spec: TransportNoiseSpec,
-    space: GalerkinSpace,
-    quad: FracQuadrature,
-    params: FracOperatorParams,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Transport columns ``g_i * (-Lap)^{s/2} v`` (nodal products), shape (m, n_g)."""
-    R = sqrt_operator(space, quad, params)
-    rv = R @ np.asarray(v, dtype=float)
-    return spec.g_fields * rv[:, None]
-
-
-def _triple_product(space: GalerkinSpace, f: np.ndarray, g: np.ndarray, u: np.ndarray) -> float:
-    """Exact integral of a product of three hat interpolants (Gauss-2 per element)."""
-    E, w = space.gauss_rule(2)
-    return float(np.sum(w * (E @ f) * (E @ g) * (E @ u)))
-
-
-def _project_product(space: GalerkinSpace, g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """L2 projection of the product of two hat interpolants back onto the hat space."""
-    E, w = space.gauss_rule(2)
-    return np.linalg.solve(space.mass_matrix, E.T @ (w * (E @ g) * (E @ v)))
-
-
-def check_adjoint_identity(
-    spec: TransportNoiseSpec,
-    space: GalerkinSpace,
-    quad: FracQuadrature,
-    params: FracOperatorParams,
-    u: np.ndarray,
-    v: np.ndarray,
-) -> float:
-    """Residual of moving the multiplier across the square root.
-
-    Compares ``(g_i (-Lap)^{s/2} u, v)`` with ``(u, (-Lap)^{s/2} P(g_i v))``
-    where P is the L2 projection of the product back onto the hat space; the
-    discrete square root is self-adjoint in the mass inner product, so the
-    residual is pure rounding noise.  Returns the maximum over the family.
-    """
-    R = sqrt_operator(space, quad, params)
-    ru = R @ np.asarray(u, dtype=float)
-    out = 0.0
-    for k in range(spec.n_g):
-        g = spec.g_fields[:, k]
-        lhs = _triple_product(space, g, ru, v)
-        gv = _project_product(space, g, v)
-        rhs = float(np.asarray(u) @ (space.mass_matrix @ (R @ gv)))
-        out = max(out, abs(lhs - rhs))
-    return out

@@ -66,7 +66,6 @@ def _fmt_value(val) -> str:
 # key -> (parser, default); _REQUIRED marks keys without defaults.  Every float
 # must be finite except solver.cap_R, whose default inf means "never stop".
 _SCHEMA = {
-    "operator.n": (int, 1),
     "operator.s": (_parse_finite, _REQUIRED),
     "operator.p": (_parse_finite, 2.0),
     "domain.a": (_parse_finite, 0.0),
@@ -74,16 +73,11 @@ _SCHEMA = {
     "domain.exterior_truncation": (_parse_finite, 0.0),  # 0 = default (10x the domain length)
     "domain.mesh_m": (int, _REQUIRED),
     "domain.n_modes": (int, _REQUIRED),
-    "quadrature.panel_gauss": (int, 6),
-    "quadrature.graded_levels": (int, 6),
-    "drift.family": (str, "power"),
     "drift.q": (_parse_finite, _REQUIRED),
     "drift.delta": (_parse_finite, _REQUIRED),
     "drift.linear": (_parse_finite, 0.0),
     "drift.delta3": (_parse_finite, -1.0),  # -1 = the family default delta/2, 0 = weak monotonicity only
-    "lipschitz.family": (str, "bounded_slope"),
     "lipschitz.phi3": (_parse_finite, 0.0),
-    "noise.family": (str, "power_sine"),
     "noise.p1": (_parse_finite, 2.0),
     "noise.beta_b0": (_parse_finite, 0.0),
     "noise.beta_r": (_parse_finite, 2.0),
@@ -93,7 +87,6 @@ _SCHEMA = {
     "noise.sigma1_amplitude": (_parse_finite, 0.0),
     "noise.sigma1_decay": (_parse_finite, 2.0),
     "transport.enabled": (_parse_bool, False),
-    "transport.family": (str, "sine"),
     "transport.n_g": (int, 2),
     "transport.amplitude": (_parse_finite, 0.0),
     "transport.decay": (_parse_finite, 1.0),
@@ -190,7 +183,6 @@ class Bundle:
     config: ExperimentConfig
     domain: object
     op_params: object
-    quad: object
     space: object
     drift: object
     lip: object
@@ -208,7 +200,7 @@ class Bundle:
             from .domain import poincare_constant
             from .hypotheses import admissibility_report
 
-            self.poincare = poincare_constant(self.space, self.op_params, self.quad)
+            self.poincare = poincare_constant(self.space, self.op_params)
             self.report = admissibility_report(
                 self.op_params, self.drift, self.lip, self.noise, self.transport,
                 self.poincare, self.config["solver.T"],
@@ -246,27 +238,17 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
     """Construct and cross-validate every component named by the configuration."""
     from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec, TransportNoiseSpec
     from .domain import DomainSpec, FracOperatorParams
-    from .fracop import FracQuadrature
+    from .harness import dt_ladder_grid
     from .solver import SimulationSetup, SolverConfig
     from .space import build_space
 
-    registered = {
-        "drift.family": ("power",),
-        "lipschitz.family": ("bounded_slope",),
-        "noise.family": ("power_sine",),
-        "transport.family": ("sine",),
-    }
-    for key, names in registered.items():
-        if config[key] not in names:
-            raise ConfigError(f"unknown {key} {config[key]!r}; registered: {', '.join(names)}")
     try:
         trunc = config["domain.exterior_truncation"]
         domain = DomainSpec(
             config["domain.a"], config["domain.b"],
             exterior_truncation=None if trunc == 0.0 else trunc,
         )
-        op_params = FracOperatorParams(s=config["operator.s"], p=config["operator.p"], n=config["operator.n"])
-        quad = FracQuadrature(config["quadrature.panel_gauss"], config["quadrature.graded_levels"])
+        op_params = FracOperatorParams(s=config["operator.s"], p=config["operator.p"])
         # the solver configurations validate every path's size before any operator is built
         solver_config = SolverConfig(
             T=config["solver.T"], dt=config["solver.dt"],
@@ -275,10 +257,10 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
             cap_mode=config["solver.cap_mode"], master_seed=config["solver.master_seed"],
         )
         if config["harness.dt_ladder"]:
-            if config["harness.ref_refine"] < 1:
-                raise ConfigError("harness.ref_refine must be >= 1")
-            # the strong-order reference runs at the finest rung divided by ref_refine
-            replace(solver_config, dt=min(config["harness.dt_ladder"]) / config["harness.ref_refine"])
+            _, dt_fine, _ = dt_ladder_grid(
+                config["harness.dt_ladder"], config["solver.T"], config["harness.ref_refine"]
+            )
+            replace(solver_config, dt=dt_fine)  # validates the strong-order reference path
         space = build_space(domain, config["domain.mesh_m"], config["domain.n_modes"])
         delta3 = config["drift.delta3"]
         drift = DriftSpec(
@@ -297,11 +279,11 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
         transport = None
         if config["transport.enabled"]:
             transport = TransportNoiseSpec.from_family(
-                space, quad, op_params,
+                space, op_params,
                 n_g=config["transport.n_g"], amplitude=config["transport.amplitude"],
                 decay=config["transport.decay"], phi4_amplitude=config["transport.phi4"],
             )
-        setup = SimulationSetup(space, op_params, quad, drift, lip, noise, transport)
+        setup = SimulationSetup(space, op_params, drift, lip, noise, transport)
         x0_shape = _x0_shape(config, space)
         ladder = config["harness.mode_ladder"]
         if ladder and any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -311,7 +293,7 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return Bundle(
-        config=config, domain=domain, op_params=op_params, quad=quad, space=space,
+        config=config, domain=domain, op_params=op_params, space=space,
         drift=drift, lip=lip, noise=noise, transport=transport, setup=setup,
         solver_config=solver_config, x0_shape=x0_shape,
     )

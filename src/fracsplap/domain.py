@@ -44,11 +44,6 @@ class FracOperatorParams:
     def __post_init__(self):
         object.__setattr__(self, "c_kernel", kernel_constant(self.n, self.p, self.s))
 
-    @property
-    def kernel_exponent(self) -> float:
-        """Exponent ``n + p*s`` of the singular kernel ``|x-y|**-(n+p*s)``."""
-        return self.n + self.p * self.s
-
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -93,7 +88,7 @@ class PoincareEstimate:
     n_modes: int
 
 
-def poincare_constant(space, params: FracOperatorParams, quad=None) -> PoincareEstimate:
+def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
     """Estimate the best discrete constant in the fractional Poincare inequality.
 
     The smallest eigenpair of the p = 2 Gram matrix ``(2/C_2) H^T S_2 H`` gives
@@ -104,12 +99,10 @@ def poincare_constant(space, params: FracOperatorParams, quad=None) -> PoincareE
     from . import fracop
     from .space import lp_norm
 
-    if quad is None:
-        quad = fracop.FracQuadrature()
     H = space.h_basis
     p = params.p
     p2 = FracOperatorParams(s=params.s, p=2.0, n=params.n)
-    S = fracop.assemble_frac_stiffness(space, quad, p2)
+    S = fracop.assemble_frac_stiffness(space, p2)
     G = (2.0 / p2.c_kernel) * (H.T @ S @ H)
     G = 0.5 * (G + G.T)
     if p == 2.0:
@@ -118,7 +111,7 @@ def poincare_constant(space, params: FracOperatorParams, quad=None) -> PoincareE
 
     from scipy.optimize import minimize  # a heavy import that the p = 2 path does not need
 
-    plan = fracop.get_plan(space, quad, params)
+    plan = fracop.get_plan(space, params)
 
     def quotient_and_grad(z):
         v = H @ z

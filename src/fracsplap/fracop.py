@@ -38,23 +38,15 @@ from .domain import FracOperatorParams
 from .space import GalerkinSpace
 
 
-@dataclass(frozen=True)
-class FracQuadrature:
-    """Quadrature controls: Gauss points per panel axis, grading depth."""
-
-    panel_rule: int = 6
-    near_diag_split: int = 6
-
-    def __post_init__(self):
-        if self.panel_rule < 2:
-            raise ValueError("panel_rule must be >= 2")
-        if self.near_diag_split < 2:
-            raise ValueError("near_diag_split must be >= 2")
+# The one quadrature rule: Gauss points per panel axis, and geometric grading
+# levels toward the shared node of adjacent elements and toward the boundary.
+PANEL_GAUSS = 6
+GRADED_LEVELS = 6
 
 
 @dataclass(frozen=True)
 class FracPlan:
-    """Precomputed quadrature data for one (space, quad, s, p) combination.
+    """Precomputed quadrature data for one (space, s, p) combination.
 
     ``D`` (CSR, columns = the m interior nodes) maps a nodal vector to its
     sampled values: first ``v(x) - v(y)`` at every pair point, then the slope
@@ -103,11 +95,11 @@ def _graded_cells(width: float, levels: int):
     return starts, widths
 
 
-def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> FracPlan:
+def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     """Build (or fetch from the space cache) the quadrature plan."""
     if params.n != 1:
         raise ValueError("quadrature is implemented for one-dimensional domains only")
-    key = ("fracplan", quad.panel_rule, quad.near_diag_split, params.s, params.p)
+    key = ("fracplan", params.s, params.p)
     if key in space._cache:
         return space._cache[key]
 
@@ -115,8 +107,8 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
     a, b = space.domain.a, space.domain.b
     p, ps = params.p, params.p * params.s
     expo = 1.0 + ps
-    loc, gw = _gauss01(quad.panel_rule)
-    G = quad.panel_rule
+    loc, gw = _gauss01(PANEL_GAUSS)
+    G, L = PANEL_GAUSS, GRADED_LEVELS
     n_el = m + 1
     xall = space.all_nodes
 
@@ -139,7 +131,6 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
     # adjacent pairs: graded subdivision toward the shared node; geometry is
     # identical for every pair on the uniform mesh, so kernel weights are
     # computed once
-    L = quad.near_diag_split
     starts, widths = _graded_cells(h, L)
     # offsets from the shared node: x side negative, y side positive
     xoff = -(starts[:, None] + widths[:, None] * loc[None, :])      # (L, G)
@@ -203,13 +194,12 @@ def get_plan(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorPar
     trunc_bound = 2.0 * wt_box ** (-ps) / ps
 
     # the sample points do not depend on s or p, so every plan of a space shares D
-    d_key = ("fracD", G, L)
-    if d_key not in space._cache:
+    if "fracD" not in space._cache:
         P, el = space.eval_matrix, np.arange(n_el)
-        space._cache[d_key] = sparse.vstack(
+        space._cache["fracD"] = sparse.vstack(
             (P(elx, lx) - P(ely, ly), (P(el, 1.0) - P(el, 0.0)) / h, P(elt, lt)), format="csr"
         )
-    D = space._cache[d_key]
+    D = space._cache["fracD"]
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
@@ -248,37 +238,30 @@ def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
     return float(np.einsum("i,i->", f, dv)), plan.DT @ f
 
 
-def gagliardo_seminorm(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, params: FracOperatorParams) -> float:
+def gagliardo_seminorm(space: GalerkinSpace, v: np.ndarray, params: FracOperatorParams) -> float:
     """Discrete seminorm ``[v]_{W^{s,p}}`` including the exterior-tail term."""
-    plan = get_plan(space, quad, params)
+    plan = get_plan(space, params)
     v = np.asarray(v, dtype=float)
     if v.shape != (space.m,):
         raise ValueError(f"expected nodal vector of length {space.m}")
     return seminorm_p(plan, v, params.p) ** (1.0 / params.p)
 
 
-def apply_A1_weak(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, u: np.ndarray, params: FracOperatorParams) -> float:
+def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: FracOperatorParams) -> float:
     """Duality pairing of the operator action at v against u (both nodal)."""
-    plan = get_plan(space, quad, params)
+    plan = get_plan(space, params)
     _, f = _flux(plan, v, params.p)
     return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.D @ np.asarray(u, dtype=float)))
 
 
-def apply_A1_residual(space: GalerkinSpace, quad: FracQuadrature, v: np.ndarray, params: FracOperatorParams) -> np.ndarray:
-    """Vector of pairings against every interior hat, in one quadrature sweep."""
-    plan = get_plan(space, quad, params)
-    _, f = _flux(plan, v, params.p)
-    return -0.5 * params.c_kernel * (plan.DT @ f)
-
-
-def assemble_frac_stiffness(space: GalerkinSpace, quad: FracQuadrature, params: FracOperatorParams) -> np.ndarray:
+def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:
     """Matrix ``S = (C/2) D^T diag(wts) D`` with ``v^T S v = (C/2) [v]^2``; p = 2 only."""
     if params.p != 2.0:
         raise ValueError(f"stiffness assembly requires p = 2, got p={params.p}")
-    key = ("fracstiff", quad.panel_rule, quad.near_diag_split, params.s)
+    key = ("fracstiff", params.s)
     if key in space._cache:
         return space._cache[key]
-    plan = get_plan(space, quad, params)
+    plan = get_plan(space, params)
     S = 0.5 * params.c_kernel * (plan.D.T @ (sparse.diags_array(plan.wts) @ plan.D)).toarray()
     space._cache[key] = S
     return S

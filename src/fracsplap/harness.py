@@ -241,6 +241,27 @@ def galerkin_convergence_study(
     return ConvergenceReport(mode_ladder=ladder, pairwise_gaps=gaps, gaps_monotone=monotone, n_paths=n_paths)
 
 
+def dt_ladder_grid(dt_ladder, T: float, ref_refine: int):
+    """The rungs (coarsest first), the reference step ``finest / ref_refine`` and
+    its step count, after checking the strong-order study's preconditions."""
+    dts = tuple(sorted((float(d) for d in dt_ladder), reverse=True))
+    if len(dts) < 2:
+        raise ValueError("harness.dt_ladder needs at least two rungs")
+    if not dts[-1] > 0:
+        raise ValueError("harness.dt_ladder rungs must be positive")
+    if ref_refine < 1:
+        raise ValueError("harness.ref_refine must be >= 1")
+    dt_fine = dts[-1] / ref_refine
+    K_fine = T / dt_fine
+    if abs(K_fine - round(K_fine)) > 1e-9:
+        raise ValueError("the refined step (finest dt rung / harness.ref_refine) must divide solver.T")
+    for d in dts:
+        ratio = d / dt_fine
+        if abs(ratio - round(ratio)) > 1e-9:
+            raise ValueError("every harness.dt_ladder rung must be a multiple of the refined step")
+    return dts, dt_fine, int(round(K_fine))
+
+
 def strong_order_study(
     setup: SimulationSetup,
     config: SolverConfig,
@@ -252,19 +273,7 @@ def strong_order_study(
 ) -> ConvergenceReport:
     """Endpoint RMS error of the tamed/plain scheme against the fine exponential
     reference on shared Brownian increments, with the fitted order."""
-    dts = tuple(sorted((float(d) for d in dt_ladder), reverse=True))
-    if len(dts) < 2:
-        raise ValueError("need at least two dt rungs")
-    dt_fine = dts[-1] / ref_refine
-    K_fine = config.T / dt_fine
-    if abs(K_fine - round(K_fine)) > 1e-9:
-        raise ValueError("the refined step must divide the horizon")
-    K_fine = int(round(K_fine))
-    for d in dts:
-        ratio = d / dt_fine
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("every dt rung must be a multiple of the refined step")
-
+    dts, dt_fine, K_fine = dt_ladder_grid(dt_ladder, config.T, ref_refine)
     # the study never stops a path: cap_R and cap_mode are reset to their defaults
     uncapped = dataclasses.replace(config, cap_R=math.inf, cap_mode="record")
     ref_cfg = dataclasses.replace(uncapped, dt=dt_fine, taming=False)

@@ -25,7 +25,7 @@ from .coefficients import (
     sqrt_operator,
 )
 from .domain import FracOperatorParams
-from .fracop import FracQuadrature, assemble_frac_stiffness, get_plan, seminorm_p_with_residual
+from .fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual
 from .space import GalerkinSpace, lp_norm
 
 
@@ -107,7 +107,6 @@ class SimulationSetup:
         self,
         space: GalerkinSpace,
         op_params: FracOperatorParams,
-        quad: FracQuadrature,
         drift: DriftSpec,
         lip: LipschitzPerturbationSpec,
         noise: SuperlinearNoiseSpec,
@@ -115,7 +114,6 @@ class SimulationSetup:
     ):
         self.space = space
         self.op_params = op_params
-        self.quad = quad
         self.drift = drift
         self.lip = lip
         self.noise = noise
@@ -124,16 +122,16 @@ class SimulationSetup:
         self.M = space.mass_matrix
         self.HT_M = np.ascontiguousarray(self.H.T @ self.M)
         if op_params.p == 2.0:
-            S = assemble_frac_stiffness(space, quad, op_params)
+            S = assemble_frac_stiffness(space, op_params)
             self.S_red = np.ascontiguousarray(self.H.T @ S @ self.H)
             self.plan = None
         else:
             self.S_red = None
-            self.plan = get_plan(space, quad, op_params)
+            self.plan = get_plan(space, op_params)
         if transport is not None:
             if op_params.p != 2.0:
                 raise ValueError("transport noise requires p = 2")
-            self.R = sqrt_operator(space, quad, op_params)
+            self.R = sqrt_operator(space, op_params)
         else:
             self.R = None
         self._reduced = {}

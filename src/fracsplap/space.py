@@ -132,16 +132,6 @@ def lp_norm(space: GalerkinSpace, v: np.ndarray, p: float, n_points: int = 8, wi
     return norm, E.T @ (p * w * np.abs(vals) ** (p - 2.0) * vals)
 
 
-def lp_norm_nodal(space: GalerkinSpace, v: np.ndarray, p: float) -> float:
-    """L^p norm by the trapezoidal (nodal) rule, i.e. the hat interpolant of |v|^p.
-
-    Dominates :func:`lp_norm` by Jensen's inequality; the coefficient growth
-    checks use this variant so that pointwise bounds survive discretization.
-    The exterior nodes are zero, so only the interior values contribute.
-    """
-    return float(space.h * np.sum(np.abs(np.asarray(v, dtype=float)) ** p)) ** (1.0 / p)
-
-
 @dataclass(frozen=True)
 class NoiseTruncation:
     """Retained noise directions and the neglected series mass."""

@@ -5,17 +5,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fracsplap import DomainSpec, FracOperatorParams, FracQuadrature, build_space
+from fracsplap import DomainSpec, FracOperatorParams, build_space
 
 
 @pytest.fixture(scope="session")
 def unit_domain():
     return DomainSpec(0.0, 1.0)
-
-
-@pytest.fixture(scope="session")
-def quad():
-    return FracQuadrature()
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,18 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent brute-force oracles used to freeze expected values, and the
+helpers that only the tests call.
 
-These deliberately do not reuse the library's quadrature plans: the double
-integral is evaluated on a dense uniform panel grid (a multiple of the mesh
-resolution) with its own Gauss rules and grading, so the library and the
-oracle share only the mathematical definitions.
+The oracles deliberately do not reuse the library's quadrature plans: the
+double integral is evaluated on a dense uniform panel grid (a multiple of the
+mesh resolution) with its own Gauss rules and grading, so the library and the
+oracle share only the mathematical definitions.  The helpers at the end are
+thin compositions of the library's public pieces.
 """
 
 import numpy as np
 from mpmath import mp
+
+from fracsplap.coefficients import eval_B, sqrt_operator
+from fracsplap.fracop import get_plan, seminorm_p_with_residual
 
 
 def kernel_constant_oracle(n, p, s, dps=50):
@@ -114,8 +119,6 @@ def euler_maruyama_oracle(setup, config, x0, dW):
     rule on ``np.interp``; only the p != 2 quadrature sweep is the library's.
     Returns the fields of ``solver.Path`` that the scheme determines.
     """
-    from fracsplap.fracop import seminorm_p_with_residual
-
     space, noise = setup.space, setup.noise
     k, K, dt = config.n_modes, config.n_steps, config.dt
     p, q, c = setup.op_params.p, setup.drift.q, setup.op_params.c_kernel
@@ -182,3 +185,70 @@ def euler_maruyama_oracle(setup, config, x0, dW):
             frozen = config.cap_mode == "truncate"
     return dict(states=states, l2_norms=out["l2"], v1_seminorms=out["v1"], lq_norms=out["lq"],
                 energy_series=out["energy"], stopped_at=stopped_at, diverged_at=diverged_at)
+
+
+def apply_A1_residual(space, v, params):
+    """Pairings of the operator action at v against every interior hat, in one sweep."""
+    _, residual = seminorm_p_with_residual(get_plan(space, params), np.asarray(v, dtype=float), params.p)
+    return -0.5 * params.c_kernel * residual
+
+
+def lp_norm_nodal(space, v, p):
+    """L^p norm by the trapezoidal (nodal) rule, i.e. the hat interpolant of |v|^p.
+
+    Dominates :func:`fracsplap.space.lp_norm` by Jensen's inequality, so
+    pointwise growth bounds survive discretization.  The exterior nodes are
+    zero, so only the interior values contribute.
+    """
+    return float(space.h * np.sum(np.abs(np.asarray(v, dtype=float)) ** p)) ** (1.0 / p)
+
+
+def eval_drift(spec, hspec, t, v):
+    """Nodal values of f(t, ., v) + h(t, ., v)."""
+    v = np.asarray(v, dtype=float)
+    return spec.f(t, v) + hspec.h(t, v)
+
+
+def hs_norm_B(spec, space, t, v, n_noise):
+    """Hilbert-Schmidt norm of the truncated diffusion map."""
+    cols = eval_B(spec, space, t, v, n_noise)
+    sq = np.einsum("ik,ij,jk->k", cols, space.mass_matrix, cols)
+    return float(np.sqrt(np.sum(sq)))
+
+
+def eval_G(spec, space, params, v):
+    """Transport columns ``g_i * (-Lap)^{s/2} v`` (nodal products), shape (m, n_g)."""
+    rv = sqrt_operator(space, params) @ np.asarray(v, dtype=float)
+    return spec.g_fields * rv[:, None]
+
+
+def _triple_product(space, f, g, u):
+    """Exact integral of a product of three hat interpolants (Gauss-2 per element)."""
+    E, w = space.gauss_rule(2)
+    return float(np.sum(w * (E @ f) * (E @ g) * (E @ u)))
+
+
+def _project_product(space, g, v):
+    """L2 projection of the product of two hat interpolants back onto the hat space."""
+    E, w = space.gauss_rule(2)
+    return np.linalg.solve(space.mass_matrix, E.T @ (w * (E @ g) * (E @ v)))
+
+
+def check_adjoint_identity(spec, space, params, u, v):
+    """Residual of moving the multiplier across the square root.
+
+    Compares ``(g_i (-Lap)^{s/2} u, v)`` with ``(u, (-Lap)^{s/2} P(g_i v))``
+    where P is the L2 projection of the product back onto the hat space; the
+    discrete square root is self-adjoint in the mass inner product, so the
+    residual is pure rounding noise.  Returns the maximum over the family.
+    """
+    R = sqrt_operator(space, params)
+    ru = R @ np.asarray(u, dtype=float)
+    out = 0.0
+    for k in range(spec.n_g):
+        g = spec.g_fields[:, k]
+        lhs = _triple_product(space, g, ru, v)
+        gv = _project_product(space, g, v)
+        rhs = float(np.asarray(u) @ (space.mass_matrix @ (R @ gv)))
+        out = max(out, abs(lhs - rhs))
+    return out

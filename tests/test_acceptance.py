@@ -15,7 +15,6 @@ from fracsplap import (
     DomainSpec,
     DriftSpec,
     FracOperatorParams,
-    FracQuadrature,
     LipschitzPerturbationSpec,
     SimulationSetup,
     SolverConfig,
@@ -24,7 +23,6 @@ from fracsplap import (
     apply_A1_weak,
     build_bundle,
     build_space,
-    check_adjoint_identity,
     check_scalar_monotonicity,
     check_theorem_2,
     check_theorem_3,
@@ -42,7 +40,7 @@ from fracsplap.cli import main
 from fracsplap.hypotheses import theorem1_hypothesis_params
 from fracsplap.space import l2_norm
 
-from oracles import gagliardo_seminorm_oracle, kernel_constant_oracle
+from oracles import check_adjoint_identity, gagliardo_seminorm_oracle, kernel_constant_oracle
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -98,40 +96,37 @@ def space32_acc():
 
 def test_a04_coercivity_identity(space32_acc):
     t0 = time.perf_counter()
-    quad = FracQuadrature()
     rng = np.random.default_rng(4)
     for p in (2.0, 3.0, 4.0):
         params = FracOperatorParams(s=0.5, p=p)
         for _ in range(100):
             v = rng.standard_normal(32)
-            lhs = apply_A1_weak(space32_acc, quad, v, v, params)
-            rhs = -0.5 * params.c_kernel * gagliardo_seminorm(space32_acc, quad, v, params) ** p
+            lhs = apply_A1_weak(space32_acc, v, v, params)
+            rhs = -0.5 * params.c_kernel * gagliardo_seminorm(space32_acc, v, params) ** p
             assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
     _report(4, "coercivity identity under the shared quadrature", t0, budget=120.0)
 
 
 def test_a05_operator_monotonicity(space32_acc):
     t0 = time.perf_counter()
-    quad = FracQuadrature()
     rng = np.random.default_rng(5)
     for p in (2.0, 3.0, 4.0):
         params = FracOperatorParams(s=0.5, p=p)
         for _ in range(100):
             u, v = rng.standard_normal((2, 32))
-            gap = apply_A1_weak(space32_acc, quad, u, u - v, params) - apply_A1_weak(space32_acc, quad, v, u - v, params)
-            bound = -(2.0 ** (1.0 - p)) * params.c_kernel * gagliardo_seminorm(space32_acc, quad, u - v, params) ** p
+            gap = apply_A1_weak(space32_acc, u, u - v, params) - apply_A1_weak(space32_acc, v, u - v, params)
+            bound = -(2.0 ** (1.0 - p)) * params.c_kernel * gagliardo_seminorm(space32_acc, u - v, params) ** p
             assert gap <= bound + 1e-6 * max(1.0, abs(bound))
     _report(5, "operator monotonicity with the scalar-inequality constant", t0, budget=120.0)
 
 
 def test_a06_seminorm_oracle(space32_acc):
     t0 = time.perf_counter()
-    quad = FracQuadrature()
     v = np.zeros(32)
     v[15] = 1.0
     for s in (0.3, 0.5, 0.7):
         for p in (2.0, 3.0):
-            ours = gagliardo_seminorm(space32_acc, quad, v, FracOperatorParams(s=s, p=p))
+            ours = gagliardo_seminorm(space32_acc, v, FracOperatorParams(s=s, p=p))
             ref = gagliardo_seminorm_oracle(space32_acc, v, s, p)
             assert abs(ours - ref) < 1e-3 * ref, (s, p, ours, ref)
     _report(6, "hat-function seminorm matches the 4x-refined oracle", t0)
@@ -230,7 +225,6 @@ def test_a12_slobodeckij_seminorm():
 def test_a13_transport_adjoint_identity():
     t0 = time.perf_counter()
     space = build_space(DomainSpec(), 64, 32)
-    quad = FracQuadrature()
     params = FracOperatorParams(s=0.5, p=2.0)
     rng = np.random.default_rng(13)
     for trial in range(5):
@@ -239,12 +233,12 @@ def test_a13_transport_adjoint_identity():
         coeffs = rng.standard_normal(4)
         g = sum(c * np.sin((k + 1) * np.pi * xi) for k, c in enumerate(coeffs))
         linf = np.array([np.max(np.abs(g))])
-        v1 = np.array([gagliardo_seminorm(space, quad, g, params)])
+        v1 = np.array([gagliardo_seminorm(space, g, params)])
         d = 0.5 * params.c_kernel * float(linf[0] ** 2)
         tr = TransportNoiseSpec(g_fields=g[:, None], linf_norms=linf, v1_norms=v1, delta4=d, delta5=d)
         u = rng.standard_normal(64)
         v = rng.standard_normal(64)
-        res = check_adjoint_identity(tr, space, quad, params, u, v)
+        res = check_adjoint_identity(tr, space, params, u, v)
         assert res < 1e-6 * l2_norm(space, u) * l2_norm(space, v), res
     _report(13, "multiplier moves across the discrete square root to rounding", t0)
 

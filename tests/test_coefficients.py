@@ -7,15 +7,13 @@ from fracsplap import (
     LipschitzPerturbationSpec,
     SuperlinearNoiseSpec,
     TransportNoiseSpec,
-    check_adjoint_identity,
     eval_B,
-    eval_G,
-    eval_drift,
-    hs_norm_B,
     noise_truncation,
 )
 from fracsplap.coefficients import frac_eigenpairs, sqrt_operator
-from fracsplap.space import l2_norm, lp_norm, lp_norm_nodal
+from fracsplap.space import l2_norm, lp_norm
+
+from oracles import check_adjoint_identity, eval_drift, eval_G, hs_norm_B, lp_norm_nodal
 
 
 @pytest.fixture(scope="module")
@@ -196,33 +194,33 @@ def test_noise_truncation_report(noise_p3):
     assert nt.gamma_tail > 0
 
 
-def test_transport_requires_p2(space16, quad):
+def test_transport_requires_p2(space16):
     with pytest.raises(ValueError):
-        TransportNoiseSpec.from_family(space16, quad, FracOperatorParams(s=0.5, p=3.0), 2, 0.5)
+        TransportNoiseSpec.from_family(space16, FracOperatorParams(s=0.5, p=3.0), 2, 0.5)
 
 
-def test_transport_constants_consistent(space16, quad, params_s05_p2):
-    tr = TransportNoiseSpec.from_family(space16, quad, params_s05_p2, n_g=3, amplitude=0.4, decay=1.0)
+def test_transport_constants_consistent(space16, params_s05_p2):
+    tr = TransportNoiseSpec.from_family(space16, params_s05_p2, n_g=3, amplitude=0.4, decay=1.0)
     d = 0.5 * params_s05_p2.c_kernel * float(np.sum(tr.linf_norms**2))
     assert abs(tr.delta4 - d) < 1e-10 * max(1.0, d)
     assert abs(tr.delta5 - d) < 1e-10 * max(1.0, d)
     assert np.isfinite(np.sum(tr.v1_norms**2))
 
 
-def test_eval_G_zero_and_eigenvector(space16, quad, params_s05_p2):
-    tr = TransportNoiseSpec.from_family(space16, quad, params_s05_p2, n_g=1, amplitude=0.4)
-    assert np.all(eval_G(tr, space16, quad, params_s05_p2, np.zeros(16)) == 0.0)
-    vals, vecs = frac_eigenpairs(space16, quad, params_s05_p2)
+def test_eval_G_zero_and_eigenvector(space16, params_s05_p2):
+    tr = TransportNoiseSpec.from_family(space16, params_s05_p2, n_g=1, amplitude=0.4)
+    assert np.all(eval_G(tr, space16, params_s05_p2, np.zeros(16)) == 0.0)
+    vals, vecs = frac_eigenpairs(space16, params_s05_p2)
     v = vecs[:, 2]
-    col = eval_G(tr, space16, quad, params_s05_p2, v)[:, 0]
+    col = eval_G(tr, space16, params_s05_p2, v)[:, 0]
     assert col == pytest.approx(tr.g_fields[:, 0] * np.sqrt(vals[2]) * v, rel=1e-9, abs=1e-10)
 
 
-def test_sqrt_operator_consistency(space16, quad, params_s05_p2):
+def test_sqrt_operator_consistency(space16, params_s05_p2):
     from fracsplap.fracop import assemble_frac_stiffness
 
-    R = sqrt_operator(space16, quad, params_s05_p2)
-    S = assemble_frac_stiffness(space16, quad, params_s05_p2)
+    R = sqrt_operator(space16, params_s05_p2)
+    S = assemble_frac_stiffness(space16, params_s05_p2)
     rng = np.random.default_rng(9)
     M = space16.mass_matrix
     for _ in range(10):
@@ -234,45 +232,45 @@ def test_sqrt_operator_consistency(space16, quad, params_s05_p2):
     assert np.max(np.abs(MR - MR.T)) < 1e-12
 
 
-def test_transport_growth_and_lipschitz_bounds(space32, quad, params_s05_p2):
-    tr = TransportNoiseSpec.from_family(space32, quad, params_s05_p2, n_g=3, amplitude=0.5, decay=1.0)
+def test_transport_growth_and_lipschitz_bounds(space32, params_s05_p2):
+    tr = TransportNoiseSpec.from_family(space32, params_s05_p2, n_g=3, amplitude=0.5, decay=1.0)
     rng = np.random.default_rng(10)
     M = space32.mass_matrix
     # smooth random states: random combinations of the low generalized modes
-    _, vecs = frac_eigenpairs(space32, quad, params_s05_p2)
+    _, vecs = frac_eigenpairs(space32, params_s05_p2)
     from fracsplap import gagliardo_seminorm
 
     for _ in range(25):
         u = vecs[:, :8] @ rng.standard_normal(8)
         w = vecs[:, :8] @ rng.standard_normal(8)
-        cu = eval_G(tr, space32, quad, params_s05_p2, u)
-        cw = eval_G(tr, space32, quad, params_s05_p2, w)
+        cu = eval_G(tr, space32, params_s05_p2, u)
+        cw = eval_G(tr, space32, params_s05_p2, w)
         hs_u = float(np.sum(np.einsum("ik,ij,jk->k", cu, M, cu)))
         hs_diff = float(np.sum(np.einsum("ik,ij,jk->k", cu - cw, M, cu - cw)))
-        bu = tr.delta4 * gagliardo_seminorm(space32, quad, u, params_s05_p2) ** 2
-        bd = tr.delta5 * gagliardo_seminorm(space32, quad, u - w, params_s05_p2) ** 2
+        bu = tr.delta4 * gagliardo_seminorm(space32, u, params_s05_p2) ** 2
+        bd = tr.delta5 * gagliardo_seminorm(space32, u - w, params_s05_p2) ** 2
         assert hs_u <= bu * (1.0 + 0.05)
         assert hs_diff <= bd * (1.0 + 0.05)
 
 
-def test_adjoint_identity_zero_and_random(space64, quad, params_s05_p2):
-    tr = TransportNoiseSpec.from_family(space64, quad, params_s05_p2, n_g=1, amplitude=0.7)
-    assert check_adjoint_identity(tr, space64, quad, params_s05_p2, np.zeros(64), np.ones(64)) < 1e-14
+def test_adjoint_identity_zero_and_random(space64, params_s05_p2):
+    tr = TransportNoiseSpec.from_family(space64, params_s05_p2, n_g=1, amplitude=0.7)
+    assert check_adjoint_identity(tr, space64, params_s05_p2, np.zeros(64), np.ones(64)) < 1e-14
     rng = np.random.default_rng(11)
     for _ in range(5):
         u = rng.standard_normal(64)
         v = rng.standard_normal(64)
-        res = check_adjoint_identity(tr, space64, quad, params_s05_p2, u, v)
+        res = check_adjoint_identity(tr, space64, params_s05_p2, u, v)
         assert res < 1e-6 * l2_norm(space64, u) * l2_norm(space64, v)
 
 
-def test_adjoint_identity_constant_multiplier(space16, quad, params_s05_p2):
+def test_adjoint_identity_constant_multiplier(space16, params_s05_p2):
     g = np.ones((16, 1)) * 0.3
     d = 0.5 * params_s05_p2.c_kernel * 0.09
     tr = TransportNoiseSpec(g_fields=g, linf_norms=np.array([0.3]), v1_norms=np.array([0.0]), delta4=d, delta5=d)
     rng = np.random.default_rng(12)
     u = rng.standard_normal(16)
-    assert check_adjoint_identity(tr, space16, quad, params_s05_p2, u, u) < 1e-12
+    assert check_adjoint_identity(tr, space16, params_s05_p2, u, u) < 1e-12
 
 
 def test_eval_B_cache_is_bitwise_and_per_spec(unit_domain):

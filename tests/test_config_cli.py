@@ -58,7 +58,7 @@ def test_build_bundle_validates_cross_fields():
         build_bundle(parse_config_text(MINI + "harness.sigma = 0.6\n"))
     with pytest.raises(ConfigError):
         build_bundle(parse_config_text(MINI + "solver.x0_profile = wave\n"))
-    with pytest.raises(ConfigError, match="registered"):
+    with pytest.raises(ConfigError, match="unknown key"):
         build_bundle(parse_config_text(MINI + "drift.family = cubic_spline\n"))
     bundle = build_bundle(parse_config_text(MINI))
     assert bundle.space.m == 12
@@ -264,8 +264,15 @@ def _with(text, **values):
         ("converge", {"harness__dt_ladder": "0.03125,0.015625", "harness__ref_refine": "100000000"},
          "n_steps * max(n_modes, n_noise)"),
         ("converge", {"harness__dt_ladder": "0.03125,0.015625", "harness__ref_refine": "0"}, "ref_refine"),
+        ("converge", {"harness__dt_ladder": "0.03125"}, "at least two rungs"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.03"}, "must divide solver.T"),
+        ("converge", {"harness__dt_ladder": "0.1,0.0625"}, "multiple of the refined step"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.0"}, "must be positive"),
     ],
-    ids=["nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine"],
+    ids=[
+        "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
+        "one-rung", "fine-step", "rung-multiple", "zero-rung",
+    ],
 )
 def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):
     # rejected while the configuration is read: one line on stderr, no traceback, nothing written
@@ -277,6 +284,20 @@ def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, value
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and needle in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("quadrature.panel_gauss", "6"), ("quadrature.graded_levels", "6"), ("operator.n", "1"),
+        ("drift.family", "power"), ("lipschitz.family", "bounded_slope"), ("noise.family", "power_sine"),
+        ("transport.family", "sine"),
+    ],
+)
+def test_single_value_keys_are_unknown(key, value):
+    # none of these had a second value to select; the quadrature rule is fixed in fracop
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text(MINI + f"{key} = {value}\n")
 
 
 def test_cap_radius_accepts_inf():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsplap import DomainSpec, FracOperatorParams, FracQuadrature, build_space, kernel_constant, poincare_constant
+from fracsplap import DomainSpec, FracOperatorParams, build_space, kernel_constant, poincare_constant
 from fracsplap.domain import PoincareEstimate
 from fracsplap.fracop import assemble_frac_stiffness
 
@@ -51,7 +51,6 @@ def test_kernel_constant_rejects_out_of_range(bad):
 def test_operator_params_carry_kernel_constant():
     pr = FracOperatorParams(s=0.5, p=2.0)
     assert pr.c_kernel == kernel_constant(1, 2.0, 0.5)
-    assert pr.kernel_exponent == 1 + 2.0 * 0.5
 
 
 def test_domain_spec_validation():
@@ -64,12 +63,12 @@ def test_domain_spec_validation():
         DomainSpec(0.0, 1.0, exterior_truncation=-1.0)
 
 
-def test_poincare_p2_matches_dense_eigen_oracle(unit_domain, quad):
+def test_poincare_p2_matches_dense_eigen_oracle(unit_domain):
     space = build_space(unit_domain, m=8, n_modes=8)
     params = FracOperatorParams(s=0.5, p=2.0)
-    est = poincare_constant(space, params, quad)
+    est = poincare_constant(space, params)
     assert est.certified
-    S = assemble_frac_stiffness(space, quad, params)
+    S = assemble_frac_stiffness(space, params)
     G = (2.0 / params.c_kernel) * S
     from scipy.linalg import eigh
 
@@ -78,27 +77,27 @@ def test_poincare_p2_matches_dense_eigen_oracle(unit_domain, quad):
     assert est.value > 0
 
 
-def test_poincare_nonincreasing_in_mode_count(unit_domain, quad):
+def test_poincare_nonincreasing_in_mode_count(unit_domain):
     params = FracOperatorParams(s=0.5, p=2.0)
     sp_small = build_space(unit_domain, m=32, n_modes=8)
     sp_big = build_space(unit_domain, m=32, n_modes=16)
-    lam_small = poincare_constant(sp_small, params, quad).value
-    lam_big = poincare_constant(sp_big, params, quad).value
+    lam_small = poincare_constant(sp_small, params).value
+    lam_big = poincare_constant(sp_big, params).value
     assert lam_big <= lam_small + 1e-10
 
 
-def test_poincare_two_mesh_consistency(unit_domain, quad):
+def test_poincare_two_mesh_consistency(unit_domain):
     params = FracOperatorParams(s=0.5, p=2.0)
-    lam64 = poincare_constant(build_space(unit_domain, 64, 64), params, quad).value
-    lam128 = poincare_constant(build_space(unit_domain, 128, 128), params, quad).value
+    lam64 = poincare_constant(build_space(unit_domain, 64, 64), params).value
+    lam128 = poincare_constant(build_space(unit_domain, 128, 128), params).value
     assert abs(lam64 - lam128) < 0.1 * lam128
 
 
-def test_poincare_inequality_on_random_vectors(unit_domain, quad):
+def test_poincare_inequality_on_random_vectors(unit_domain):
     params = FracOperatorParams(s=0.5, p=2.0)
     space = build_space(unit_domain, m=24, n_modes=12)
-    est = poincare_constant(space, params, quad)
-    S = assemble_frac_stiffness(space, quad, params)
+    est = poincare_constant(space, params)
+    S = assemble_frac_stiffness(space, params)
     H = space.h_basis
     G = (2.0 / params.c_kernel) * (H.T @ S @ H)
     rng = np.random.default_rng(3)
@@ -108,10 +107,10 @@ def test_poincare_inequality_on_random_vectors(unit_domain, quad):
     assert np.all(semi_sq >= est.value * l2_sq - 1e-9)
 
 
-def test_poincare_heuristic_path_p3(unit_domain, quad):
+def test_poincare_heuristic_path_p3(unit_domain):
     params = FracOperatorParams(s=0.4, p=3.0)
     space = build_space(unit_domain, m=16, n_modes=8)
-    est = poincare_constant(space, params, quad)
+    est = poincare_constant(space, params)
     assert isinstance(est, PoincareEstimate)
     assert not est.certified
     assert est.value > 0
@@ -122,15 +121,15 @@ def test_poincare_heuristic_path_p3(unit_domain, quad):
     rng = np.random.default_rng(10)
     for _ in range(200):
         v = space.h_basis @ rng.standard_normal(space.n_modes)
-        q = gagliardo_seminorm(space, quad, v, params) ** params.p / lp_norm(space, v, params.p) ** params.p
+        q = gagliardo_seminorm(space, v, params) ** params.p / lp_norm(space, v, params.p) ** params.p
         assert q >= est.value - 1e-9
 
 
 @pytest.mark.parametrize("m", [16, 24])
-def test_poincare_p_near_2_matches_certified(unit_domain, quad, m):
+def test_poincare_p_near_2_matches_certified(unit_domain, m):
     # the p != 2 descent starts at the p = 2 minimiser, so near p = 2 it must land on the certified value
     space = build_space(unit_domain, m=m, n_modes=m // 2)
-    certified = poincare_constant(space, FracOperatorParams(s=0.4, p=2.0), quad)
-    heuristic = poincare_constant(space, FracOperatorParams(s=0.4, p=2.0 + 1e-6), quad)
+    certified = poincare_constant(space, FracOperatorParams(s=0.4, p=2.0))
+    heuristic = poincare_constant(space, FracOperatorParams(s=0.4, p=2.0 + 1e-6))
     assert certified.certified and not heuristic.certified
     assert heuristic.value == pytest.approx(certified.value, rel=1e-5)

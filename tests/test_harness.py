@@ -7,7 +7,6 @@ from fracsplap import (
     DomainSpec,
     DriftSpec,
     FracOperatorParams,
-    FracQuadrature,
     LipschitzPerturbationSpec,
     SimulationSetup,
     SolverConfig,
@@ -33,7 +32,7 @@ def moment_setup():
     noise = SuperlinearNoiseSpec(p1=3.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.55, gamma_r=2.0,
                                  sigma1_amplitude=2.0, sigma1_decay=1.0)
     setup = SimulationSetup(
-        space, params, FracQuadrature(),
+        space, params,
         DriftSpec(q=4.0, delta=1.0), LipschitzPerturbationSpec(0.0), noise,
     )
     shape = np.zeros(16)
@@ -45,7 +44,7 @@ def moment_setup():
 def test_moment_report_zero_case(moment_setup):
     setup, shape = moment_setup
     silent = SimulationSetup(
-        setup.space, setup.op_params, setup.quad, setup.drift, setup.lip, SuperlinearNoiseSpec(p1=2.0),
+        setup.space, setup.op_params, setup.drift, setup.lip, SuperlinearNoiseSpec(p1=2.0),
     )
     cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=1)
     rep = estimate_moments(silent, cfg, shape, x_scales=[0.0], p_values=[1.0], n_paths=100)
@@ -66,7 +65,7 @@ def test_moment_refuses_inadmissible_exponent(moment_setup):
 def test_moment_dissipative_deterministic(moment_setup):
     setup, shape = moment_setup
     silent = SimulationSetup(
-        setup.space, setup.op_params, setup.quad, setup.drift, setup.lip, SuperlinearNoiseSpec(p1=2.0),
+        setup.space, setup.op_params, setup.drift, setup.lip, SuperlinearNoiseSpec(p1=2.0),
     )
     cfg = SolverConfig(T=0.25, dt=2.0**-6, n_modes=8, n_noise=2, master_seed=1)
     rep = estimate_moments(silent, cfg, shape, x_scales=[2.0], p_values=[1.0], n_paths=100)
@@ -155,7 +154,7 @@ def ladder_setup():
     params = FracOperatorParams(s=0.3, p=2.0)
     noise = SuperlinearNoiseSpec(p1=2.0, beta_b0=0.5, beta_r=2.0, gamma_g0=0.5, gamma_r=2.0)
     setup = SimulationSetup(
-        space, params, FracQuadrature(),
+        space, params,
         DriftSpec(q=2.0, delta=0.5), LipschitzPerturbationSpec(0.0), noise,
     )
     x0 = np.zeros(64)
@@ -190,7 +189,7 @@ def test_galerkin_zero_noise_zero_drift_resolved_x0():
     space = build_space(DomainSpec(), 32, 16)
     params = FracOperatorParams(s=1e-9, p=2.0)
     setup = SimulationSetup(
-        space, params, FracQuadrature(),
+        space, params,
         DriftSpec(q=2.0, delta=1e-12), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
     )
     x0 = np.zeros(32)
@@ -234,7 +233,7 @@ def test_strong_order_slope_window():
     params = FracOperatorParams(s=0.15, p=2.0)
     noise = SuperlinearNoiseSpec(p1=2.0, beta_b0=1.0, beta_r=2.0, gamma_g0=1.0, gamma_r=2.0, sigma1_amplitude=1.5, sigma1_decay=0.5)
     setup = SimulationSetup(
-        space, params, FracQuadrature(),
+        space, params,
         DriftSpec(q=2.0, delta=0.05), LipschitzPerturbationSpec(0.0), noise,
     )
     x0 = np.sin(np.pi * space.nodes)
@@ -252,7 +251,7 @@ def test_stability_bitwise_and_monotone(moment_setup):
     assert np.all(rep.sup_gap_sq == 0.0)
     # zero noise, dissipative drift: the gap never grows
     silent = SimulationSetup(
-        setup.space, setup.op_params, setup.quad, setup.drift, setup.lip, SuperlinearNoiseSpec(p1=2.0),
+        setup.space, setup.op_params, setup.drift, setup.lip, SuperlinearNoiseSpec(p1=2.0),
     )
     eps = 1e-3
     rep2 = pathwise_stability_study(silent, cfg, shape, shape + eps * shape, n_paths=3)

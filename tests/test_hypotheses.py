@@ -117,7 +117,7 @@ def test_hypothesis_params_validation():
         _params(alpha=-1.0)
 
 
-def test_theorem_1_gate_and_margin(space16, quad):
+def test_theorem_1_gate_and_margin(space16):
     drift = DriftSpec(q=4.0, delta=1.0)
     op = FracOperatorParams(s=0.6, p=3.0)
     zero_noise = SuperlinearNoiseSpec(p1=2.0)
@@ -152,7 +152,7 @@ def test_theorem_2_boundary_semantics():
     assert not chk.ok and "p1 < q" in chk.violated()
 
 
-def test_theorem_3_boundary_semantics(space16, quad, params_s05_p2):
+def test_theorem_3_boundary_semantics(space16, params_s05_p2):
     from fracsplap import TransportNoiseSpec
 
     drift = DriftSpec(q=4.0, delta=1.0)
@@ -197,12 +197,12 @@ def test_report_determinism_and_content():
     assert failing and all(c.label for c in failing)
 
 
-def test_report_labels_p3_poincare_as_attained_upper_bound(space16, quad):
+def test_report_labels_p3_poincare_as_attained_upper_bound(space16):
     # the p != 2 estimate is an attained Rayleigh quotient: an upper bound on the discrete minimum
     from fracsplap.domain import poincare_constant
 
     op = FracOperatorParams(s=0.6, p=3.0)
-    est = poincare_constant(space16, op, quad)
+    est = poincare_constant(space16, op)
     assert not est.certified
     rep = admissibility_report(
         op, DriftSpec(q=4.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),

@@ -7,7 +7,6 @@ from fracsplap import (
     DomainSpec,
     DriftSpec,
     FracOperatorParams,
-    FracQuadrature,
     LipschitzPerturbationSpec,
     SimulationSetup,
     SolverConfig,
@@ -27,7 +26,7 @@ def scalar_setup():
     space = build_space(DomainSpec(), 1, 1)
     params = FracOperatorParams(s=1e-9, p=2.0)
     return SimulationSetup(
-        space, params, FracQuadrature(),
+        space, params,
         DriftSpec(q=2.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
     )
 
@@ -38,7 +37,7 @@ def linear_setup():
     params = FracOperatorParams(s=0.3, p=2.0)
     noise = SuperlinearNoiseSpec(p1=2.0, beta_b0=0.4, beta_r=2.0, gamma_g0=0.4, gamma_r=2.0, sigma1_amplitude=0.5, sigma1_decay=1.0)
     return SimulationSetup(
-        space, params, FracQuadrature(),
+        space, params,
         DriftSpec(q=2.0, delta=0.5), LipschitzPerturbationSpec(0.0), noise,
     )
 
@@ -200,7 +199,7 @@ def test_divergence_marked_not_fatal():
     space = build_space(DomainSpec(), 4, 4)
     params = FracOperatorParams(s=0.3, p=2.0)
     setup = SimulationSetup(
-        space, params, FracQuadrature(),
+        space, params,
         DriftSpec(q=6.0, delta=50.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
     )
     cfg = SolverConfig(T=8.0, dt=1.0, n_modes=4, n_noise=1, taming=False, master_seed=1)
@@ -214,7 +213,7 @@ def test_reference_solution_eigen_decay(linear_setup):
 
     space = linear_setup.space
     setup = SimulationSetup(
-        space, linear_setup.op_params, linear_setup.quad,
+        space, linear_setup.op_params,
         DriftSpec(q=2.0, delta=0.5), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
     )
     # eigenvector of the reduced operator: exact exponential decay
@@ -234,25 +233,25 @@ def test_reference_rejects_nonlinear_configs(linear_setup):
     space = linear_setup.space
     cfg = SolverConfig(T=0.5, dt=2.0**-4, n_modes=8, n_noise=2, master_seed=0)
     nonlinear = SimulationSetup(
-        space, linear_setup.op_params, linear_setup.quad,
+        space, linear_setup.op_params,
         DriftSpec(q=4.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
     )
     with pytest.raises(ValueError):
         reference_solution_p2_linear(nonlinear, cfg, np.zeros(space.m))
     p3 = SimulationSetup(
-        build_space(DomainSpec(), 8, 4), FracOperatorParams(s=0.4, p=3.0), linear_setup.quad,
+        build_space(DomainSpec(), 8, 4), FracOperatorParams(s=0.4, p=3.0),
         DriftSpec(q=2.0, delta=0.5), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0),
     )
     with pytest.raises(ValueError):
         reference_solution_p2_linear(p3, cfg, np.zeros(8))
 
 
-def test_nonlinear_p_path_runs(quad):
+def test_nonlinear_p_path_runs():
     # short p=3 run exercises the quadrature-backed drift
     space = build_space(DomainSpec(), 8, 6)
     params = FracOperatorParams(s=0.4, p=3.0)
     setup = SimulationSetup(
-        space, params, quad,
+        space, params,
         DriftSpec(q=3.0, delta=1.0), LipschitzPerturbationSpec(0.1),
         SuperlinearNoiseSpec(p1=2.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0),
     )
@@ -265,7 +264,7 @@ def test_nonlinear_p_path_runs(quad):
     from fracsplap import gagliardo_seminorm
 
     nodal = space.h_basis[:, :6] @ path.states[-1]
-    assert path.v1_seminorms[-1] == pytest.approx(gagliardo_seminorm(space, quad, nodal, params), rel=1e-10)
+    assert path.v1_seminorms[-1] == pytest.approx(gagliardo_seminorm(space, nodal, params), rel=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +275,7 @@ def superlinear_setup():
         p1=3.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.55, gamma_r=2.0, sigma1_amplitude=2.0, sigma1_decay=1.0
     )
     return SimulationSetup(
-        space, FracOperatorParams(s=0.4, p=2.0), FracQuadrature(),
+        space, FracOperatorParams(s=0.4, p=2.0),
         DriftSpec(q=4.0, delta=1.0), LipschitzPerturbationSpec(0.0), noise,
     )
 
@@ -285,7 +284,7 @@ def superlinear_setup():
 def p3_setup():
     space = build_space(DomainSpec(), 8, 6)
     return SimulationSetup(
-        space, FracOperatorParams(s=0.4, p=3.0), FracQuadrature(),
+        space, FracOperatorParams(s=0.4, p=3.0),
         DriftSpec(q=3.0, delta=1.0), LipschitzPerturbationSpec(0.1),
         SuperlinearNoiseSpec(p1=2.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0, sigma1_amplitude=0.5),
     )

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fracsplap import DomainSpec, build_space, project
-from fracsplap.space import NoiseTruncation, coefficients, l2_norm, lp_norm, lp_norm_nodal
+from fracsplap.space import NoiseTruncation, coefficients, l2_norm, lp_norm
+
+from oracles import lp_norm_nodal
 
 
 def test_single_hat_normalized(unit_domain):
