@@ -27,7 +27,7 @@ from .domain import (
     kernel_constant,
     poincare_constant,
 )
-from .space import GalerkinSpace, NoiseTruncation, build_space, project
+from .space import GalerkinSpace, build_space, project
 from .fracop import (
     apply_A1_weak,
     assemble_frac_stiffness,
@@ -40,7 +40,6 @@ from .coefficients import (
     SuperlinearNoiseSpec,
     TransportNoiseSpec,
     eval_B,
-    noise_truncation,
 )
 from .hypotheses import (
     AdmissibilityReport,

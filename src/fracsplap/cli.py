@@ -16,12 +16,14 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import Bundle, ConfigError, ExperimentConfig, build_bundle, parse_config_file
+from .config import Bundle, ConfigError, ExperimentConfig, build_bundle, fmt, parse_config_file
 from .harness import (
+    MOMENT_PATHS,
     EnsembleDiverged,
     estimate_moments,
     galerkin_convergence_study,
     pathwise_stability_study,
+    require_paths,
     strong_order_study,
 )
 from .solver import simulate_path
@@ -29,14 +31,6 @@ from .solver import simulate_path
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
 
 
 def _header_lines(bundle: Bundle):
@@ -64,20 +58,16 @@ def _seeded(bundle: Bundle, seed) -> Bundle:
 
 
 def cmd_check_hypotheses(bundle: Bundle, out: FsPath, args) -> int:
-    from .coefficients import noise_truncation
-
     report = bundle.admissibility()
     # admissibility uses the full series sums; the simulation truncates the
     # noise, so the neglected tail mass is reported alongside
-    trunc = noise_truncation(bundle.noise, bundle.solver_config.n_noise)
-    tail_txt = [
-        f"  noise truncation: {trunc.n_noise} directions retained, "
-        f"beta tail {_fmt(trunc.beta_tail)}, gamma tail {_fmt(trunc.gamma_tail)}",
-    ]
+    noise, n_noise = bundle.setup.noise, bundle.solver_config.n_noise
+    beta_tail, gamma_tail = fmt(noise.beta_tail(n_noise)), fmt(noise.gamma_tail(n_noise))
+    tail_txt = [f"  noise truncation: {n_noise} directions retained, beta tail {beta_tail}, gamma tail {gamma_tail}"]
     tail_kv = [
-        f"noise_truncation.n_noise = {trunc.n_noise}",
-        f"noise_truncation.beta_tail = {_fmt(trunc.beta_tail)}",
-        f"noise_truncation.gamma_tail = {_fmt(trunc.gamma_tail)}",
+        f"noise_truncation.n_noise = {n_noise}",
+        f"noise_truncation.beta_tail = {beta_tail}",
+        f"noise_truncation.gamma_tail = {gamma_tail}",
     ]
     _write_artifact(out / "admissibility.txt", bundle, report.to_text().splitlines() + tail_txt)
     _write_artifact(out / "admissibility.kv", bundle, report.to_kv().splitlines() + tail_kv)
@@ -101,7 +91,7 @@ def cmd_simulate(bundle: Bundle, out: FsPath, args) -> int:
     for i, t in enumerate(path.times):
         flag = 1 if path.stopped_at is not None and i >= path.stopped_at else 0
         rows.append(
-            f"{_fmt(t)},{_fmt(path.l2_norms[i])},{_fmt(path.v1_seminorms[i])},{_fmt(path.lq_norms[i])},{flag}"
+            f"{fmt(t)},{fmt(path.l2_norms[i])},{fmt(path.v1_seminorms[i])},{fmt(path.lq_norms[i])},{flag}"
         )
     _write_artifact(out / "path.csv", bundle, rows)
     if path.diverged_at is not None:
@@ -113,9 +103,10 @@ def cmd_simulate(bundle: Bundle, out: FsPath, args) -> int:
 
 def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
     bundle = _seeded(bundle, args.seed)
+    config = bundle.config
+    require_paths(config["harness.n_paths"], MOMENT_PATHS)
     report = bundle.admissibility()
     cfg = bundle.solver_config
-    config = bundle.config
     p_max = report.p_max
     admissible = tuple(p for p in config["harness.p_values"] if p < p_max)
     dropped = tuple(p for p in config["harness.p_values"] if p >= p_max)
@@ -134,17 +125,17 @@ def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
         affinity_factor=config["harness.affinity_factor"], threads=args.threads,
     )
     rows = [
-        f"# p_max = {_fmt(p_max)}",
+        f"# p_max = {fmt(p_max)}",
         f"# n_paths = {rep.n_paths}",
         f"# diverged = {rep.diverged}",
-        f"# affinity_flags = {','.join(_fmt(f) for f in rep.affinity_flags)}",
+        f"# affinity_flags = {','.join(fmt(f) for f in rep.affinity_flags)}",
         "p,x_scale,sup_moment,energy_moment,cross_moment,std_err,affinity_ratio",
     ]
     for pi, p in enumerate(rep.p_values):
         for si, scale in enumerate(rep.x_scales):
             rows.append(
                 ",".join(
-                    _fmt(v)
+                    fmt(v)
                     for v in (
                         p, scale, rep.sup_moments[pi, si], rep.energy_moments[pi, si],
                         rep.cross_moments[pi, si], rep.sup_std_errors[pi, si], rep.affinity_ratios[pi, si],
@@ -168,10 +159,7 @@ def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
     n_paths = config["harness.n_paths"]
     rows = ["rung,gap,slope"]
     mode_rep = None
-    ladder = config["harness.mode_ladder"]
-    if ladder and ladder[-1] > bundle.space.n_modes:
-        raise ConfigError("harness.mode_ladder exceeds the retained span of the space")
-    if ladder:
+    if config["harness.mode_ladder"]:
         mode_rep = galerkin_convergence_study(
             bundle.setup, cfg, x0, config["harness.mode_ladder"], n_paths, threads=args.threads
         )
@@ -179,20 +167,20 @@ def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
         prev = None
         for (a, b), gap in zip(zip(ladder, ladder[1:]), mode_rep.pairwise_gaps):
             slope = float("nan") if prev is None else float(np.log2(prev / gap))
-            rows.append(f"{a}->{b},{_fmt(gap)},{_fmt(slope)}")
+            rows.append(f"{a}->{b},{fmt(gap)},{fmt(slope)}")
             prev = gap
-        rows.insert(1, f"# gaps_monotone = {_fmt(mode_rep.gaps_monotone)}")
+        rows.insert(1, f"# gaps_monotone = {fmt(mode_rep.gaps_monotone)}")
     dt_rep = None
     if config["harness.dt_ladder"]:
         dt_rep = strong_order_study(
             bundle.setup, cfg, x0, config["harness.dt_ladder"], n_paths,
             ref_refine=config["harness.ref_refine"], threads=args.threads,
         )
-        rows.append(f"# strong_order_slope = {_fmt(dt_rep.strong_slope)}")
+        rows.append(f"# strong_order_slope = {fmt(dt_rep.strong_slope)}")
         prev = None
         for dt, err in zip(dt_rep.dt_ladder, dt_rep.strong_errors):
             slope = float("nan") if prev is None else float(np.log2(prev[1] / err) / np.log2(prev[0] / dt))
-            rows.append(f"dt={_fmt(dt)},{_fmt(err)},{_fmt(slope)}")
+            rows.append(f"dt={fmt(dt)},{fmt(err)},{fmt(slope)}")
             prev = (dt, err)
     if mode_rep is None and dt_rep is None:
         raise ConfigError("converge needs harness.mode_ladder or harness.dt_ladder")
@@ -218,15 +206,15 @@ def cmd_uniqueness(bundle: Bundle, out: FsPath, args) -> int:
         g_l1_norm=report.params.g_l1_norm, threads=args.threads,
     )
     rows = [
-        f"# identical_data_bitwise = {_fmt(identical.bitwise_identical)}",
-        f"# epsilon = {_fmt(eps)}",
-        f"# initial_gap_sq = {_fmt(perturbed.initial_gap_sq)}",
-        f"# exp_factor = {_fmt(perturbed.exp_factor)}",
-        f"# gap_nonincreasing = {_fmt(perturbed.gap_nonincreasing)}",
+        f"# identical_data_bitwise = {fmt(identical.bitwise_identical)}",
+        f"# epsilon = {fmt(eps)}",
+        f"# initial_gap_sq = {fmt(perturbed.initial_gap_sq)}",
+        f"# exp_factor = {fmt(perturbed.exp_factor)}",
+        f"# gap_nonincreasing = {fmt(perturbed.gap_nonincreasing)}",
         "path,sup_gap_sq,gronwall_ratio",
     ]
     for j in range(perturbed.n_paths):
-        rows.append(f"{j},{_fmt(perturbed.sup_gap_sq[j])},{_fmt(perturbed.gronwall_ratios[j])}")
+        rows.append(f"{j},{fmt(perturbed.sup_gap_sq[j])},{fmt(perturbed.gronwall_ratios[j])}")
     _write_artifact(out / "stability.csv", bundle, rows)
     if not identical.bitwise_identical:
         print("identical initial data did not reproduce bitwise-identical paths", file=sys.stderr)

@@ -25,7 +25,7 @@ from scipy.special import zeta
 
 from .domain import FracOperatorParams
 from .fracop import assemble_frac_stiffness, gagliardo_seminorm
-from .space import GalerkinSpace, NoiseTruncation
+from .space import GalerkinSpace
 
 _SAMPLE_RANGE = 25.0
 _N_SAMPLES = 4000
@@ -121,25 +121,31 @@ class LipschitzPerturbationSpec:
         return self.phi3(t) * u / (1.0 + np.abs(u))
 
 
-def _power_sum(c0: float, r: float, cutoff: int | None) -> float:
-    """Sum of c0 * i^-r over the active indices (Hurwitz zeta for infinite families)."""
+def _power_law(c0: float, r: float, i, cutoff: int | None) -> np.ndarray:
+    """The series terms ``c0 * i^-r`` at the indices i, zero beyond ``cutoff`` when one is given."""
+    i = np.asarray(i, dtype=float)
+    out = c0 * i ** (-r)
+    if cutoff is not None:
+        out = np.where(i <= cutoff, out, 0.0)
+    return out
+
+
+def _power_tail(c0: float, r: float, cutoff: int | None, n: int = 0) -> float:
+    """Sum of c0 * i^-r over the active indices i > n (Hurwitz zeta for infinite families)."""
     if c0 == 0.0:
         return 0.0
     if cutoff is not None:
-        return c0 * float(np.sum(np.arange(1, cutoff + 1, dtype=float) ** (-r)))
+        return c0 * float(np.sum(np.arange(n + 1, cutoff + 1, dtype=float) ** (-r)))
     if r <= 1.0:
         raise ValueError(f"series exponent must exceed 1 for a summable family, got r={r}")
-    return c0 * float(zeta(r, 1))
-
-
-def _power_tail(c0: float, r: float, cutoff: int | None, n: int) -> float:
-    if c0 == 0.0:
-        return 0.0
-    if cutoff is not None:
-        if n >= cutoff:
-            return 0.0
-        return c0 * float(np.sum(np.arange(n + 1, cutoff + 1, dtype=float) ** (-r)))
     return c0 * float(zeta(r, n + 1))
+
+
+def _sine_family(space: GalerkinSpace, c0: float, r: float, n: int, cutoff: int | None = None) -> np.ndarray:
+    """Columns ``c0 * i^-r * sin(i pi xi)`` for i = 1..n at the interior nodes, shape (m, n)."""
+    xi = (space.nodes - space.domain.a) / space.domain.length
+    i = np.arange(1, n + 1, dtype=float)
+    return np.sin(np.outer(xi, i) * math.pi) * _power_law(c0, r, i, cutoff)[None, :]
 
 
 @dataclass(frozen=True)
@@ -171,24 +177,16 @@ class SuperlinearNoiseSpec:
         self._verify()
 
     def beta(self, i):
-        i = np.asarray(i, dtype=float)
-        out = self.beta_b0 * i ** (-self.beta_r)
-        if self.cutoff is not None:
-            out = np.where(i <= self.cutoff, out, 0.0)
-        return out
+        return _power_law(self.beta_b0, self.beta_r, i, self.cutoff)
 
     def gamma(self, i):
-        i = np.asarray(i, dtype=float)
-        out = self.gamma_g0 * i ** (-self.gamma_r)
-        if self.cutoff is not None:
-            out = np.where(i <= self.cutoff, out, 0.0)
-        return out
+        return _power_law(self.gamma_g0, self.gamma_r, i, self.cutoff)
 
     def beta_sum(self) -> float:
-        return _power_sum(self.beta_b0, self.beta_r, self.cutoff)
+        return _power_tail(self.beta_b0, self.beta_r, self.cutoff)
 
     def gamma_sum(self) -> float:
-        return _power_sum(self.gamma_g0, self.gamma_r, self.cutoff)
+        return _power_tail(self.gamma_g0, self.gamma_r, self.cutoff)
 
     def beta_tail(self, n: int) -> float:
         return _power_tail(self.beta_b0, self.beta_r, self.cutoff, n)
@@ -210,12 +208,7 @@ class SuperlinearNoiseSpec:
         """Deterministic forcing columns at the interior nodes, (m, n_noise)."""
         if self.sigma1_amplitude == 0.0:
             return np.zeros((space.m, n_noise))
-        xi = (space.nodes - space.domain.a) / space.domain.length
-        i = np.arange(1, n_noise + 1, dtype=float)
-        amps = self.sigma1_amplitude * i ** (-self.sigma1_decay)
-        if self.cutoff is not None:
-            amps = np.where(i <= self.cutoff, amps, 0.0)
-        return np.sin(np.outer(xi, i) * math.pi) * amps[None, :]
+        return _sine_family(space, self.sigma1_amplitude, self.sigma1_decay, n_noise, self.cutoff)
 
     def _verify(self, seed=2, tol=1e-12):
         rng = np.random.default_rng(seed)
@@ -239,10 +232,6 @@ class SuperlinearNoiseSpec:
         ) * (u1 - u2) ** 2
         if np.any(lip > tol * np.maximum(1.0, (u1 - u2) ** 2)):
             raise ValueError("noise family violates its local Lipschitz bound")
-
-
-def noise_truncation(spec: SuperlinearNoiseSpec, n_noise: int) -> NoiseTruncation:
-    return NoiseTruncation(n_noise=n_noise, beta_tail=spec.beta_tail(n_noise), gamma_tail=spec.gamma_tail(n_noise))
 
 
 def eval_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.ndarray, n_noise: int) -> np.ndarray:
@@ -329,10 +318,7 @@ class TransportNoiseSpec:
             raise ValueError("transport noise is defined for p = 2 only")
         if n_g < 1:
             raise ValueError("need at least one multiplier field")
-        xi = (space.nodes - space.domain.a) / space.domain.length
-        i = np.arange(1, n_g + 1, dtype=float)
-        amps = amplitude * i ** (-decay)
-        g = np.sin(np.outer(xi, i) * math.pi) * amps[None, :]
+        g = _sine_family(space, amplitude, decay, n_g)
         linf = np.max(np.abs(g), axis=0)
         v1 = np.array([gagliardo_seminorm(space, g[:, k], params) for k in range(n_g)])
         if not np.isfinite(np.sum(linf**2 + v1**2)):

@@ -51,13 +51,16 @@ def _parse_int_list(text: str):
     return tuple(int(tok) for tok in text.split(","))
 
 
+def fmt(x) -> str:
+    """The text of a flag or a number in every artifact: ``true``/``false``, else ``repr(float(x))``."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    return repr(float(x))
+
+
 def _fmt_value(val) -> str:
-    if isinstance(val, bool):
-        return "true" if val else "false"
-    if isinstance(val, float):
-        if math.isinf(val):
-            return "inf" if val > 0 else "-inf"
-        return repr(val)
+    if isinstance(val, (bool, float)):
+        return fmt(val)
     if isinstance(val, tuple):
         return ",".join(_fmt_value(v) for v in val)
     return str(val)
@@ -181,17 +184,9 @@ class Bundle:
     """Everything an experiment needs, constructed from one configuration."""
 
     config: ExperimentConfig
-    domain: object
-    op_params: object
-    space: object
-    drift: object
-    lip: object
-    noise: object
-    transport: object
     setup: object
     solver_config: object
     x0_shape: np.ndarray
-    poincare: object = None
     report: object = None
 
     def admissibility(self):
@@ -200,10 +195,10 @@ class Bundle:
             from .domain import poincare_constant
             from .hypotheses import admissibility_report
 
-            self.poincare = poincare_constant(self.space, self.op_params)
+            st = self.setup
             self.report = admissibility_report(
-                self.op_params, self.drift, self.lip, self.noise, self.transport,
-                self.poincare, self.config["solver.T"],
+                st.op_params, st.drift, st.lip, st.noise, st.transport,
+                poincare_constant(st.space, st.op_params), self.config["solver.T"],
             )
         return self.report
 
@@ -238,7 +233,7 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
     """Construct and cross-validate every component named by the configuration."""
     from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec, TransportNoiseSpec
     from .domain import DomainSpec, FracOperatorParams
-    from .harness import dt_ladder_grid
+    from .harness import dt_ladder_grid, mode_ladder_rungs, moment_grid, require_paths
     from .solver import SimulationSetup, SolverConfig
     from .space import build_space
 
@@ -261,6 +256,11 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
                 config["harness.dt_ladder"], config["solver.T"], config["harness.ref_refine"]
             )
             replace(solver_config, dt=dt_fine)  # validates the strong-order reference path
+        if config["harness.mode_ladder"]:
+            # only converge runs the ladder, so the span of the space is checked there
+            mode_ladder_rungs(config["harness.mode_ladder"], math.inf)
+        require_paths(config["harness.n_paths"])
+        moment_grid(config["harness.p_values"], config["harness.x_scales"])
         space = build_space(domain, config["domain.mesh_m"], config["domain.n_modes"])
         delta3 = config["drift.delta3"]
         drift = DriftSpec(
@@ -285,15 +285,8 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
             )
         setup = SimulationSetup(space, op_params, drift, lip, noise, transport)
         x0_shape = _x0_shape(config, space)
-        ladder = config["harness.mode_ladder"]
-        if ladder and any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise ConfigError("harness.mode_ladder must be strictly increasing")
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return Bundle(
-        config=config, domain=domain, op_params=op_params, space=space,
-        drift=drift, lip=lip, noise=noise, transport=transport, setup=setup,
-        solver_config=solver_config, x0_shape=x0_shape,
-    )
+    return Bundle(config=config, setup=setup, solver_config=solver_config, x0_shape=x0_shape)

@@ -52,9 +52,9 @@ class FracPlan:
     sampled values: first ``v(x) - v(y)`` at every pair point, then the slope
     of every element (the closed-form same-element term), then ``v(x)`` at
     every exterior-tail point.  ``wts`` holds the matching weights: ``w``,
-    ``j_same`` per element and ``wt``.  The weights already contain the kernel
-    value and the factor 2 from enumerating unordered element pairs; the
-    singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
+    the closed-form same-element weight of every element and ``wt``.  The
+    weights already contain the kernel value and the factor 2 from enumerating
+    unordered element pairs; the singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
     ``elt``/``lt`` locate each sample point inside its element, as
     :meth:`GalerkinSpace.eval_matrix` reads them.  ``DT`` is ``D^T`` as CSR, built
     on first use (only a residual reads it, so p = 2 runs never build it) so
@@ -66,7 +66,6 @@ class FracPlan:
     ely: np.ndarray
     ly: np.ndarray
     w: np.ndarray
-    j_same: float
     elt: np.ndarray
     lt: np.ndarray
     wt: np.ndarray
@@ -203,7 +202,7 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
-        elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size], j_same=j_same,
+        elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size],
         elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, D=D, wts=wts,
     )
     space._cache[key] = plan

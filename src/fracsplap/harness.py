@@ -14,8 +14,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .solver import Path, SimulationSetup, SolverConfig, brownian_increments, reference_solution_p2_linear, simulate_path
 from .space import l2_norm
+
+
+MOMENT_PATHS = 100  # the fewest paths a moment estimate runs on
+
+
+def require_paths(n_paths: int, floor: int = 1) -> None:
+    """Check that a study runs at least ``floor`` paths."""
+    if n_paths < floor:
+        raise ConfigError(f"harness.n_paths must be >= {floor}, got {n_paths}")
+
+
+def moment_grid(p_values, x_scales):
+    """The moment exponents and initial-data scales as floats, after checking
+    the moment study's preconditions."""
+    p_values = tuple(float(p) for p in p_values)
+    if any(p < 1.0 for p in p_values):
+        raise ConfigError("harness.p_values: moment exponents start at 1")
+    x_scales = tuple(float(s) for s in x_scales)
+    if not x_scales:
+        raise ConfigError("harness.x_scales needs at least one scale")
+    return p_values, x_scales
+
+
+def mode_ladder_rungs(mode_ladder, n_modes):
+    """The rungs of a Galerkin mode ladder, after checking the study's preconditions."""
+    ladder = tuple(int(n) for n in mode_ladder)
+    if len(ladder) < 2:
+        raise ConfigError("harness.mode_ladder needs at least two rungs")
+    if any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ConfigError("harness.mode_ladder must be strictly increasing")
+    if ladder[0] < 1:
+        raise ConfigError("harness.mode_ladder rungs must be >= 1")
+    if ladder[-1] > n_modes:
+        raise ConfigError("harness.mode_ladder exceeds the retained span of the space")
+    return ladder
 
 
 def run_ensemble(one, n_paths, threads=1):
@@ -24,6 +60,7 @@ def run_ensemble(one, n_paths, threads=1):
     ``pool.map`` yields results in index order, so the list is the same at
     any thread count.
     """
+    require_paths(n_paths)
     if threads <= 1:
         return [one(j) for j in range(n_paths)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -76,18 +113,14 @@ def estimate_moments(
 
     Exponents at or above the admissible supremum ``p_max`` are refused.
     """
-    if n_paths < 100:
-        raise ValueError("moment estimation needs at least 100 paths")
-    p_values = tuple(float(p) for p in p_values)
+    require_paths(n_paths, MOMENT_PATHS)
+    p_values, x_scales = moment_grid(p_values, x_scales)
     for p in p_values:
         if p >= p_max:
             raise ValueError(
                 f"moment exponent p={p} is outside the admissible range [1, {p_max}) "
                 "implied by the coercivity/diffusion-growth ratios"
             )
-        if p < 1.0:
-            raise ValueError("moment exponents start at 1")
-    x_scales = tuple(float(s) for s in x_scales)
     n_p, n_s = len(p_values), len(x_scales)
     sup_m = np.zeros((n_p, n_s))
     sup_se = np.zeros((n_p, n_s))
@@ -220,11 +253,7 @@ def galerkin_convergence_study(
     Every rung consumes the same per-path increments (the coarse run sees the
     same stream as the fine one), so the gaps isolate the truncation effect.
     """
-    ladder = tuple(int(n) for n in mode_ladder)
-    if any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("mode ladder must be strictly increasing")
-    if ladder[-1] > setup.space.n_modes:
-        raise ValueError("mode ladder exceeds the retained span of the space")
+    ladder = mode_ladder_rungs(mode_ladder, setup.space.n_modes)
     K = config.n_steps
 
     def one(j):
@@ -246,19 +275,19 @@ def dt_ladder_grid(dt_ladder, T: float, ref_refine: int):
     its step count, after checking the strong-order study's preconditions."""
     dts = tuple(sorted((float(d) for d in dt_ladder), reverse=True))
     if len(dts) < 2:
-        raise ValueError("harness.dt_ladder needs at least two rungs")
+        raise ConfigError("harness.dt_ladder needs at least two rungs")
     if not dts[-1] > 0:
-        raise ValueError("harness.dt_ladder rungs must be positive")
+        raise ConfigError("harness.dt_ladder rungs must be positive")
     if ref_refine < 1:
-        raise ValueError("harness.ref_refine must be >= 1")
+        raise ConfigError("harness.ref_refine must be >= 1")
     dt_fine = dts[-1] / ref_refine
     K_fine = T / dt_fine
     if abs(K_fine - round(K_fine)) > 1e-9:
-        raise ValueError("the refined step (finest dt rung / harness.ref_refine) must divide solver.T")
+        raise ConfigError("the refined step (finest dt rung / harness.ref_refine) must divide solver.T")
     for d in dts:
         ratio = d / dt_fine
         if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("every harness.dt_ladder rung must be a multiple of the refined step")
+            raise ConfigError("every harness.dt_ladder rung must be a multiple of the refined step")
     return dts, dt_fine, int(round(K_fine))
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec, TransportNoiseSpec
+from .config import fmt
 from .domain import FracOperatorParams, PoincareEstimate
 
 
@@ -238,12 +239,6 @@ def theorem3_hypothesis_params(
     )
 
 
-def _fmt(x: float) -> str:
-    if x == math.inf:
-        return "inf"
-    return repr(float(x))
-
-
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Structured admissibility result for one configuration."""
@@ -267,39 +262,39 @@ class AdmissibilityReport:
     def to_kv(self) -> str:
         lines = [
             f"setting = {self.setting}",
-            f"lambda_hat = {_fmt(self.lambda_hat)}",
-            f"lambda_certified = {str(self.lambda_certified).lower()}",
-            f"kappa = {','.join(_fmt(k) for k in self.kappa)}",
-            f"gap_ok = {str(self.gap.ok).lower()}",
-            f"gap_lhs = {_fmt(self.gap.lhs)}",
-            f"gap_rhs = {_fmt(self.gap.rhs)}",
-            f"gap_margin = {_fmt(self.gap.margin)}",
-            f"p_max = {_fmt(self.p_max)}",
-            f"empty_moment_range = {str(self.empty_moment_range).lower()}",
-            f"admissible = {str(self.ok).lower()}",
+            f"lambda_hat = {fmt(self.lambda_hat)}",
+            f"lambda_certified = {fmt(self.lambda_certified)}",
+            f"kappa = {','.join(fmt(k) for k in self.kappa)}",
+            f"gap_ok = {fmt(self.gap.ok)}",
+            f"gap_lhs = {fmt(self.gap.lhs)}",
+            f"gap_rhs = {fmt(self.gap.rhs)}",
+            f"gap_margin = {fmt(self.gap.margin)}",
+            f"p_max = {fmt(self.p_max)}",
+            f"empty_moment_range = {fmt(self.empty_moment_range)}",
+            f"admissible = {fmt(self.ok)}",
         ]
         for check in self.theorem_checks:
-            lines.append(f"{check.name}.ok = {str(check.ok).lower()}")
+            lines.append(f"{check.name}.ok = {fmt(check.ok)}")
             for c in check.conditions:
                 lines.append(
-                    f"{check.name}.{c.label} = {str(c.ok).lower()}"
-                    f" (lhs={_fmt(c.lhs)}, rhs={_fmt(c.rhs)}, margin={_fmt(c.margin)})"
+                    f"{check.name}.{c.label} = {fmt(c.ok)}"
+                    f" (lhs={fmt(c.lhs)}, rhs={fmt(c.rhs)}, margin={fmt(c.margin)})"
                 )
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         out = [
             f"Admissibility report -- setting: {self.setting}",
-            f"  Poincare estimate: {_fmt(self.lambda_hat)}"
+            f"  Poincare estimate: {fmt(self.lambda_hat)}"
             + (
                 " (certified on the discrete space)" if self.lambda_certified
                 else " (attained quotient: an upper bound on the discrete minimum, not certified)"
             ),
-            f"  growth indices kappa: ({', '.join(_fmt(k) for k in self.kappa)})",
-            f"  gap condition: max kappa = {_fmt(self.gap.lhs)} "
+            f"  growth indices kappa: ({', '.join(fmt(k) for k in self.kappa)})",
+            f"  gap condition: max kappa = {fmt(self.gap.lhs)} "
             + ("<" if self.gap.ok else ">=")
-            + f" {_fmt(self.gap.rhs)} = 2 min(gamma1/gamma2) -> {'PASS' if self.gap.ok else 'FAIL'}",
-            f"  moment exponents: [1, {_fmt(self.p_max)})"
+            + f" {fmt(self.gap.rhs)} = 2 min(gamma1/gamma2) -> {'PASS' if self.gap.ok else 'FAIL'}",
+            f"  moment exponents: [1, {fmt(self.p_max)})"
             + ("  [empty above 1]" if self.empty_moment_range else ""),
         ]
         for check in self.theorem_checks:
@@ -308,8 +303,8 @@ class AdmissibilityReport:
             for c in check.conditions:
                 rel = "<" if c.strict else "<="
                 out.append(
-                    f"    [{'ok' if c.ok else 'VIOLATED'}] {c.label}: {_fmt(c.lhs)} {rel} {_fmt(c.rhs)}"
-                    f" (margin {_fmt(c.margin)})"
+                    f"    [{'ok' if c.ok else 'VIOLATED'}] {c.label}: {fmt(c.lhs)} {rel} {fmt(c.rhs)}"
+                    f" (margin {fmt(c.margin)})"
                 )
         for note in self.notes:
             out.append(f"  note: {note}")

@@ -108,12 +108,6 @@ def project(space: GalerkinSpace, v: np.ndarray, k: int) -> np.ndarray:
     return Hk @ (Hk.T @ (space.mass_matrix @ np.asarray(v, dtype=float)))
 
 
-def coefficients(space: GalerkinSpace, v: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Coefficients of a nodal vector in the orthonormal basis."""
-    k = space.n_modes if k is None else k
-    return space.h_basis[:, :k].T @ (space.mass_matrix @ np.asarray(v, dtype=float))
-
-
 def l2_norm(space: GalerkinSpace, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=float)
     return float(np.sqrt(max(v @ (space.mass_matrix @ v), 0.0)))
@@ -130,20 +124,3 @@ def lp_norm(space: GalerkinSpace, v: np.ndarray, p: float, n_points: int = 8, wi
     if not with_grad:
         return norm
     return norm, E.T @ (p * w * np.abs(vals) ** (p - 2.0) * vals)
-
-
-@dataclass(frozen=True)
-class NoiseTruncation:
-    """Retained noise directions and the neglected series mass."""
-
-    n_noise: int
-    beta_tail: float
-    gamma_tail: float
-
-    def __post_init__(self):
-        if self.n_noise < 1:
-            raise ValueError("n_noise must be >= 1")
-        if not (self.beta_tail >= 0 and np.isfinite(self.beta_tail)):
-            raise ValueError("beta tail mass must be finite and nonnegative")
-        if not (self.gamma_tail >= 0 and np.isfinite(self.gamma_tail)):
-            raise ValueError("gamma tail mass must be finite and nonnegative")

@@ -193,6 +193,12 @@ def apply_A1_residual(space, v, params):
     return -0.5 * params.c_kernel * residual
 
 
+def coefficients(space, v, k=None):
+    """Coefficients of a nodal vector in the orthonormal basis."""
+    k = space.n_modes if k is None else k
+    return space.h_basis[:, :k].T @ (space.mass_matrix @ np.asarray(v, dtype=float))
+
+
 def lp_norm_nodal(space, v, p):
     """L^p norm by the trapezoidal (nodal) rule, i.e. the hat interpolant of |v|^p.
 

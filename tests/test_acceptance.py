@@ -135,7 +135,7 @@ def test_a06_seminorm_oracle(space32_acc):
 def test_a07_deterministic_time_convergence():
     t0 = time.perf_counter()
     bundle = build_bundle(parse_config_file(CONFIG_DIR / "deterministic_convergence.cfg"))
-    assert bundle.space.m == 64 and bundle.solver_config.n_modes == 16
+    assert bundle.setup.space.m == 64 and bundle.solver_config.n_modes == 16
     rep = strong_order_study(
         bundle.setup, bundle.solver_config, bundle.x0_shape,
         bundle.config["harness.dt_ladder"], n_paths=1,

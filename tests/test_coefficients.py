@@ -8,7 +8,6 @@ from fracsplap import (
     SuperlinearNoiseSpec,
     TransportNoiseSpec,
     eval_B,
-    noise_truncation,
 )
 from fracsplap.coefficients import frac_eigenpairs, sqrt_operator
 from fracsplap.space import l2_norm, lp_norm
@@ -185,13 +184,6 @@ def test_hs_norm_continuity_in_state(noise_p3, space16):
     gaps = [abs(hs_norm_B(noise_p3, space16, 0.0, v + eps * w, 8) - base) for eps in (1e-2, 1e-4, 1e-6)]
     assert gaps[1] < 2e-2 * gaps[0] / 1e-2 * 1e-4 / 1e-4 + gaps[0]  # decreasing sequence
     assert gaps[0] < 1.0 and gaps[2] < 1e-4
-
-
-def test_noise_truncation_report(noise_p3):
-    nt = noise_truncation(noise_p3, 8)
-    assert nt.n_noise == 8
-    assert nt.beta_tail == pytest.approx(noise_p3.beta_tail(8))
-    assert nt.gamma_tail > 0
 
 
 def test_transport_requires_p2(space16):

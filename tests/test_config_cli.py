@@ -61,7 +61,7 @@ def test_build_bundle_validates_cross_fields():
     with pytest.raises(ConfigError, match="unknown key"):
         build_bundle(parse_config_text(MINI + "drift.family = cubic_spline\n"))
     bundle = build_bundle(parse_config_text(MINI))
-    assert bundle.space.m == 12
+    assert bundle.setup.space.m == 12
     assert bundle.x0_shape.shape == (12,)
 
 
@@ -268,10 +268,20 @@ def _with(text, **values):
         ("converge", {"harness__dt_ladder": "0.03125,0.03"}, "must divide solver.T"),
         ("converge", {"harness__dt_ladder": "0.1,0.0625"}, "multiple of the refined step"),
         ("converge", {"harness__dt_ladder": "0.03125,0.0"}, "must be positive"),
+        ("moments", {"harness__p_values": "0.5,1.0"}, "harness.p_values"),
+        ("moments", {"harness__x_scales": ""}, "harness.x_scales"),
+        ("converge", {"harness__n_paths": "0", "harness__mode_ladder": "2,4"}, "harness.n_paths must be >= 1"),
+        ("converge", {"harness__n_paths": "0", "harness__mode_ladder": "", "harness__dt_ladder": "0.03125,0.015625"},
+         "harness.n_paths must be >= 1"),
+        ("uniqueness", {"harness__n_paths": "0"}, "harness.n_paths must be >= 1"),
+        ("uniqueness", {"harness__n_paths": "-3"}, "harness.n_paths must be >= 1"),
+        ("converge", {"harness__mode_ladder": "0,4"}, "rungs must be >= 1"),
+        ("converge", {"harness__mode_ladder": "4"}, "at least two rungs"),
     ],
     ids=[
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
-        "one-rung", "fine-step", "rung-multiple", "zero-rung",
+        "one-rung", "fine-step", "rung-multiple", "zero-rung", "moment-exponent", "no-scales", "no-paths-modes",
+        "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
     ],
 )
 def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):
@@ -284,6 +294,32 @@ def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, value
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and needle in err
+
+
+def test_moments_path_floor_exits_2(tmp_path, capsys):
+    # checked before the Poincare estimate: one line on stderr, no traceback, no artifact
+    cfg_path = tmp_path / "few.cfg"
+    cfg_path.write_text(_with(MINI, harness__n_paths="99"))
+    out = tmp_path / "out"
+    rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert not any(out.iterdir())
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "harness.n_paths must be >= 100" in err
+
+
+@pytest.mark.parametrize("name", ["theorem2_ok", "theorem2_beta_boundary", "uniqueness"])
+def test_admissibility_kv_pins_noise_tails(tmp_path, capsys, name):
+    cfg_path = CONFIG_DIR / f"{name}.cfg"
+    config = parse_config_file(cfg_path)
+    noise, n_noise = build_bundle(config).setup.noise, config["solver.n_noise"]
+    assert main(["check-hypotheses", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+    kv = (tmp_path / "admissibility.kv").read_text().splitlines()
+    assert f"noise_truncation.n_noise = {n_noise}" in kv
+    assert f"noise_truncation.beta_tail = {noise.beta_tail(n_noise)!r}" in kv
+    assert f"noise_truncation.gamma_tail = {noise.gamma_tail(n_noise)!r}" in kv
+    # zero diffusion growth puts the moment supremum at infinity
+    assert ("p_max = inf" in kv) == (name == "uniqueness")
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fracsplap import DomainSpec, build_space, project
-from fracsplap.space import NoiseTruncation, coefficients, l2_norm, lp_norm
+from fracsplap.space import l2_norm, lp_norm
 
-from oracles import lp_norm_nodal
+from oracles import coefficients, lp_norm_nodal
 
 
 def test_single_hat_normalized(unit_domain):
@@ -140,12 +140,3 @@ def test_lp_norm_gradient(space16, p):
         vm[i] -= eps
         fd = (lp_norm(space16, vp, p) ** p - lp_norm(space16, vm, p) ** p) / (2 * eps)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
-
-
-def test_noise_truncation_validation():
-    nt = NoiseTruncation(n_noise=4, beta_tail=0.1, gamma_tail=0.0)
-    assert nt.n_noise == 4
-    with pytest.raises(ValueError):
-        NoiseTruncation(n_noise=0, beta_tail=0.0, gamma_tail=0.0)
-    with pytest.raises(ValueError):
-        NoiseTruncation(n_noise=1, beta_tail=-0.5, gamma_tail=0.0)
