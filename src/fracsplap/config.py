@@ -79,7 +79,9 @@ _SCHEMA = {
     "drift.q": (_parse_finite, _REQUIRED),
     "drift.delta": (_parse_finite, _REQUIRED),
     "drift.linear": (_parse_finite, 0.0),
-    "drift.delta3": (_parse_finite, -1.0),  # -1 = the family default delta/2, 0 = weak monotonicity only
+    # delta1 = delta, delta2 = delta + linear, phi1 = 0 and phi2 = linear exactly; delta3 is at most
+    # delta/2 (q > 2) or (delta + linear)/2 (q = 2), and -1 takes the family default delta/2
+    "drift.delta3": (_parse_finite, -1.0),
     "lipschitz.phi3": (_parse_finite, 0.0),
     "noise.p1": (_parse_finite, 2.0),
     "noise.beta_b0": (_parse_finite, 0.0),
@@ -113,7 +115,7 @@ _SCHEMA = {
     "harness.dt_ladder": (_parse_float_list, ()),
     "harness.ref_refine": (int, 16),
     "harness.affinity_factor": (_parse_finite, 3.0),
-    "harness.max_diverged_fraction": (_parse_finite, 0.0),
+    "harness.max_diverged_fraction": (_parse_finite, 0.0),  # in [0, 1]
     "harness.stability_epsilon": (_parse_finite, 1e-3),
 }
 
@@ -261,14 +263,20 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
             mode_ladder_rungs(config["harness.mode_ladder"], math.inf)
         require_paths(config["harness.n_paths"])
         moment_grid(config["harness.p_values"], config["harness.x_scales"])
+        limit = config["harness.max_diverged_fraction"]
+        if not 0.0 <= limit <= 1.0:
+            raise ConfigError(f"harness.max_diverged_fraction must lie in [0, 1], got {limit!r}")
+        delta3, cutoff = config["drift.delta3"], config["noise.cutoff"]
+        if delta3 < 0 and delta3 != -1.0:
+            raise ConfigError(f"drift.delta3 must be >= 0, or -1 for the family default delta/2, got {delta3!r}")
+        if cutoff < 0:
+            raise ConfigError(f"noise.cutoff must be >= 1, or 0 for an infinite family, got {cutoff}")
         space = build_space(domain, config["domain.mesh_m"], config["domain.n_modes"])
-        delta3 = config["drift.delta3"]
         drift = DriftSpec(
             q=config["drift.q"], delta=config["drift.delta"], linear=config["drift.linear"],
-            delta3=None if delta3 < 0 else delta3,
+            delta3=None if delta3 == -1.0 else delta3,
         )
         lip = LipschitzPerturbationSpec(config["lipschitz.phi3"])
-        cutoff = config["noise.cutoff"]
         noise = SuperlinearNoiseSpec(
             p1=config["noise.p1"],
             beta_b0=config["noise.beta_b0"], beta_r=config["noise.beta_r"],

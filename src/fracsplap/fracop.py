@@ -174,15 +174,13 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
         elt_parts.append(np.repeat(inner, G))
         lt_parts.append(np.tile(loc, inner.size))
         wt_parts.append((2.0 * h * gw[None, :] * tail_kernel(Xi)).reshape(-1))
-    for e, toward_left in ((0, True),) + (((n_el - 1, False),) if n_el > 1 else ()):
-        st, wd = _graded_cells(h, L)
+    for e, toward_left in ((0, True), (n_el - 1, False)):
         if toward_left:
-            pts = xall[e] + st[:, None] + wd[:, None] * loc[None, :]
-            lcs = (pts - xall[e]) / h
+            pts = xall[e] + starts[:, None] + widths[:, None] * loc[None, :]
         else:
-            pts = xall[e + 1] - (st[:, None] + wd[:, None] * loc[None, :])
-            lcs = (pts - xall[e]) / h
-        wq = 2.0 * wd[:, None] * gw[None, :] * tail_kernel(pts)
+            pts = xall[e + 1] - (starts[:, None] + widths[:, None] * loc[None, :])
+        lcs = (pts - xall[e]) / h
+        wq = 2.0 * widths[:, None] * gw[None, :] * tail_kernel(pts)
         elt_parts.append(np.full(pts.size, e, dtype=np.int64))
         lt_parts.append(lcs.reshape(-1))
         wt_parts.append(wq.reshape(-1))

@@ -11,6 +11,7 @@ from scipy.linalg import cholesky, solve_triangular
 from .domain import DomainSpec
 
 _ORTHO_TOL = 1e-10
+_LP_GAUSS = 8  # points of the per-element Gauss rule behind lp_norm
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class GalerkinSpace:
         keep = (cols >= 0) & (cols < self.m) & (vals != 0.0)
         return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=(el.size, self.m))
 
-    def gauss_rule(self, n_points: int = 8):
+    def gauss_rule(self, n_points: int):
         """Per-element Gauss rule ``(E, w)``: ``w . g(E v)`` integrates g of the interpolant.
 
         ``E`` is dense, ``((m + 1) * n_points, m)``: at the mesh sizes of a
@@ -113,12 +114,12 @@ def l2_norm(space: GalerkinSpace, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ (space.mass_matrix @ v), 0.0)))
 
 
-def lp_norm(space: GalerkinSpace, v: np.ndarray, p: float, n_points: int = 8, with_grad: bool = False):
-    """L^p norm of the hat interpolant, by per-element Gauss quadrature.
+def lp_norm(space: GalerkinSpace, v: np.ndarray, p: float, with_grad: bool = False):
+    """L^p norm of the hat interpolant, by the 8-point per-element Gauss rule.
 
     With ``with_grad`` also returns the nodal gradient of ``||v||_p^p``.
     """
-    E, w = space.gauss_rule(n_points)
+    E, w = space.gauss_rule(_LP_GAUSS)
     vals = E @ np.asarray(v, dtype=float)
     norm = float(w @ np.abs(vals) ** p) ** (1.0 / p)
     if not with_grad:

@@ -44,6 +44,25 @@ def test_drift_rejects_bad_parameters():
         DriftSpec(q=4.0, delta=-1.0)
     with pytest.raises(ValueError):
         DriftSpec(q=4.0, delta=1.0, delta3=10.0)  # claims more monotonicity than the family has
+    with pytest.raises(ValueError, match="strong monotonicity"):
+        DriftSpec(q=2.5, delta=1.0, linear=1.0, delta3=0.6)  # for q > 2 the linear part adds nothing to delta3
+    with pytest.raises(ValueError, match="strong monotonicity"):
+        DriftSpec(q=4.0, delta=1.0, delta3=float("nan"))
+
+
+@pytest.mark.parametrize("linear", [0.0, 1.0])
+@pytest.mark.parametrize("q", [2.0, 2.5, 3.0, 4.0, 6.0])
+def test_drift_delta3_sharp_bound(q, linear):
+    # (|a|^{q-2}a - |b|^{q-2}b)(a - b) >= (|a|^{q-2} + |b|^{q-2})(a - b)^2 / 2, with equality at b = -a
+    bound = (1.0 + linear) / 2.0 if q == 2.0 else 0.5
+    assert DriftSpec(q=q, delta=1.0, linear=linear, delta3=bound).delta3 == bound
+    with pytest.raises(ValueError, match="strong monotonicity"):
+        DriftSpec(q=q, delta=1.0, linear=linear, delta3=bound * (1.0 + 1e-9))
+    drift = DriftSpec(q=q, delta=1.0, linear=linear)
+    a = np.array([1.0, 10.0, 1e8])
+    ratio = -(drift.f(0.0, a) - drift.f(0.0, -a)) * 2 * a / (2 * np.abs(a) ** (q - 2.0) * (2 * a) ** 2)
+    assert np.all(ratio >= bound * (1.0 - 1e-12))
+    assert ratio[-1] == pytest.approx(bound, rel=1e-3)  # the bound is approached along b = -a
 
 
 def test_drift_scalar_inequalities_bulk(drift_q4):
@@ -108,6 +127,21 @@ def test_noise_rejects_nonsummable_and_bad_lipschitz():
         SuperlinearNoiseSpec(p1=3.0, beta_b0=1.0, beta_r=2.0, gamma_g0=0.0)
     with pytest.raises(ValueError):
         SuperlinearNoiseSpec(p1=3.0, beta_b0=1.0, beta_r=2.0, gamma_g0=1.0, gamma_r=3.0)
+
+
+def test_noise_local_lipschitz_check():
+    # p1 = 2 makes the profile the identity: the check needs sup beta_i/gamma_i <= 3
+    with pytest.raises(ValueError, match="local Lipschitz"):
+        SuperlinearNoiseSpec(p1=2.0, beta_b0=10.0, gamma_g0=1.0)
+    # with a cutoff the ratio beta_i/gamma_i = i^(gamma_r - beta_r) peaks at i = cutoff: 3 passes, 4 fails
+    SuperlinearNoiseSpec(p1=2.0, beta_b0=1.0, beta_r=1.0, gamma_g0=1.0, gamma_r=2.0, cutoff=3)
+    with pytest.raises(ValueError, match="local Lipschitz"):
+        SuperlinearNoiseSpec(p1=2.0, beta_b0=1.0, beta_r=1.0, gamma_g0=1.0, gamma_r=2.0, cutoff=4)
+    # ... and at i = 1 when beta decays faster
+    SuperlinearNoiseSpec(p1=2.0, beta_b0=3.0, beta_r=3.0, gamma_g0=1.0, gamma_r=2.0, cutoff=50)
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError, match="cutoff"):
+            SuperlinearNoiseSpec(p1=2.0, beta_b0=0.1, gamma_g0=0.1, cutoff=cutoff)
 
 
 def test_noise_growth_bound_pointwise(noise_p3):

@@ -277,11 +277,16 @@ def _with(text, **values):
         ("uniqueness", {"harness__n_paths": "-3"}, "harness.n_paths must be >= 1"),
         ("converge", {"harness__mode_ladder": "0,4"}, "rungs must be >= 1"),
         ("converge", {"harness__mode_ladder": "4"}, "at least two rungs"),
+        ("simulate", {"noise__cutoff": "-1"}, "noise.cutoff must be >= 1, or 0 for an infinite family"),
+        ("simulate", {"drift__delta3": "-5"}, "drift.delta3"),
+        ("moments", {"harness__max_diverged_fraction": "-1"}, "harness.max_diverged_fraction"),
+        ("moments", {"harness__max_diverged_fraction": "1.5"}, "harness.max_diverged_fraction"),
     ],
     ids=[
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
         "one-rung", "fine-step", "rung-multiple", "zero-rung", "moment-exponent", "no-scales", "no-paths-modes",
         "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
+        "negative-cutoff", "negative-delta3", "negative-diverged-limit", "diverged-limit-above-one",
     ],
 )
 def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):
@@ -294,6 +299,25 @@ def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, value
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and needle in err
+
+
+def test_delta3_above_its_sharp_bound_exits_2(tmp_path, capsys):
+    # q = 2.5 bounds delta3 by delta/2 = 0.5, so sum(gamma) = 0.72 * zeta(2) ~ 1.184 fails 2 * delta3
+    text = _with(
+        (CONFIG_DIR / "theorem2_ok.cfg").read_text(),
+        noise__p1="2.0", drift__q="2.5", drift__linear="1.0", drift__delta3="0.6", noise__gamma_g0="0.72",
+    )
+    cfg_path = tmp_path / "sharp.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["check-hypotheses", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "strong monotonicity" in err
+    cfg_path.write_text(_with(text, drift__delta3="0.5"))
+    assert main(["check-hypotheses", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert "NOT ADMISSIBLE" in (out / "admissibility.txt").read_text()
 
 
 def test_moments_path_floor_exits_2(tmp_path, capsys):
