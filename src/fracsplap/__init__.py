@@ -31,7 +31,6 @@ from .space import GalerkinSpace, build_space, project
 from .fracop import (
     apply_A1_weak,
     assemble_frac_stiffness,
-    check_scalar_monotonicity,
     gagliardo_seminorm,
 )
 from .coefficients import (

@@ -142,11 +142,13 @@ def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
                     )
                 )
             )
+    limit = config["harness.max_diverged_fraction"]
+    for scale, n_diverged in zip(rep.x_scales, rep.diverged_by_scale):
+        frac = n_diverged / rep.n_paths
+        if frac > limit:
+            print(f"diverged fraction {frac} at x_scale {fmt(scale)} exceeds the limit {fmt(limit)}", file=sys.stderr)
+            return EXIT_NUMERICAL
     _write_artifact(out / "moments.csv", bundle, rows)
-    frac = rep.diverged / max(rep.n_paths * len(rep.x_scales), 1)
-    if frac > config["harness.max_diverged_fraction"]:
-        print(f"diverged fraction {frac} exceeds the configured limit", file=sys.stderr)
-        return EXIT_NUMERICAL
     print(f"wrote {out / 'moments.csv'}")
     return EXIT_OK
 
@@ -223,86 +225,6 @@ def cmd_uniqueness(bundle: Bundle, out: FsPath, args) -> int:
     return EXIT_OK
 
 
-def _selftest() -> int:
-    """Small deterministic slice of every module's property suite."""
-    import math
-
-    from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec
-    from .domain import DomainSpec, FracOperatorParams, kernel_constant
-    from .fracop import apply_A1_weak, check_scalar_monotonicity, gagliardo_seminorm
-    from .harness import time_seminorm_sq
-    from .hypotheses import HypothesisParams, check_gap, compute_kappa
-    from .solver import SimulationSetup, SolverConfig, brownian_increments
-    from .space import build_space, project
-
-    checks = []
-
-    def check(name, fn):
-        try:
-            ok = bool(fn())
-        except Exception as exc:  # a crashed check is a failed check
-            print(f"FAIL {name}: {exc}")
-            checks.append(False)
-            return
-        print(("PASS" if ok else "FAIL") + f" {name}")
-        checks.append(ok)
-
-    check("kernel constant at (1,2,0.5) equals 1/pi", lambda: abs(kernel_constant(1, 2.0, 0.5) - 1.0 / math.pi) < 1e-12)
-    rng = np.random.default_rng(0)
-    check(
-        "kernel constant positive on the parameter box",
-        lambda: all(
-            kernel_constant(int(rng.integers(1, 4)), float(rng.uniform(2, 8)), float(rng.uniform(0.05, 0.95))) > 0
-            for _ in range(100)
-        ),
-    )
-    space = build_space(DomainSpec(), 16, 8)
-
-    def projection_props():
-        v = rng.standard_normal(16)
-        pv = project(space, v, 4)
-        idem = np.max(np.abs(project(space, pv, 4) - pv)) < 1e-12
-        M = space.mass_matrix
-        contract = pv @ (M @ pv) <= v @ (M @ v) + 1e-12
-        return idem and contract
-
-    check("projection idempotent and contractive", projection_props)
-    check("scalar monotonicity p=4, 1e4 samples", lambda: check_scalar_monotonicity(4.0, 10_000, 1).violations == 0)
-
-    def coercivity_identity():
-        params = FracOperatorParams(s=0.5, p=3.0)
-        v = rng.standard_normal(16)
-        lhs = apply_A1_weak(space, v, v, params)
-        rhs = -0.5 * params.c_kernel * gagliardo_seminorm(space, v, params) ** 3
-        return abs(lhs - rhs) < 1e-8 * abs(rhs)
-
-    check("coercivity identity under a shared quadrature", coercivity_identity)
-    hp = HypothesisParams(q=(3.0, 4.0, 2.0), theta=(1.0, 0.0, 0.0), gamma1=(1.0, 1.0, 1.0), gamma2=(0.2, 0.0, 0.0))
-    check("growth indices and gap condition", lambda: np.max(compute_kappa(hp)) == 1.0 + 2.0 / 3.0 and check_gap(hp).ok)
-    check(
-        "noise streams are reproducible and distinct",
-        lambda: np.array_equal(brownian_increments(9, 3, 8, 2, 0.125), brownian_increments(9, 3, 8, 2, 0.125))
-        and not np.array_equal(brownian_increments(9, 3, 8, 2, 0.125), brownian_increments(9, 4, 8, 2, 0.125)),
-    )
-
-    def solver_fixed_point():
-        params = FracOperatorParams(s=0.4, p=2.0)
-        setup = SimulationSetup(
-            space, params, DriftSpec(q=2.0, delta=1.0), LipschitzPerturbationSpec(0.0), SuperlinearNoiseSpec(p1=2.0)
-        )
-        cfg = SolverConfig(T=0.25, dt=2.0**-4, n_modes=8, n_noise=1, master_seed=0)
-        return np.all(simulate_path(setup, cfg, np.zeros(16)).states == 0.0)
-
-    check("zero state is a fixed point of the scheme", solver_fixed_point)
-    check(
-        "time seminorm matches the closed form",
-        lambda: abs(time_seminorm_sq(np.linspace(0, 1, 1000), 1.0 / 999, 0.25) - 8.0 / 15.0) < 1e-3,
-    )
-    failed = checks.count(False)
-    print(f"{len(checks) - failed}/{len(checks)} property checks passed")
-    return EXIT_OK if failed == 0 else EXIT_NUMERICAL
-
-
 _COMMANDS = {
     "check-hypotheses": cmd_check_hypotheses,
     "simulate": cmd_simulate,
@@ -315,9 +237,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fracsplap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*_COMMANDS, "selftest"):
+    for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", type=FsPath, required=name != "selftest")
+        sp.add_argument("--config", type=FsPath, required=True)
         sp.add_argument("--out", type=FsPath, default=FsPath("out"))
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=None)
@@ -328,8 +250,6 @@ def main(argv=None) -> int:
     if args.threads < 1:
         print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.command == "selftest":
-        return _selftest()
     try:
         config = parse_config_file(args.config)
         bundle = build_bundle(config)

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import zeta
 
 from .domain import FracOperatorParams
-from .fracop import assemble_frac_stiffness, gagliardo_seminorm
+from .fracop import assemble_frac_stiffness
 from .space import GalerkinSpace
 
 _SAMPLE_RANGE = 25.0
@@ -281,7 +281,6 @@ class TransportNoiseSpec:
 
     g_fields: np.ndarray  # (m, n_g) nodal multipliers
     linf_norms: np.ndarray
-    v1_norms: np.ndarray
     delta4: float
     delta5: float
     phi4_amplitude: float = 0.0
@@ -306,13 +305,10 @@ class TransportNoiseSpec:
             raise ValueError("need at least one multiplier field")
         g = _sine_family(space, amplitude, decay, n_g)
         linf = np.max(np.abs(g), axis=0)
-        v1 = np.array([gagliardo_seminorm(space, g[:, k], params) for k in range(n_g)])
-        if not np.isfinite(np.sum(linf**2 + v1**2)):
+        if not np.isfinite(np.sum(linf**2)):
             raise ValueError("multiplier family norms must be summable")
         d = 0.5 * params.c_kernel * float(np.sum(linf**2))
-        return TransportNoiseSpec(
-            g_fields=g, linf_norms=linf, v1_norms=v1, delta4=d, delta5=d, phi4_amplitude=phi4_amplitude
-        )
+        return TransportNoiseSpec(g_fields=g, linf_norms=linf, delta4=d, delta5=d, phi4_amplitude=phi4_amplitude)
 
     def __post_init__(self):
         if self.delta4 < 0 or self.delta5 < 0:

@@ -263,24 +263,3 @@ def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) ->
     space._cache[key] = S
     return S
 
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    p: float
-    n_samples: int
-    violations: int
-    worst_slack: float
-
-
-def check_scalar_monotonicity(p: float, n_samples: int, rng_seed: int = 0, tol: float = 1e-12) -> MonotonicityReport:
-    """Sampled check of ``(|s1|^{p-2}s1 - |s2|^{p-2}s2)(s1-s2) >= 2^{1-p}|s1-s2|^p``."""
-    if not p >= 2.0:
-        raise ValueError(f"requires p >= 2, got p={p}")
-    rng = np.random.default_rng(rng_seed)
-    s1 = rng.uniform(-10.0, 10.0, n_samples)
-    s2 = rng.uniform(-10.0, 10.0, n_samples)
-    lhs = (_odd_power(s1, p) - _odd_power(s2, p)) * (s1 - s2)
-    rhs = 2.0 ** (1.0 - p) * np.abs(s1 - s2) ** p
-    slack = lhs - rhs
-    violations = int(np.sum(slack < -tol))
-    return MonotonicityReport(p=p, n_samples=n_samples, violations=violations, worst_slack=float(np.min(slack)))

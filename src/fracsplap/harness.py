@@ -95,7 +95,11 @@ class MomentReport:
     affinity_factor: float
     affinity_flags: tuple        # per p: True when ratios spread beyond the factor
     n_paths: int
-    diverged: int
+    diverged_by_scale: tuple     # per x_scale: paths dropped from the statistics
+
+    @property
+    def diverged(self) -> int:
+        return sum(self.diverged_by_scale)
 
 
 def estimate_moments(
@@ -129,13 +133,13 @@ def estimate_moments(
     cr_m = np.zeros((n_p, n_s))
     cr_se = np.zeros((n_p, n_s))
     x_norms_sq = []
-    diverged = 0
+    diverged = []
     dt = config.dt
     for si, scale in enumerate(x_scales):
         x0 = scale * np.asarray(x0_shape, dtype=float)
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
         paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, threads)
-        diverged += sum(1 for p in paths if p.diverged_at is not None)
+        diverged.append(sum(1 for p in paths if p.diverged_at is not None))
         done = _completed(paths, scale)
         l2 = np.array([p.l2_norms for p in done])  # (n_done, K+1)
         en = np.array([p.energy_series for p in done])
@@ -174,7 +178,7 @@ def estimate_moments(
         affinity_factor=affinity_factor,
         affinity_flags=tuple(flags),
         n_paths=n_paths,
-        diverged=diverged,
+        diverged_by_scale=tuple(diverged),
     )
 
 

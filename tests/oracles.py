@@ -8,6 +8,8 @@ oracle share only the mathematical definitions.  The helpers at the end are
 thin compositions of the library's public pieces.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from mpmath import mp
 
@@ -258,3 +260,13 @@ def check_adjoint_identity(spec, space, params, u, v):
         rhs = float(np.asarray(u) @ (space.mass_matrix @ (R @ gv)))
         out = max(out, abs(lhs - rhs))
     return out
+
+
+def check_scalar_monotonicity(p, n_samples, rng_seed=0, tol=1e-12):
+    """Sampled ``(|a|^{p-2}a - |b|^{p-2}b)(a - b) >= 2^{1-p}|a - b|^p`` over pairs in [-10, 10]^2.
+
+    ``violations`` counts the pairs whose slack falls below ``-tol``.
+    """
+    a, b = np.random.default_rng(rng_seed).uniform(-10.0, 10.0, (2, n_samples))
+    slack = (np.abs(a) ** (p - 2.0) * a - np.abs(b) ** (p - 2.0) * b) * (a - b) - 2.0 ** (1.0 - p) * np.abs(a - b) ** p
+    return SimpleNamespace(violations=int(np.sum(slack < -tol)), worst_slack=float(np.min(slack)))

@@ -23,7 +23,6 @@ from fracsplap import (
     apply_A1_weak,
     build_bundle,
     build_space,
-    check_scalar_monotonicity,
     check_theorem_2,
     check_theorem_3,
     compute_kappa,
@@ -40,7 +39,12 @@ from fracsplap.cli import main
 from fracsplap.hypotheses import theorem1_hypothesis_params
 from fracsplap.space import l2_norm
 
-from oracles import check_adjoint_identity, gagliardo_seminorm_oracle, kernel_constant_oracle
+from oracles import (
+    check_adjoint_identity,
+    check_scalar_monotonicity,
+    gagliardo_seminorm_oracle,
+    kernel_constant_oracle,
+)
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -233,9 +237,8 @@ def test_a13_transport_adjoint_identity():
         coeffs = rng.standard_normal(4)
         g = sum(c * np.sin((k + 1) * np.pi * xi) for k, c in enumerate(coeffs))
         linf = np.array([np.max(np.abs(g))])
-        v1 = np.array([gagliardo_seminorm(space, g, params)])
         d = 0.5 * params.c_kernel * float(linf[0] ** 2)
-        tr = TransportNoiseSpec(g_fields=g[:, None], linf_norms=linf, v1_norms=v1, delta4=d, delta5=d)
+        tr = TransportNoiseSpec(g_fields=g[:, None], linf_norms=linf, delta4=d, delta5=d)
         u = rng.standard_normal(64)
         v = rng.standard_normal(64)
         res = check_adjoint_identity(tr, space, params, u, v)
@@ -258,9 +261,7 @@ def test_a14_boundary_semantics():
     assert check_theorem_2(drift, at_gamma).ok
 
     def transport_with(delta):
-        return TransportNoiseSpec(
-            g_fields=np.zeros((8, 1)), linf_norms=np.zeros(1), v1_norms=np.zeros(1), delta4=delta, delta5=delta
-        )
+        return TransportNoiseSpec(g_fields=np.zeros((8, 1)), linf_norms=np.zeros(1), delta4=delta, delta5=delta)
 
     ok_noise = SuperlinearNoiseSpec(p1=3.0, beta_b0=0.05, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0)
     at_c = check_theorem_3(drift, ok_noise, transport_with(c2), params2)

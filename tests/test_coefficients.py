@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -230,7 +232,8 @@ def test_transport_constants_consistent(space16, params_s05_p2):
     d = 0.5 * params_s05_p2.c_kernel * float(np.sum(tr.linf_norms**2))
     assert abs(tr.delta4 - d) < 1e-10 * max(1.0, d)
     assert abs(tr.delta5 - d) < 1e-10 * max(1.0, d)
-    assert np.isfinite(np.sum(tr.v1_norms**2))
+    with pytest.raises(ValueError, match="summable"):
+        TransportNoiseSpec.from_family(space16, params_s05_p2, n_g=3, amplitude=math.inf)
 
 
 def test_eval_G_zero_and_eigenvector(space16, params_s05_p2):
@@ -293,7 +296,7 @@ def test_adjoint_identity_zero_and_random(space64, params_s05_p2):
 def test_adjoint_identity_constant_multiplier(space16, params_s05_p2):
     g = np.ones((16, 1)) * 0.3
     d = 0.5 * params_s05_p2.c_kernel * 0.09
-    tr = TransportNoiseSpec(g_fields=g, linf_norms=np.array([0.3]), v1_norms=np.array([0.0]), delta4=d, delta5=d)
+    tr = TransportNoiseSpec(g_fields=g, linf_norms=np.array([0.3]), delta4=d, delta5=d)
     rng = np.random.default_rng(12)
     u = rng.standard_normal(16)
     assert check_adjoint_identity(tr, space16, params_s05_p2, u, u) < 1e-12

@@ -1,13 +1,20 @@
+import dataclasses
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracsplap import ConfigError, build_bundle, parse_config_file, parse_config_text, parse_resolved_header
+from fracsplap import cli
 from fracsplap.cli import main
 
-CONFIG_DIR = Path(__file__).parent.parent / "configs"
+ROOT = Path(__file__).parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 MINI = """
 operator.s = 0.4
@@ -235,13 +242,6 @@ def test_converge_and_uniqueness_artifacts(tmp_path):
     assert "# gap_nonincreasing = true" in text
 
 
-def test_selftest_passes(capsys):
-    rc = main(["selftest"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "FAIL" not in out
-
-
 def _with(text, **values):
     """``text`` with each dotted key (``__`` for ``.``) set to its value, replacing a line that sets it."""
     lines = text.strip().splitlines()
@@ -376,3 +376,34 @@ def test_fully_diverged_moments_scale_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "diverged" in err
     assert not any(out.iterdir())
+
+
+def test_diverged_limit_applies_per_scale(tmp_path, capsys, monkeypatch):
+    # 30 % of one scale's paths diverged: pooled over four scales that is 7.5 %, under the 10 % limit
+    estimate_moments = cli.estimate_moments
+
+    def one_scale_diverged(*args, **kwargs):
+        rep = estimate_moments(*args, **kwargs)
+        return dataclasses.replace(rep, diverged_by_scale=(0, 0, 0, 3 * rep.n_paths // 10))
+
+    monkeypatch.setattr(cli, "estimate_moments", one_scale_diverged)
+    cfg_path = tmp_path / "limit.cfg"
+    cfg_path.write_text(_with(MINI, harness__max_diverged_fraction="0.1"))
+    out = tmp_path / "out"
+    rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 3
+    assert not any(out.iterdir())
+    assert capsys.readouterr().err == "diverged fraction 0.3 at x_scale 4.0 exceeds the limit 0.1\n"
+
+
+def test_readme_cli_block_lists_the_commands():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    assert {line.split()[1] for line in block.splitlines()} == set(cli._COMMANDS)
+    # a removed subcommand is argparse's invalid choice: exit 2, no traceback
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracsplap.cli", "selftest"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr and "Traceback" not in proc.stderr

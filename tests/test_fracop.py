@@ -1,18 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
 from fracsplap import (
+    DomainSpec,
     FracOperatorParams,
     apply_A1_weak,
     assemble_frac_stiffness,
     build_space,
-    check_scalar_monotonicity,
     gagliardo_seminorm,
 )
 from fracsplap.fracop import get_plan, seminorm_p, seminorm_p_with_residual
 
-from oracles import apply_A1_residual, gagliardo_seminorm_oracle
+from oracles import apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle
 
 
 def test_seminorm_zero_function(space32, params_s05_p2):
@@ -164,11 +166,6 @@ def test_scalar_monotonicity_bulk(p):
     assert rep.violations == 0
 
 
-def test_scalar_monotonicity_rejects_small_p():
-    with pytest.raises(ValueError):
-        check_scalar_monotonicity(1.5, 10)
-
-
 def test_plan_weights_finite(space16):
     params = FracOperatorParams(s=0.9, p=2.0)
     plan = get_plan(space16, params)
@@ -217,3 +214,32 @@ def test_transpose_built_on_first_residual(unit_domain):
     built, fresh = vars(p3_plan)["DT"], plan.D.T.tocsr()
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(built, attr), getattr(fresh, attr))
+
+
+# u = 0 outside the domain, with the exterior tail integrated to infinity
+EXACT_EXTERIOR = DomainSpec(-1.0, 1.0, exterior_truncation=math.inf)
+
+
+@pytest.mark.parametrize(
+    "s, err_127", [(0.1, 1.38e-2), (0.3, 4.63e-3), (0.5, 3.04e-3), (0.7, 1.71e-3), (0.9, 2.93e-4)]
+)
+def test_exact_exterior_solve_converges_to_closed_form(s, err_127):
+    # (-Lap)^s u = 1 on (-1, 1) has u = (1 - x^2)^s / Gamma(1 + 2s); err_127 is the error measured at m = 127
+    errs = []
+    for m in (15, 31, 63, 127):
+        space = build_space(EXACT_EXTERIOR, m, 1)
+        S = assemble_frac_stiffness(space, FracOperatorParams(s=s, p=2.0))
+        u = np.linalg.solve(S, np.full(m, space.h))
+        exact = (1.0 - space.nodes**2) ** s / math.gamma(1.0 + 2.0 * s)
+        e, M = u - exact, space.mass_matrix
+        errs.append(math.sqrt((e @ M @ e) / (exact @ M @ exact)))
+    assert all(b < a for a, b in zip(errs, errs[1:])), errs
+    assert errs[-1] < 1.25 * err_127, errs
+
+
+def test_exact_exterior_operator_tends_to_identity_as_s_vanishes():
+    # (-Lap)^s -> I as s -> 0 only when the whole exterior is integrated
+    space = build_space(DomainSpec(exterior_truncation=math.inf), 1, 1)
+    S = assemble_frac_stiffness(space, FracOperatorParams(s=1e-9, p=2.0))
+    H = space.h_basis
+    assert abs((H.T @ S @ H)[0, 0] - 1.0) < 1e-8

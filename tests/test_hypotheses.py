@@ -161,7 +161,7 @@ def test_theorem_3_boundary_semantics(space16, params_s05_p2):
 
     def transport_with(delta):
         g = np.zeros((16, 1))
-        return TransportNoiseSpec(g_fields=g, linf_norms=np.zeros(1), v1_norms=np.zeros(1), delta4=delta, delta5=delta)
+        return TransportNoiseSpec(g_fields=g, linf_norms=np.zeros(1), delta4=delta, delta5=delta)
 
     at_c = check_theorem_3(drift, noise, transport_with(c2), params_s05_p2)
     assert not at_c.ok and "delta4 < C(n,2,s)" in at_c.violated()

@@ -22,7 +22,8 @@ from fracsplap.solver import Path
 
 @pytest.fixture(scope="module")
 def scalar_setup():
-    # s tiny makes the nonlocal term negligible: effectively du = -u dt
+    # one mode and no noise: du = -(1 + S_red[0, 0]) u dt; at s -> 0 the reduced
+    # operator S_red[0, 0] tends to 1 with the exact exterior and to 0 with a truncated one
     space = build_space(DomainSpec(), 1, 1)
     params = FracOperatorParams(s=1e-9, p=2.0)
     return SimulationSetup(
@@ -67,14 +68,15 @@ def test_zero_state_is_fixed_point(scalar_setup):
 
 @pytest.mark.parametrize("taming", [True, False])
 def test_scalar_exponential_convergence(scalar_setup, taming):
-    # endpoint error against z0*exp(-T) halves when dt halves
+    # endpoint error against the exact decay z0*exp(-(1 + S_red[0, 0])*T) halves when dt halves
     x0 = np.ones(1)
     z0 = (scalar_setup.HT_M @ x0)[0]
+    rate = 1.0 + scalar_setup.S_red[0, 0]
     errs = []
     for k in (6, 7, 8):
         cfg = SolverConfig(T=1.0, dt=2.0**-k, n_modes=1, n_noise=1, taming=taming, master_seed=1)
         path = simulate_path(scalar_setup, cfg, x0)
-        errs.append(abs(path.states[-1, 0] - z0 * math.exp(-1.0)))
+        errs.append(abs(path.states[-1, 0] - z0 * math.exp(-rate)))
     for a, b in zip(errs, errs[1:]):
         assert 1.7 <= a / b <= 2.3
 
