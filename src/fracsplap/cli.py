@@ -13,7 +13,6 @@ import sys
 from pathlib import Path as FsPath
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import Bundle, ConfigError, ExperimentConfig, build_bundle, fmt, parse_config_file
@@ -34,6 +33,8 @@ EXIT_NUMERICAL = 3
 
 
 def _header_lines(bundle: Bundle):
+    import scipy  # only its version is read, so the package import does not pay for it
+
     lines = [
         f"# fracsplap {__version__}",
         f"# numpy {np.__version__} scipy {scipy.__version__}",

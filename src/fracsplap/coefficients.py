@@ -26,11 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .domain import FracOperatorParams
 from .fracop import assemble_frac_stiffness
-from .space import GalerkinSpace
+from .space import GalerkinSpace, mass_orthonormal_basis
 
 _SAMPLE_RANGE = 25.0
 _N_SAMPLES = 4000
@@ -122,7 +121,22 @@ def _power_tail(c0: float, r: float, cutoff: int | None, n: int = 0) -> float:
         return c0 * float(np.sum(np.arange(n + 1, cutoff + 1, dtype=float) ** (-r)))
     if r <= 1.0:
         raise ValueError(f"series exponent must exceed 1 for a summable family, got r={r}")
-    return c0 * float(zeta(r, n + 1))
+    return c0 * _hurwitz_zeta(r, n + 1)
+
+
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
+
+
+def _hurwitz_zeta(r: float, a: float, n_direct: int = 10) -> float:
+    """``sum_{k >= 0} (a + k)^-r`` for r > 1 and a >= 1, by Euler-Maclaurin: ``n_direct`` terms,
+    then the integral from ``x = a + n_direct``, half its first term and corrections ``B_2j / (2j)!``, j = 1..7."""
+    x = a + n_direct
+    terms = [(a + k) ** -r for k in range(n_direct)] + [x ** (1.0 - r) / (r - 1.0), 0.5 * x**-r]
+    deriv = r * x ** (-r - 1.0)  # r (r+1) ... (r+2j-2) x^(-r-2j+1) at j = 1
+    for j, c in enumerate(_EM_COEFFS, start=1):
+        terms.append(c * deriv)
+        deriv = deriv * ((r + 2 * j - 1) * (r + 2 * j) / (x * x)) if deriv else 0.0  # no 0 * inf at r > 1e154
+    return math.fsum(terms)
 
 
 def _sine_family(space: GalerkinSpace, c0: float, r: float, n: int, cutoff: int | None = None) -> np.ndarray:
@@ -259,16 +273,15 @@ def sqrt_operator(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarra
 
 
 def frac_eigenpairs(space: GalerkinSpace, params: FracOperatorParams):
-    """Generalized eigenpairs of (S, M) with M-orthonormal eigenvectors."""
+    """Generalized eigenpairs of (S, M) with M-orthonormal eigenvectors: with ``M = L L^T``,
+    ``L^{-T}`` times the eigenpairs of ``L^{-1} S L^{-T}``."""
     key = ("fraceig", params.s)
     if key in space._cache:
         return space._cache[key]
-    from scipy.linalg import eigh
-
-    S = assemble_frac_stiffness(space, params)
-    vals, vecs = eigh(S, space.mass_matrix)
-    space._cache[key] = (vals, vecs)
-    return vals, vecs
+    B = mass_orthonormal_basis(space.mass_matrix)
+    vals, vecs = np.linalg.eigh(B.T @ assemble_frac_stiffness(space, params) @ B)
+    space._cache[key] = (vals, B @ vecs)
+    return space._cache[key]
 
 
 @dataclass(frozen=True)
@@ -303,11 +316,12 @@ class TransportNoiseSpec:
             raise ValueError("transport noise is defined for p = 2 only")
         if n_g < 1:
             raise ValueError("need at least one multiplier field")
-        g = _sine_family(space, amplitude, decay, n_g)
-        linf = np.max(np.abs(g), axis=0)
-        if not np.isfinite(np.sum(linf**2)):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing family is rejected below
+            g = _sine_family(space, amplitude, decay, n_g)
+            linf = np.max(np.abs(g), axis=0)
+            d = 0.5 * params.c_kernel * float(np.sum(linf**2))
+        if not math.isfinite(d):
             raise ValueError("multiplier family norms must be summable")
-        d = 0.5 * params.c_kernel * float(np.sum(linf**2))
         return TransportNoiseSpec(g_fields=g, linf_norms=linf, delta4=d, delta5=d, phi4_amplitude=phi4_amplitude)
 
     def __post_init__(self):

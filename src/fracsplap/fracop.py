@@ -12,7 +12,7 @@ Zero extension outside the domain contributes ``2 * int |v|^{p-2} v u * tail``
 with the tail kernel integrated analytically over a truncated exterior box.
 
 Every rule is a weighted sum over sampled values of the hat interpolant, so
-the plan stores one sparse operator ``D`` from the interior nodal values to
+the plan holds one sparse operator ``D`` from the interior nodal values to
 those samples and one weight vector ``wts``.  ``D`` is stacked from
 :meth:`GalerkinSpace.eval_matrix` at the sample points: ``P(x) - P(y)`` per
 pair point, ``(P(1) - P(0)) / h`` per element and ``P(t)`` per tail point.
@@ -22,17 +22,17 @@ With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 * the form residual ``B(v, e_i)`` is ``D^T f`` and ``B(v, u) = f . (D u)``,
 * the p = 2 stiffness is ``(C/2) D^T diag(wts) D``.
 
-Because every form reads the same ``D``, the algebraic identities between the
-seminorm, the weak form and the stiffness matrix hold to rounding accuracy.
+Because every form reads the same samples, the algebraic identities between the
+seminorm, the weak form and the stiffness matrix hold to rounding accuracy.  The
+stiffness sums the samples' (column, weight) pairs directly, so p = 2 never forms ``D``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .domain import FracOperatorParams
 from .space import GalerkinSpace
@@ -42,6 +42,7 @@ from .space import GalerkinSpace
 # levels toward the shared node of adjacent elements and toward the boundary.
 PANEL_GAUSS = 6
 GRADED_LEVELS = 6
+_STIFFNESS_ROWS = 8_192  # rows of D per block of the stiffness sum: 1 MB per block array
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,9 @@ class FracPlan:
     the closed-form same-element weight of every element and ``wt``.  The
     weights already contain the kernel value and the factor 2 from enumerating
     unordered element pairs; the singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
-    ``elt``/``lt`` locate each sample point inside its element, as
-    :meth:`GalerkinSpace.eval_matrix` reads them.  ``DT`` is ``D^T`` as CSR, built
-    on first use (only a residual reads it, so p = 2 runs never build it) so
-    that a sweep's residual ``D^T f`` does not transpose ``D`` again.
+    ``elt``/``lt`` locate each sample point inside its element, as :meth:`GalerkinSpace.point_weights`
+    reads them.  ``D`` and ``DT = D^T`` (CSR) are built on first use, so p = 2 runs never build
+    them; every plan of a space shares ``D``, since the sample points do not depend on s or p.
     """
 
     elx: np.ndarray
@@ -70,11 +70,21 @@ class FracPlan:
     lt: np.ndarray
     wt: np.ndarray
     tail_truncation_bound: float
-    D: sparse.csr_array
     wts: np.ndarray
+    space: GalerkinSpace = field(repr=False, compare=False)
 
     @cached_property
-    def DT(self) -> sparse.csr_array:
+    def D(self):
+        if "fracD" not in self.space._cache:
+            from scipy import sparse  # only the p != 2 operator sweep reads D
+
+            P, el, h = self.space.eval_matrix, np.arange(self.space.m + 1), self.space.h
+            stack = (P(self.elx, self.lx) - P(self.ely, self.ly), (P(el, 1.0) - P(el, 0.0)) / h, P(self.elt, self.lt))
+            self.space._cache["fracD"] = sparse.vstack(stack, format="csr")
+        return self.space._cache["fracD"]
+
+    @cached_property
+    def DT(self):
         return self.D.T.tocsr()
 
 
@@ -190,18 +200,11 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
 
     trunc_bound = 2.0 * wt_box ** (-ps) / ps
 
-    # the sample points do not depend on s or p, so every plan of a space shares D
-    if "fracD" not in space._cache:
-        P, el = space.eval_matrix, np.arange(n_el)
-        space._cache["fracD"] = sparse.vstack(
-            (P(elx, lx) - P(ely, ly), (P(el, 1.0) - P(el, 0.0)) / h, P(elt, lt)), format="csr"
-        )
-    D = space._cache["fracD"]
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
         elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size],
-        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, D=D, wts=wts,
+        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, wts=wts, space=space,
     )
     space._cache[key] = plan
     return plan
@@ -252,14 +255,33 @@ def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: Fr
 
 
 def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:
-    """Matrix ``S = (C/2) D^T diag(wts) D`` with ``v^T S v = (C/2) [v]^2``; p = 2 only."""
+    """Matrix ``S = (C/2) D^T diag(wts) D`` with ``v^T S v = (C/2) [v]^2``; p = 2 only.
+
+    ``S_ab`` sums ``d_ka (wts_k d_kb)`` over the (at most four) entries of each row k of ``D``, in
+    ascending k as the sparse product ``D^T (W D)`` does, so S is that product to the bit.
+    """
     if params.p != 2.0:
         raise ValueError(f"stiffness assembly requires p = 2, got p={params.p}")
     key = ("fracstiff", params.s)
     if key in space._cache:
         return space._cache[key]
     plan = get_plan(space, params)
-    S = 0.5 * params.c_kernel * (plan.D.T @ (sparse.diags_array(plan.wts) @ plan.D)).toarray()
+    m, pw, el = space.m, space.point_weights, np.arange(space.m + 1)
+    (cx, vx), (cy, vy), (ct, vt) = pw(plan.elx, plan.lx), pw(plan.ely, plan.ly), pw(plan.elt, plan.lt)
+    (c1, v1), (c0, v0) = pw(el, 1.0), pw(el, 0.0)
+    shared = cx[:, 1] == cy[:, 0]  # adjacent elements: D holds v_x - v_y at the shared node as one entry
+    vx[shared, 1] -= vy[shared, 0]
+    vy[shared, 0] = 0.0
+    # four (column, value) pairs per row of D: v(x) - v(y), the element slope, v(t) padded with zeros
+    cols = np.concatenate((np.hstack((cx, cy)), np.hstack((c1, c0)), np.hstack((ct, ct))))
+    vals = np.concatenate((np.hstack((vx, -vy)), np.hstack((v1, -v0)) / space.h, np.hstack((vt, 0.0 * vt))))
+    S = np.zeros(m * m)
+    for k in range(0, cols.shape[0], _STIFFNESS_ROWS):
+        rows = slice(k, k + _STIFFNESS_ROWS)
+        c, v, wv = cols[rows], vals[rows], plan.wts[rows, None] * vals[rows]
+        # the running S enters each bin first, so every bin sums in row order across the blocks
+        idx = np.concatenate((np.arange(m * m), (c[:, :, None] * m + c[:, None, :]).ravel()))
+        S = np.bincount(idx, weights=np.concatenate((S, (v[:, :, None] * wv[:, None, :]).ravel())), minlength=m * m)
+    S = 0.5 * params.c_kernel * S.reshape(m, m)
     space._cache[key] = S
     return S
-

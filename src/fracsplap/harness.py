@@ -20,6 +20,8 @@ from .space import l2_norm
 
 
 MOMENT_PATHS = 100  # the fewest paths a moment estimate runs on
+# Largest n_paths * (n_steps + 1) * (n_modes + 5), the floats of the paths estimate_moments keeps: 200 MB
+MAX_ENSEMBLE_ENTRIES = 25_000_000
 
 
 def require_paths(n_paths: int, floor: int = 1) -> None:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cholesky, solve_triangular
 
 from .domain import DomainSpec
 
@@ -42,21 +40,26 @@ class GalerkinSpace:
         """Mesh nodes including the two boundary nodes."""
         return np.concatenate(([self.domain.a], self.nodes, [self.domain.b]))
 
-    def eval_matrix(self, el, loc) -> sparse.csr_array:
-        """CSR map from the m interior nodal values to the interpolant at points ``(el, loc)``.
+    def point_weights(self, el, loc):
+        """The interpolant at points ``(el, loc)`` as (column, weight) pairs ``weights[k] @ v[cols[k]]``, (n, 2) each.
 
-        Point k sits at local coordinate ``loc[k]`` in [0, 1] of element
-        ``el[k]``, which spans nodes ``el[k]`` and ``el[k] + 1`` of
-        :attr:`all_nodes`.  The two exterior nodes carry the value zero, so
-        their columns are dropped.
+        Point k sits at local coordinate ``loc[k]`` in [0, 1] of element ``el[k]``, which spans nodes
+        ``el[k]`` and ``el[k] + 1`` of :attr:`all_nodes`.  The two exterior nodes carry the value zero,
+        so their weight is 0 and their column is clipped to 0.
         """
         el, loc = np.broadcast_arrays(np.asarray(el, dtype=np.int64), np.asarray(loc, dtype=float))
         el, loc = el.ravel(), loc.ravel()
         cols = np.stack((el - 1, el), axis=1)  # interior indices of the left and right node
-        vals = np.stack((1.0 - loc, loc), axis=1)
-        rows = np.broadcast_to(np.arange(el.size)[:, None], cols.shape)
-        keep = (cols >= 0) & (cols < self.m) & (vals != 0.0)
-        return sparse.csr_array((vals[keep], (rows[keep], cols[keep])), shape=(el.size, self.m))
+        inside = (cols >= 0) & (cols < self.m)
+        return np.where(inside, cols, 0), np.where(inside, np.stack((1.0 - loc, loc), axis=1), 0.0)
+
+    def eval_matrix(self, el, loc):
+        """The map of :meth:`point_weights` as a CSR matrix, (n, m), without its zero weights."""
+        from scipy import sparse  # only the p != 2 operator sweep reads sparse matrices
+
+        cols, weights = self.point_weights(el, loc)
+        rows, keep = np.broadcast_to(np.arange(cols.shape[0])[:, None], cols.shape), weights != 0.0
+        return sparse.csr_array((weights[keep], (rows[keep], cols[keep])), shape=(cols.shape[0], self.m))
 
     def gauss_rule(self, n_points: int):
         """Per-element Gauss rule ``(E, w)``: ``w . g(E v)`` integrates g of the interpolant.
@@ -69,10 +72,22 @@ class GalerkinSpace:
         if key not in self._cache:
             xi, w = np.polynomial.legendre.leggauss(n_points)
             loc = 0.5 * (xi + 1.0)
-            el = np.repeat(np.arange(self.m + 1), n_points)
-            E = self.eval_matrix(el, np.tile(loc, self.m + 1)).toarray()
+            cols, weights = self.point_weights(np.repeat(np.arange(self.m + 1), n_points), np.tile(loc, self.m + 1))
+            E = np.zeros((cols.shape[0], self.m))
+            np.add.at(E, (np.arange(cols.shape[0])[:, None], cols), weights)
             self._cache[key] = (E, np.tile(0.5 * self.h * w, self.m + 1))
         return self._cache[key]
+
+
+def mass_orthonormal_basis(mass: np.ndarray) -> np.ndarray:
+    """``L^{-T}`` for the Cholesky factor ``mass = L L^T``, whose columns are mass-orthonormal: L is
+    bidiagonal, and forward substitution multiplies by the pivot's reciprocal as LAPACK's solve does."""
+    L = np.linalg.cholesky(mass)
+    inv = np.zeros_like(L)
+    for i in range(L.shape[0]):
+        inv[i, i] = 1.0 / L[i, i]
+        inv[i, :i] = -L[i, i - 1] * inv[i - 1, :i] * inv[i, i]
+    return inv.T
 
 
 def build_space(domain: DomainSpec, m: int, n_modes: int) -> GalerkinSpace:
@@ -91,9 +106,7 @@ def build_space(domain: DomainSpec, m: int, n_modes: int) -> GalerkinSpace:
     mass[idx, idx] = 2.0 * h / 3.0
     mass[idx[:-1], idx[:-1] + 1] = h / 6.0
     mass[idx[:-1] + 1, idx[:-1]] = h / 6.0
-    L = cholesky(mass, lower=True)
-    h_full = solve_triangular(L, np.eye(m), lower=True).T  # = L^{-T}
-    h_basis = np.ascontiguousarray(h_full[:, :n_modes])
+    h_basis = np.ascontiguousarray(mass_orthonormal_basis(mass)[:, :n_modes])
     gram = h_basis.T @ mass @ h_basis
     err = np.max(np.abs(gram - np.eye(n_modes)))
     if err > _ORTHO_TOL:

@@ -4,17 +4,26 @@ helpers that only the tests call.
 The oracles deliberately do not reuse the library's quadrature plans: the
 double integral is evaluated on a dense uniform panel grid (a multiple of the
 mesh resolution) with its own Gauss rules and grading, so the library and the
-oracle share only the mathematical definitions.  The helpers at the end are
-thin compositions of the library's public pieces.
+oracle share only the mathematical definitions.  The scipy oracles compute
+what the package computes with its own routines (Cholesky, Hurwitz zeta,
+log-Gamma, L-BFGS, the generalized eigenproblem) by scipy's.  The helpers at
+the end are thin compositions of the library's public pieces.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.linalg
+import scipy.optimize
+import scipy.special
 from mpmath import mp
+from scipy import sparse
 
+from fracsplap import FracOperatorParams
 from fracsplap.coefficients import eval_B, sqrt_operator
-from fracsplap.fracop import get_plan, seminorm_p_with_residual
+from fracsplap.fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual
+from fracsplap.space import lp_norm
 
 
 def kernel_constant_oracle(n, p, s, dps=50):
@@ -111,6 +120,57 @@ def gagliardo_seminorm_oracle(space, v, s, p, refine=4, gauss=12, levels=12):
         total += 2.0 * float(np.sum(cw.reshape(-1) * tail_kernel(xs.reshape(-1)) * vals))
 
     return total ** (1.0 / p)
+
+
+def kernel_constant_gammaln(n, p, s):
+    """The kernel constant in log space with scipy's ``gammaln``."""
+    g = scipy.special.gammaln
+    return math.exp(
+        math.log(s) + 2.0 * s * math.log(2.0) + g((p * s + p + n - 2.0) / 2.0) - 0.5 * n * math.log(math.pi) - g(1.0 - s)
+    )
+
+
+def power_tail_zeta(c0, r, n):
+    """``sum_{i > n} c0 * i^-r`` by scipy's Hurwitz zeta."""
+    return c0 * float(scipy.special.zeta(r, n + 1))
+
+
+def h_basis_scipy(space):
+    """The orthonormal basis by scipy's Cholesky factor and triangular solve: ``L^{-T}``, first n_modes columns."""
+    L = scipy.linalg.cholesky(space.mass_matrix, lower=True)
+    return scipy.linalg.solve_triangular(L, np.eye(space.m), lower=True).T[:, : space.n_modes]
+
+
+def stiffness_sparse(space, params):
+    """``(C/2) D^T diag(wts) D`` from the plan's sparse sampling operator."""
+    plan = get_plan(space, params)
+    return 0.5 * params.c_kernel * (plan.D.T @ (sparse.diags_array(plan.wts) @ plan.D)).toarray()
+
+
+def frac_eigenpairs_scipy(space, params):
+    """Generalized eigenpairs of (S, M) by ``scipy.linalg.eigh``."""
+    return scipy.linalg.eigh(assemble_frac_stiffness(space, params), space.mass_matrix)
+
+
+def poincare_lbfgsb(space, params):
+    """The p != 2 Poincare estimate by scipy's L-BFGS-B from the p = 2 minimiser."""
+    H, p = space.h_basis, params.p
+    p2 = FracOperatorParams(s=params.s, p=2.0, n=params.n)
+    G = (2.0 / p2.c_kernel) * (H.T @ assemble_frac_stiffness(space, p2) @ H)
+    plan = get_plan(space, params)
+
+    def quotient_and_grad(z):
+        v = H @ z
+        semi_p, residual = seminorm_p_with_residual(plan, v, p)
+        lp, lp_grad = lp_norm(space, v, p, with_grad=True)
+        q = semi_p / lp**p
+        return q, H.T @ (p * residual - q * lp_grad) / lp**p
+
+    z0 = np.linalg.eigh(0.5 * (G + G.T))[1][:, 0]
+    res = scipy.optimize.minimize(
+        quotient_and_grad, z0, jac=True, method="L-BFGS-B", options={"maxiter": 200, "ftol": 1e-12}
+    )
+    return float(res.fun)
 
 
 def euler_maruyama_oracle(setup, config, x0, dW):

@@ -9,12 +9,21 @@ from fracsplap import (
     LipschitzPerturbationSpec,
     SuperlinearNoiseSpec,
     TransportNoiseSpec,
+    build_space,
     eval_B,
 )
 from fracsplap.coefficients import frac_eigenpairs, sqrt_operator
 from fracsplap.space import l2_norm, lp_norm
 
-from oracles import check_adjoint_identity, eval_drift, eval_G, hs_norm_B, lp_norm_nodal
+from oracles import (
+    check_adjoint_identity,
+    eval_drift,
+    eval_G,
+    frac_eigenpairs_scipy,
+    hs_norm_B,
+    lp_norm_nodal,
+    power_tail_zeta,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +129,21 @@ def test_noise_series_sums(noise_p3):
     finite = SuperlinearNoiseSpec(p1=2.0, beta_b0=1.0, beta_r=1.0, gamma_g0=1.0, gamma_r=1.0, cutoff=4)
     assert finite.beta_sum() == pytest.approx(1.0 + 0.5 + 1 / 3 + 0.25)
     assert finite.beta_tail(4) == 0.0
+
+
+@pytest.mark.parametrize("n", [0, 5, 12, 100])
+@pytest.mark.parametrize("r", [1.01, 1.5, 2.0, 3.3, 6.0])
+def test_power_tail_matches_scipy_zeta(r, n):
+    from fracsplap.coefficients import _power_tail
+
+    assert _power_tail(0.7, r, None, n) == pytest.approx(power_tail_zeta(0.7, r, n), rel=1e-15, abs=0.0)
+
+
+def test_power_tail_at_a_huge_exponent():
+    # every term past the first underflows; scipy's zeta(1e200, a) is nan for a > 1
+    from fracsplap.coefficients import _power_tail
+
+    assert [_power_tail(0.7, 1e200, None, n) for n in (0, 5)] == [0.7, 0.0]
 
 
 def test_noise_rejects_nonsummable_and_bad_lipschitz():
@@ -259,6 +283,21 @@ def test_sqrt_operator_consistency(space16, params_s05_p2):
     # self-adjoint in the mass inner product
     MR = M @ R
     assert np.max(np.abs(MR - MR.T)) < 1e-12
+
+
+@pytest.mark.parametrize("m, s", [(8, 0.15), (16, 0.5), (24, 0.9)])
+def test_frac_eigenpairs_match_scipy_eigh(unit_domain, m, s):
+    space = build_space(unit_domain, m=m, n_modes=m // 2)
+    params = FracOperatorParams(s=s, p=2.0)
+    vals, vecs = frac_eigenpairs(space, params)
+    ref_vals, ref_vecs = frac_eigenpairs_scipy(space, params)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-12 * ref_vals[-1]
+    # each eigenvector up to its sign; the spectrum is simple
+    signs = np.sign(np.sum(vecs * ref_vecs, axis=0))
+    assert np.max(np.abs(vecs * signs - ref_vecs)) <= 1e-9 * np.max(np.abs(ref_vecs))
+    R_ref = ref_vecs @ (np.sqrt(np.clip(ref_vals, 0.0, None))[:, None] * (ref_vecs.T @ space.mass_matrix))
+    R = sqrt_operator(space, params)
+    assert np.max(np.abs(R - R_ref)) <= 1e-12 * np.max(np.abs(R_ref))
 
 
 def test_transport_growth_and_lipschitz_bounds(space32, params_s05_p2):

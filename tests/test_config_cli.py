@@ -332,6 +332,34 @@ def test_moments_path_floor_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err and "harness.n_paths must be >= 100" in err
 
 
+@pytest.mark.parametrize("values", [{"transport__amplitude": "1e200"}, {"transport__decay": "-1e3"}])
+def test_overflowing_transport_family_exits_2_quietly(tmp_path, values):
+    # the family's norms overflow: one line, no numpy warning, no traceback, nothing written
+    cfg_path = tmp_path / "t3.cfg"
+    cfg_path.write_text(_with((CONFIG_DIR / "theorem3_ok.cfg").read_text(), **values))
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracsplap.cli", "check-hypotheses", "--config", str(cfg_path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "configuration error: multiplier family norms must be summable\n"
+    assert not out.exists()
+
+
+def test_ensemble_over_the_memory_bound_exits_2(tmp_path, capsys):
+    # 10^7 paths of 64 steps and 12 modes would keep 1.1e10 floats: refused before any path runs
+    cfg_path = tmp_path / "big.cfg"
+    cfg_path.write_text(_with((CONFIG_DIR / "moments.cfg").read_text(), harness__n_paths="10000000"))
+    out = tmp_path / "out"
+    rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and "over 25000000" in err
+
+
 @pytest.mark.parametrize("name", ["theorem2_ok", "theorem2_beta_boundary", "uniqueness"])
 def test_admissibility_kv_pins_noise_tails(tmp_path, capsys, name):
     cfg_path = CONFIG_DIR / f"{name}.cfg"

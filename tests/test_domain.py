@@ -7,7 +7,7 @@ from fracsplap import DomainSpec, FracOperatorParams, build_space, kernel_consta
 from fracsplap.domain import PoincareEstimate
 from fracsplap.fracop import assemble_frac_stiffness
 
-from oracles import kernel_constant_oracle
+from oracles import kernel_constant_gammaln, kernel_constant_oracle, poincare_lbfgsb
 
 
 def test_kernel_constant_half_order_is_one_over_pi():
@@ -38,6 +38,17 @@ def test_kernel_constant_positive_on_parameter_box():
         p = float(rng.uniform(2.0, 12.0))
         s = float(rng.uniform(0.01, 0.99))
         assert kernel_constant(n, p, s) > 0.0
+
+
+def test_kernel_constant_matches_gammaln_formula():
+    # math.lgamma against scipy's gammaln on the parameter box above
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        n = int(rng.integers(1, 5))
+        p = float(rng.uniform(2.0, 12.0))
+        s = float(rng.uniform(0.01, 0.99))
+        ref = kernel_constant_gammaln(n, p, s)
+        assert abs(kernel_constant(n, p, s) - ref) <= 1e-13 * ref
 
 
 @pytest.mark.parametrize("bad", [dict(s=0.0), dict(s=1.0), dict(s=-0.2), dict(p=1.5), dict(n=0)])
@@ -133,3 +144,11 @@ def test_poincare_p_near_2_matches_certified(unit_domain, m):
     heuristic = poincare_constant(space, FracOperatorParams(s=0.4, p=2.0 + 1e-6))
     assert certified.certified and not heuristic.certified
     assert heuristic.value == pytest.approx(certified.value, rel=1e-5)
+
+
+@pytest.mark.parametrize("m, k, s, p", [(24, 12, 0.6, 3.0), (24, 12, 0.4, 2.5), (16, 8, 0.3, 4.0), (32, 12, 0.75, 3.0),
+                                        (24, 12, 0.5, 2.0 + 1e-6)])
+def test_poincare_descent_matches_lbfgsb(unit_domain, m, k, s, p):
+    space = build_space(unit_domain, m=m, n_modes=k)
+    params = FracOperatorParams(s=s, p=p)
+    assert poincare_constant(space, params).value == pytest.approx(poincare_lbfgsb(space, params), rel=1e-9)

@@ -14,7 +14,7 @@ from fracsplap import (
 )
 from fracsplap.fracop import get_plan, seminorm_p, seminorm_p_with_residual
 
-from oracles import apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle
+from oracles import apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle, stiffness_sparse
 
 
 def test_seminorm_zero_function(space32, params_s05_p2):
@@ -190,6 +190,15 @@ def test_sampling_operator_matches_point_values(space16):
     assert np.allclose(plan.D @ v, expected, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("m", [8, 24, 128])
+def test_stiffness_matches_sparse_product(unit_domain, m):
+    space = build_space(unit_domain, m=m, n_modes=1)
+    for s in (0.15, 0.4, 0.6, 0.9):
+        params = FracOperatorParams(s=s, p=2.0)
+        ref = stiffness_sparse(space, params)
+        assert np.max(np.abs(assemble_frac_stiffness(space, params) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_plan_rejects_multidimensional(space16):
     with pytest.raises(ValueError):
         get_plan(space16, FracOperatorParams(s=0.5, p=2.0, n=2))
@@ -207,7 +216,7 @@ def test_transpose_built_on_first_residual(unit_domain):
     )
     simulate_path(setup, SolverConfig(T=0.25, dt=0.125, n_modes=8, n_noise=1), np.ones(8))
     plan = get_plan(space, p2)
-    assert "DT" not in vars(plan)
+    assert "D" not in vars(plan) and "DT" not in vars(plan) and "fracD" not in space._cache
     p3_plan = get_plan(space, FracOperatorParams(s=0.5, p=3.0))
     assert p3_plan.D is plan.D and "DT" not in vars(p3_plan)
     seminorm_p_with_residual(p3_plan, np.ones(8), 3.0)

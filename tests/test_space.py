@@ -4,7 +4,7 @@ import pytest
 from fracsplap import DomainSpec, build_space, project
 from fracsplap.space import l2_norm, lp_norm
 
-from oracles import coefficients, lp_norm_nodal
+from oracles import coefficients, h_basis_scipy, lp_norm_nodal
 
 
 def test_single_hat_normalized(unit_domain):
@@ -44,6 +44,21 @@ def test_eval_matrix_matches_interp(space16):
     E = space16.eval_matrix(el, loc)
     assert E.shape == (el.size, space16.m)
     assert np.allclose(E @ v, np.interp(x, space16.all_nodes, vbar), rtol=0.0, atol=1e-13)
+
+
+def test_gauss_rule_is_the_point_map(space16):
+    # the dense Gauss map and the CSR map read the same (column, weight) pairs
+    E, _ = space16.gauss_rule(3)
+    loc = 0.5 * (np.polynomial.legendre.leggauss(3)[0] + 1.0)
+    el = np.repeat(np.arange(space16.m + 1), 3)
+    assert np.array_equal(E, space16.eval_matrix(el, np.tile(loc, space16.m + 1)).toarray())
+
+
+@pytest.mark.parametrize("m, n_modes", [(1, 1), (8, 8), (24, 12), (128, 64)])
+def test_h_basis_matches_scipy_cholesky(unit_domain, m, n_modes):
+    space = build_space(unit_domain, m=m, n_modes=n_modes)
+    ref = h_basis_scipy(space)
+    assert np.max(np.abs(space.h_basis - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_build_space_rejects_bad_dims(unit_domain):
