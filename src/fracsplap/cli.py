@@ -22,6 +22,7 @@ from .harness import (
     estimate_moments,
     galerkin_convergence_study,
     pathwise_stability_study,
+    require_ensemble_fits,
     require_paths,
     strong_order_study,
 )
@@ -106,6 +107,7 @@ def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
     bundle = _seeded(bundle, args.seed)
     config = bundle.config
     require_paths(config["harness.n_paths"], MOMENT_PATHS)
+    require_ensemble_fits(config["harness.n_paths"], bundle.solver_config)
     report = bundle.admissibility()
     cfg = bundle.solver_config
     p_max = report.p_max

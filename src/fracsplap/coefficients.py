@@ -127,11 +127,11 @@ def _power_tail(c0: float, r: float, cutoff: int | None, n: int = 0) -> float:
 _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000, 1 / 74724249600)
 
 
-def _hurwitz_zeta(r: float, a: float, n_direct: int = 10) -> float:
-    """``sum_{k >= 0} (a + k)^-r`` for r > 1 and a >= 1, by Euler-Maclaurin: ``n_direct`` terms,
-    then the integral from ``x = a + n_direct``, half its first term and corrections ``B_2j / (2j)!``, j = 1..7."""
-    x = a + n_direct
-    terms = [(a + k) ** -r for k in range(n_direct)] + [x ** (1.0 - r) / (r - 1.0), 0.5 * x**-r]
+def _hurwitz_zeta(r: float, a: float) -> float:
+    """``sum_{k >= 0} (a + k)^-r`` for r > 1 and a >= 1, by Euler-Maclaurin: 10 terms, then the
+    integral from ``x = a + 10``, half its first term and corrections ``B_2j / (2j)!``, j = 1..7."""
+    x = a + 10
+    terms = [(a + k) ** -r for k in range(10)] + [x ** (1.0 - r) / (r - 1.0), 0.5 * x**-r]
     deriv = r * x ** (-r - 1.0)  # r (r+1) ... (r+2j-2) x^(-r-2j+1) at j = 1
     for j, c in enumerate(_EM_COEFFS, start=1):
         terms.append(c * deriv)

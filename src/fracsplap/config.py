@@ -235,7 +235,7 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
     """Construct and cross-validate every component named by the configuration."""
     from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec, TransportNoiseSpec
     from .domain import DomainSpec, FracOperatorParams
-    from .harness import MAX_ENSEMBLE_ENTRIES, dt_ladder_grid, mode_ladder_rungs, moment_grid, require_paths
+    from .harness import dt_ladder_grid, mode_ladder_rungs, moment_grid, require_paths
     from .solver import SimulationSetup, SolverConfig
     from .space import build_space
 
@@ -262,9 +262,6 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
             # only converge runs the ladder, so the span of the space is checked there
             mode_ladder_rungs(config["harness.mode_ladder"], math.inf)
         require_paths(config["harness.n_paths"])
-        entries = config["harness.n_paths"] * (solver_config.n_steps + 1) * (solver_config.n_modes + 5)
-        if entries > MAX_ENSEMBLE_ENTRIES:
-            raise ConfigError(f"harness.n_paths: an ensemble keeps {entries} floats, over {MAX_ENSEMBLE_ENTRIES}")
         moment_grid(config["harness.p_values"], config["harness.x_scales"])
         limit = config["harness.max_diverged_fraction"]
         if not 0.0 <= limit <= 1.0:

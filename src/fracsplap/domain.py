@@ -121,13 +121,14 @@ def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
     return PoincareEstimate(value=lam, p=p, certified=False, n_modes=space.n_modes)
 
 
-def _lbfgs(fun_and_grad, x, memory=10, ftol=1e-12, maxiter=200) -> float:
-    """Minimum one L-BFGS descent (Liu & Nocedal, Math. Prog. 45, 1989; Armijo backtracking) reaches from x.
+def _lbfgs(fun_and_grad, x) -> float:
+    """Minimum one L-BFGS descent (Liu & Nocedal, Math. Prog. 45, 1989; memory 10, at most 200
+    iterations, Armijo backtracking) reaches from x.
 
-    It stops at a relative decrease below ``ftol``: L-BFGS-B's default 2.2e-9 can stop a descent
+    It stops at a relative decrease below 1e-12: L-BFGS-B's default 2.2e-9 can stop a descent
     a few 1e-9 above the minimum that several starts reach."""
     (f, g), pairs = fun_and_grad(x), []
-    for _ in range(maxiter):
+    for _ in range(200):
         d, alphas = -g, []
         for s, y in reversed(pairs):
             alphas.append((s @ d) / (y @ s))
@@ -145,8 +146,8 @@ def _lbfgs(fun_and_grad, x, memory=10, ftol=1e-12, maxiter=200) -> float:
         if not trial[0] < f:
             break
         s, y = t * d, trial[1] - g
-        pairs = (pairs + [(s, y)])[-memory:] if s @ y > 0 else pairs
+        pairs = (pairs + [(s, y)])[-10:] if s @ y > 0 else pairs
         x, f_old, (f, g) = x + s, f, trial
-        if f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+        if f_old - f <= 1e-12 * max(abs(f_old), abs(f), 1.0):
             break
     return float(f)

@@ -257,8 +257,7 @@ def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: Fr
 def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:
     """Matrix ``S = (C/2) D^T diag(wts) D`` with ``v^T S v = (C/2) [v]^2``; p = 2 only.
 
-    ``S_ab`` sums ``d_ka (wts_k d_kb)`` over the (at most four) entries of each row k of ``D``, in
-    ascending k as the sparse product ``D^T (W D)`` does, so S is that product to the bit.
+    ``S_ab`` sums ``d_ka wts_k d_kb`` over the (at most four) entries of each row k of ``D``.
     """
     if params.p != 2.0:
         raise ValueError(f"stiffness assembly requires p = 2, got p={params.p}")
@@ -269,19 +268,14 @@ def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) ->
     m, pw, el = space.m, space.point_weights, np.arange(space.m + 1)
     (cx, vx), (cy, vy), (ct, vt) = pw(plan.elx, plan.lx), pw(plan.ely, plan.ly), pw(plan.elt, plan.lt)
     (c1, v1), (c0, v0) = pw(el, 1.0), pw(el, 0.0)
-    shared = cx[:, 1] == cy[:, 0]  # adjacent elements: D holds v_x - v_y at the shared node as one entry
-    vx[shared, 1] -= vy[shared, 0]
-    vy[shared, 0] = 0.0
     # four (column, value) pairs per row of D: v(x) - v(y), the element slope, v(t) padded with zeros
     cols = np.concatenate((np.hstack((cx, cy)), np.hstack((c1, c0)), np.hstack((ct, ct))))
     vals = np.concatenate((np.hstack((vx, -vy)), np.hstack((v1, -v0)) / space.h, np.hstack((vt, 0.0 * vt))))
     S = np.zeros(m * m)
     for k in range(0, cols.shape[0], _STIFFNESS_ROWS):
-        rows = slice(k, k + _STIFFNESS_ROWS)
-        c, v, wv = cols[rows], vals[rows], plan.wts[rows, None] * vals[rows]
-        # the running S enters each bin first, so every bin sums in row order across the blocks
-        idx = np.concatenate((np.arange(m * m), (c[:, :, None] * m + c[:, None, :]).ravel()))
-        S = np.bincount(idx, weights=np.concatenate((S, (v[:, :, None] * wv[:, None, :]).ravel())), minlength=m * m)
+        c, v = cols[k:k + _STIFFNESS_ROWS], vals[k:k + _STIFFNESS_ROWS]
+        wv = plan.wts[k:k + _STIFFNESS_ROWS, None] * v
+        S += np.bincount((c[:, :, None] * m + c[:, None, :]).ravel(), (v[:, :, None] * wv[:, None, :]).ravel(), m * m)
     S = 0.5 * params.c_kernel * S.reshape(m, m)
     space._cache[key] = S
     return S

@@ -20,14 +20,19 @@ from .space import l2_norm
 
 
 MOMENT_PATHS = 100  # the fewest paths a moment estimate runs on
-# Largest n_paths * (n_steps + 1) * (n_modes + 5), the floats of the paths estimate_moments keeps: 200 MB
-MAX_ENSEMBLE_ENTRIES = 25_000_000
+MAX_ENSEMBLE_ENTRIES = 25_000_000  # the most floats the paths of one moment scale may keep: 200 MB
 
 
 def require_paths(n_paths: int, floor: int = 1) -> None:
     """Check that a study runs at least ``floor`` paths."""
     if n_paths < floor:
         raise ConfigError(f"harness.n_paths must be >= {floor}, got {n_paths}")
+
+
+def require_ensemble_fits(n_paths: int, config: SolverConfig) -> None:
+    """Check that one moment scale's paths (states and five series) fit; other studies keep a few floats a path."""
+    if (entries := n_paths * (config.n_steps + 1) * (config.n_modes + 5)) > MAX_ENSEMBLE_ENTRIES:
+        raise ConfigError(f"harness.n_paths: a moment ensemble keeps {entries} floats, over {MAX_ENSEMBLE_ENTRIES}")
 
 
 def moment_grid(p_values, x_scales):
@@ -120,6 +125,7 @@ def estimate_moments(
     Exponents at or above the admissible supremum ``p_max`` are refused.
     """
     require_paths(n_paths, MOMENT_PATHS)
+    require_ensemble_fits(n_paths, config)
     p_values, x_scales = moment_grid(p_values, x_scales)
     for p in p_values:
         if p >= p_max:

@@ -348,16 +348,27 @@ def test_overflowing_transport_family_exits_2_quietly(tmp_path, values):
     assert not out.exists()
 
 
-def test_ensemble_over_the_memory_bound_exits_2(tmp_path, capsys):
+def test_moment_ensemble_over_the_memory_bound_exits_2(tmp_path, capsys):
     # 10^7 paths of 64 steps and 12 modes would keep 1.1e10 floats: refused before any path runs
     cfg_path = tmp_path / "big.cfg"
     cfg_path.write_text(_with((CONFIG_DIR / "moments.cfg").read_text(), harness__n_paths="10000000"))
     out = tmp_path / "out"
     rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
-    assert not out.exists()
+    assert not any(out.iterdir())
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "over 25000000" in err
+
+
+def test_memory_bound_spares_studies_that_keep_no_paths(tmp_path):
+    # converge keeps four errors a path and check-hypotheses runs none, so 200,000 paths
+    # (2e5 * 17 * 9 = 3.1e7 floats, were they kept) are not refused
+    text = _with((CONFIG_DIR / "strong_order.cfg").read_text(), harness__n_paths="200000")
+    assert build_bundle(parse_config_text(text)).config["harness.n_paths"] == 200000
+    cfg_path, out = tmp_path / "big.cfg", tmp_path / "out"
+    cfg_path.write_text(text)
+    assert main(["check-hypotheses", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert (out / "admissibility.txt").exists()
 
 
 @pytest.mark.parametrize("name", ["theorem2_ok", "theorem2_beta_boundary", "uniqueness"])
