@@ -33,15 +33,14 @@ def kernel_constant(n: int, p: float, s: float) -> float:
 
 @dataclass(frozen=True)
 class FracOperatorParams:
-    """Exponents of the nonlocal operator and the derived kernel constant."""
+    """Exponents of the nonlocal operator on an interval and the derived kernel constant (n = 1)."""
 
     s: float
     p: float = 2.0
-    n: int = 1
     c_kernel: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "c_kernel", kernel_constant(self.n, self.p, self.s))
+        object.__setattr__(self, "c_kernel", kernel_constant(1, self.p, self.s))
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
 
     H = space.h_basis
     p = params.p
-    p2 = FracOperatorParams(s=params.s, p=2.0, n=params.n)
+    p2 = FracOperatorParams(s=params.s, p=2.0)
     S = fracop.assemble_frac_stiffness(space, p2)
     G = (2.0 / p2.c_kernel) * (H.T @ S @ H)
     G = 0.5 * (G + G.T)

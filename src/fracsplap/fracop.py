@@ -13,9 +13,10 @@ with the tail kernel integrated analytically over a truncated exterior box.
 
 Every rule is a weighted sum over sampled values of the hat interpolant, so
 the plan holds one sparse operator ``D`` from the interior nodal values to
-those samples and one weight vector ``wts``.  ``D`` is stacked from
-:meth:`GalerkinSpace.eval_matrix` at the sample points: ``P(x) - P(y)`` per
-pair point, ``(P(1) - P(0)) / h`` per element and ``P(t)`` per tail point.
+those samples and one weight vector ``wts``.  Each row of ``D`` is four
+(column, value) pairs read from :meth:`GalerkinSpace.point_weights`
+(:meth:`FracPlan.row_pairs`): ``v(x) - v(y)`` per pair point, the slope per
+element and ``v(t)`` per tail point.
 With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
 * ``[v]^p = wts . |dv|^p``,
@@ -24,7 +25,7 @@ With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
 Because every form reads the same samples, the algebraic identities between the
 seminorm, the weak form and the stiffness matrix hold to rounding accuracy.  The
-stiffness sums the samples' (column, weight) pairs directly, so p = 2 never forms ``D``.
+stiffness sums the rows' (column, value) pairs directly, so p = 2 never forms ``D``.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class FracPlan:
     weights already contain the kernel value and the factor 2 from enumerating
     unordered element pairs; the singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
     ``elt``/``lt`` locate each sample point inside its element, as :meth:`GalerkinSpace.point_weights`
-    reads them.  ``D`` and ``DT = D^T`` (CSR) are built on first use, so p = 2 runs never build
-    them; every plan of a space shares ``D``, since the sample points do not depend on s or p.
+    reads them.  ``D`` and ``DT = D^T`` (CSR) are built on first use, so p = 2 runs never build them.
     """
 
     elx: np.ndarray
@@ -69,19 +69,36 @@ class FracPlan:
     elt: np.ndarray
     lt: np.ndarray
     wt: np.ndarray
-    tail_truncation_bound: float
     wts: np.ndarray
     space: GalerkinSpace = field(repr=False, compare=False)
 
+    def row_pairs(self):
+        """The four (column, value) pairs of every row of ``D``, (rows, 4) each, filled in place (no stacked copies).
+
+        A pair row holds ``v(x)`` and ``-v(y)``, an element row ``v(1)`` and ``-v(0)`` over h, a
+        tail row ``v(t)`` and zero values on the same columns.
+        """
+        pw, el = self.space.point_weights, np.arange(self.space.m + 1)
+        n, k = self.elx.size, self.elx.size + el.size  # pair rows end at n, element rows at k
+        cols, vals = np.zeros((k + self.elt.size, 4), dtype=np.int64), np.zeros((k + self.elt.size, 4))
+        (cols[:n, :2], vals[:n, :2]), (cols[:n, 2:], vals[:n, 2:]) = pw(self.elx, self.lx), pw(self.ely, self.ly)
+        (cols[n:k, :2], vals[n:k, :2]), (cols[n:k, 2:], vals[n:k, 2:]) = pw(el, 1.0), pw(el, 0.0)
+        cols[k:, :2], vals[k:, :2] = pw(self.elt, self.lt)
+        cols[k:, 2:] = cols[k:, :2]
+        vals[:k, 2:] *= -1.0
+        vals[n:k] /= self.space.h
+        return cols, vals
+
     @cached_property
     def D(self):
-        if "fracD" not in self.space._cache:
-            from scipy import sparse  # only the p != 2 operator sweep reads D
+        from scipy import sparse  # only the p != 2 operator sweep reads D
 
-            P, el, h = self.space.eval_matrix, np.arange(self.space.m + 1), self.space.h
-            stack = (P(self.elx, self.lx) - P(self.ely, self.ly), (P(el, 1.0) - P(el, 0.0)) / h, P(self.elt, self.lt))
-            self.space._cache["fracD"] = sparse.vstack(stack, format="csr")
-        return self.space._cache["fracD"]
+        cols, vals = self.row_pairs()
+        rows = cols.shape[0]
+        D = sparse.csr_array((vals.ravel(), cols.ravel(), 4 * np.arange(rows + 1)), shape=(rows, self.space.m))
+        D.sum_duplicates()  # an adjacent pair's shared node: v(x) + (-v(y)) has the bits of v(x) - v(y)
+        D.eliminate_zeros()
+        return D
 
     @cached_property
     def DT(self):
@@ -106,8 +123,6 @@ def _graded_cells(width: float, levels: int):
 
 def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     """Build (or fetch from the space cache) the quadrature plan."""
-    if params.n != 1:
-        raise ValueError("quadrature is implemented for one-dimensional domains only")
     key = ("fracplan", params.s, params.p)
     if key in space._cache:
         return space._cache[key]
@@ -198,13 +213,11 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     lt = np.concatenate(lt_parts)
     wt = np.concatenate(wt_parts)
 
-    trunc_bound = 2.0 * wt_box ** (-ps) / ps
-
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
         elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size],
-        elt=elt, lt=lt, wt=wts[w.size + n_el:], tail_truncation_bound=trunc_bound, wts=wts, space=space,
+        elt=elt, lt=lt, wt=wts[w.size + n_el:], wts=wts, space=space,
     )
     space._cache[key] = plan
     return plan
@@ -265,12 +278,7 @@ def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) ->
     if key in space._cache:
         return space._cache[key]
     plan = get_plan(space, params)
-    m, pw, el = space.m, space.point_weights, np.arange(space.m + 1)
-    (cx, vx), (cy, vy), (ct, vt) = pw(plan.elx, plan.lx), pw(plan.ely, plan.ly), pw(plan.elt, plan.lt)
-    (c1, v1), (c0, v0) = pw(el, 1.0), pw(el, 0.0)
-    # four (column, value) pairs per row of D: v(x) - v(y), the element slope, v(t) padded with zeros
-    cols = np.concatenate((np.hstack((cx, cy)), np.hstack((c1, c0)), np.hstack((ct, ct))))
-    vals = np.concatenate((np.hstack((vx, -vy)), np.hstack((v1, -v0)) / space.h, np.hstack((vt, 0.0 * vt))))
+    m, (cols, vals) = space.m, plan.row_pairs()
     S = np.zeros(m * m)
     for k in range(0, cols.shape[0], _STIFFNESS_ROWS):
         c, v = cols[k:k + _STIFFNESS_ROWS], vals[k:k + _STIFFNESS_ROWS]

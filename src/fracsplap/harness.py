@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -62,15 +63,16 @@ def mode_ladder_rungs(mode_ladder, n_modes):
 
 
 def run_ensemble(one, n_paths, threads=1):
-    """``[one(j) for j in range(n_paths)]``, on ``threads`` worker threads when above 1.
+    """``[one(j) for j in range(n_paths)]``, on ``threads`` worker threads (at most one per CPU) when above 1.
 
     ``pool.map`` yields results in index order, so the list is the same at
     any thread count.
     """
     require_paths(n_paths)
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
         return [one(j) for j in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, range(n_paths)))
 
 
@@ -91,7 +93,6 @@ class MomentReport:
 
     p_values: tuple
     x_scales: tuple
-    x_norms_sq: tuple
     sup_moments: np.ndarray      # (n_p, n_scales)
     sup_std_errors: np.ndarray
     energy_moments: np.ndarray
@@ -164,7 +165,6 @@ def estimate_moments(
             en_se[pi, si] = en_samples.std(ddof=1) / root
             cr_m[pi, si] = cr_samples.mean()
             cr_se[pi, si] = cr_samples.std(ddof=1) / root
-    x_norms_sq = tuple(x_norms_sq)
     ratios = np.zeros((n_p, n_s))
     flags = []
     for pi, p in enumerate(p_values):
@@ -175,7 +175,6 @@ def estimate_moments(
     return MomentReport(
         p_values=p_values,
         x_scales=x_scales,
-        x_norms_sq=x_norms_sq,
         sup_moments=sup_m,
         sup_std_errors=sup_se,
         energy_moments=en_m,

@@ -143,9 +143,9 @@ def check_theorem_1(
     noise: SuperlinearNoiseSpec,
     lambda_hat: float,
 ) -> TheoremCheck:
-    """General monotone drift: needs s*p > n and sum(beta) < lambda*C/6."""
+    """General monotone drift: needs s*p > n (n = 1 on an interval) and sum(beta) < lambda*C/6."""
     conds = (
-        _cond("s*p > n (sup-norm embedding)", float(op_params.n), op_params.s * op_params.p, True),
+        _cond("s*p > n (sup-norm embedding)", 1.0, op_params.s * op_params.p, True),
         _cond("2 <= p1 <= p", noise.p1, op_params.p, False),
         _cond("sum(beta) < lambda*C/6", noise.beta_sum(), lambda_hat * op_params.c_kernel / 6.0, True),
     )

@@ -84,8 +84,6 @@ class Path:
     energy_series: np.ndarray  # sum_j ||Z||_{V_j}^{q_j} per step
     stopped_at: int | None
     diverged_at: int | None
-    master_seed: int
-    path_index: int
 
     @property
     def dt(self) -> float:
@@ -244,8 +242,6 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
         energy_series=energy,
         stopped_at=stopped_at,
         diverged_at=diverged_at,
-        master_seed=config.master_seed,
-        path_index=path_index,
     )
 
 

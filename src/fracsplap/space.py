@@ -53,14 +53,6 @@ class GalerkinSpace:
         inside = (cols >= 0) & (cols < self.m)
         return np.where(inside, cols, 0), np.where(inside, np.stack((1.0 - loc, loc), axis=1), 0.0)
 
-    def eval_matrix(self, el, loc):
-        """The map of :meth:`point_weights` as a CSR matrix, (n, m), without its zero weights."""
-        from scipy import sparse  # only the p != 2 operator sweep reads sparse matrices
-
-        cols, weights = self.point_weights(el, loc)
-        rows, keep = np.broadcast_to(np.arange(cols.shape[0])[:, None], cols.shape), weights != 0.0
-        return sparse.csr_array((weights[keep], (rows[keep], cols[keep])), shape=(cols.shape[0], self.m))
-
     def gauss_rule(self, n_points: int):
         """Per-element Gauss rule ``(E, w)``: ``w . g(E v)`` integrates g of the interpolant.
 

@@ -147,6 +147,21 @@ def stiffness_sparse(space, params):
     return 0.5 * params.c_kernel * (plan.D.T @ (sparse.diags_array(plan.wts) @ plan.D)).toarray()
 
 
+def sampling_operator_csr(plan):
+    """The plan's sampling operator stacked from three point-evaluation CSRs, without zero entries:
+    ``P(x) - P(y)`` per pair point, ``(P(1) - P(0)) / h`` per element and ``P(t)`` per tail point."""
+    space = plan.space
+
+    def P(el, loc):
+        cols, weights = space.point_weights(el, loc)
+        rows, keep = np.broadcast_to(np.arange(cols.shape[0])[:, None], cols.shape), weights != 0.0
+        return sparse.csr_array((weights[keep], (rows[keep], cols[keep])), shape=(cols.shape[0], space.m))
+
+    el = np.arange(space.m + 1)
+    stack = (P(plan.elx, plan.lx) - P(plan.ely, plan.ly), (P(el, 1.0) - P(el, 0.0)) / space.h, P(plan.elt, plan.lt))
+    return sparse.vstack(stack, format="csr")
+
+
 def frac_eigenpairs_scipy(space, params):
     """Generalized eigenpairs of (S, M) by ``scipy.linalg.eigh``."""
     return scipy.linalg.eigh(assemble_frac_stiffness(space, params), space.mass_matrix)
@@ -155,7 +170,7 @@ def frac_eigenpairs_scipy(space, params):
 def poincare_lbfgsb(space, params):
     """The p != 2 Poincare estimate by scipy's L-BFGS-B from the p = 2 minimiser."""
     H, p = space.h_basis, params.p
-    p2 = FracOperatorParams(s=params.s, p=2.0, n=params.n)
+    p2 = FracOperatorParams(s=params.s, p=2.0)
     G = (2.0 / p2.c_kernel) * (H.T @ assemble_frac_stiffness(space, p2) @ H)
     plan = get_plan(space, params)
 

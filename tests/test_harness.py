@@ -1,4 +1,7 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -96,9 +99,23 @@ def test_ensemble_thread_count_invariance(moment_setup):
 
     seq = run_ensemble(one, 8, threads=1)
     par = run_ensemble(one, 8, threads=4)
-    assert [p.path_index for p in par] == list(range(8))
+    assert len(seq) == len(par) == 8
     for a, b in zip(seq, par):
         assert np.array_equal(a.states, b.states)
+
+
+def test_ensemble_threads_capped_at_cpu_count():
+    # a --threads far above the CPU count starts at most one worker thread per CPU
+    cpus = os.cpu_count() or 1
+    baseline, seen = threading.active_count(), []
+
+    def one(j):
+        time.sleep(0.05)
+        seen.append(threading.active_count())
+        return j
+
+    assert run_ensemble(one, cpus + 2, threads=10**6) == list(range(cpus + 2))
+    assert max(seen) <= baseline + cpus
 
 
 def test_time_seminorm_closed_form():
@@ -138,7 +155,7 @@ def test_slobodeckij_norm_of_path():
     path = Path(
         times=dt * np.arange(K + 1), states=states, l2_norms=np.abs(states[:, 0]),
         v1_seminorms=np.zeros(K + 1), lq_norms=np.zeros(K + 1), energy_series=np.zeros(K + 1),
-        stopped_at=None, diverged_at=None, master_seed=0, path_index=0,
+        stopped_at=None, diverged_at=None,
     )
     val = slobodeckij_time_seminorm(path, 0.25)
     semi = time_seminorm_sq(states, dt, 0.25)

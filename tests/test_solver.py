@@ -137,7 +137,7 @@ def test_stopping_functional_closed_forms():
     energy = v1**2.0 + lq**3.0 + l2**2
     path = Path(
         times=dt * np.arange(K + 1), states=z, l2_norms=l2, v1_seminorms=v1, lq_norms=lq,
-        energy_series=energy, stopped_at=None, diverged_at=None, master_seed=0, path_index=0,
+        energy_series=energy, stopped_at=None, diverged_at=None,
     )
     for k in (0, 3, 8):
         expected = l2[0] + dt * k * energy[0]
@@ -145,7 +145,7 @@ def test_stopping_functional_closed_forms():
     zero = Path(
         times=dt * np.arange(K + 1), states=np.zeros((K + 1, dim)), l2_norms=np.zeros(K + 1),
         v1_seminorms=np.zeros(K + 1), lq_norms=np.zeros(K + 1), energy_series=np.zeros(K + 1),
-        stopped_at=None, diverged_at=None, master_seed=0, path_index=0,
+        stopped_at=None, diverged_at=None,
     )
     assert all(stopping_functional(zero, k) == 0.0 for k in range(K + 1))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fracsplap import DomainSpec, build_space, project
 from fracsplap.space import l2_norm, lp_norm
@@ -27,11 +28,18 @@ def test_mass_matrix_spd(space16):
     assert np.max(np.abs(space16.mass_matrix - space16.mass_matrix.T)) == 0.0
 
 
+def _at_points(space, el, loc, V):
+    """Columns of ``V`` (nodal) evaluated at the points through the (column, weight) pairs of point_weights."""
+    cols, weights = space.point_weights(el, loc)
+    assert cols.shape == weights.shape == (np.size(el), 2)
+    return np.einsum("kj,kj...->k...", weights, V[cols])
+
+
 def test_basis_vanishes_at_boundary(space16):
     # hats live on interior nodes; the interpolant is zero at both endpoints
-    E = space16.eval_matrix([0, space16.m], [0.0, 1.0])
-    assert E.nnz == 0
-    assert np.all(E @ space16.h_basis == 0.0)
+    _, weights = space16.point_weights([0, space16.m], [0.0, 1.0])
+    assert np.count_nonzero(weights) == 0
+    assert np.all(_at_points(space16, [0, space16.m], [0.0, 1.0], space16.h_basis) == 0.0)
 
 
 def test_eval_matrix_matches_interp(space16):
@@ -41,17 +49,18 @@ def test_eval_matrix_matches_interp(space16):
     el = np.concatenate(([0, 0, space16.m, space16.m], rng.integers(0, space16.m + 1, 200)))
     loc = np.concatenate(([0.0, 0.3, 0.8, 1.0], rng.uniform(0.0, 1.0, 200)))
     x = space16.all_nodes[el] + space16.h * loc
-    E = space16.eval_matrix(el, loc)
-    assert E.shape == (el.size, space16.m)
-    assert np.allclose(E @ v, np.interp(x, space16.all_nodes, vbar), rtol=0.0, atol=1e-13)
+    assert np.allclose(_at_points(space16, el, loc, v), np.interp(x, space16.all_nodes, vbar), rtol=0.0, atol=1e-13)
 
 
 def test_gauss_rule_is_the_point_map(space16):
-    # the dense Gauss map and the CSR map read the same (column, weight) pairs
+    # the dense Gauss map holds the (column, weight) pairs of point_weights, duplicates summed
     E, _ = space16.gauss_rule(3)
     loc = 0.5 * (np.polynomial.legendre.leggauss(3)[0] + 1.0)
     el = np.repeat(np.arange(space16.m + 1), 3)
-    assert np.array_equal(E, space16.eval_matrix(el, np.tile(loc, space16.m + 1)).toarray())
+    cols, weights = space16.point_weights(el, np.tile(loc, space16.m + 1))
+    rows = np.broadcast_to(np.arange(cols.shape[0])[:, None], cols.shape)
+    dense = sparse.coo_array((weights.ravel(), (rows.ravel(), cols.ravel())), shape=E.shape).toarray()
+    assert np.array_equal(E, dense)
 
 
 @pytest.mark.parametrize("m, n_modes", [(1, 1), (8, 8), (24, 12), (128, 64)])
