@@ -26,7 +26,7 @@ bundle = build_bundle(parse_config_file(CONFIG_DIR / "strong_order.cfg"))
 rep = strong_order_study(
     bundle.setup, bundle.solver_config, bundle.x0_shape,
     bundle.config["harness.dt_ladder"], n_paths=100,
-    ref_refine=bundle.config["harness.ref_refine"], threads=2,
+    ref_refine=bundle.config["harness.ref_refine"],
 )
 print("\nstochastic strong errors on shared Brownian increments (100 paths):")
 for dt, err in zip(rep.dt_ladder, rep.strong_errors):

@@ -14,7 +14,7 @@ from fracsplap import build_bundle, galerkin_convergence_study, parse_config_fil
 bundle = build_bundle(parse_config_file(Path(__file__).parent.parent / "configs" / "galerkin_ladder.cfg"))
 rep = galerkin_convergence_study(
     bundle.setup, bundle.solver_config, bundle.x0_shape,
-    bundle.config["harness.mode_ladder"], n_paths=bundle.config["harness.n_paths"], threads=2,
+    bundle.config["harness.mode_ladder"], n_paths=bundle.config["harness.n_paths"],
 )
 print(f"mode ladder {rep.mode_ladder}, {rep.n_paths} paths, shared noise per path")
 for (a, b), gap in zip(zip(rep.mode_ladder, rep.mode_ladder[1:]), rep.pairwise_gaps):

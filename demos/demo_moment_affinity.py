@@ -9,6 +9,7 @@ numerically, so the empirical witness is that the ratio of each moment to
 from pathlib import Path
 
 from fracsplap import build_bundle, estimate_moments, parse_config_file
+from fracsplap.harness import AFFINITY_FACTOR
 
 bundle = build_bundle(parse_config_file(Path(__file__).parent.parent / "configs" / "moments.cfg"))
 report = bundle.admissibility()
@@ -17,7 +18,7 @@ print(f"setting: {report.setting}, admissible: {report.ok}, moment exponents in 
 rep = estimate_moments(
     bundle.setup, bundle.solver_config, bundle.x0_shape,
     x_scales=(0.0, 1.0, 2.0, 4.0), p_values=(1.0,), n_paths=200,
-    p_max=report.p_max, threads=2,
+    p_max=report.p_max,
 )
 print(f"\nn_paths = {rep.n_paths} per scale, p = 1")
 print("  scale   E sup||Z||^2   (stderr)     E energy     (stderr)     E cross      affinity ratio")
@@ -28,4 +29,4 @@ for si, scale in enumerate(rep.x_scales):
         f"{rep.cross_moments[0, si]:10.4f}   {rep.affinity_ratios[0, si]:.4f}"
     )
 ratios = rep.affinity_ratios[0]
-print(f"\nratio spread = {ratios.max() / ratios.min():.2f} (flag at {rep.affinity_factor}x: {rep.affinity_flags[0]})")
+print(f"\nratio spread = {ratios.max() / ratios.min():.2f} (flag at {AFFINITY_FACTOR}x: {rep.affinity_flags[0]})")

@@ -113,19 +113,17 @@ def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
     p_max = report.p_max
     admissible = tuple(p for p in config["harness.p_values"] if p < p_max)
     dropped = tuple(p for p in config["harness.p_values"] if p >= p_max)
+    if not admissible:
+        raise ConfigError(f"no requested moment exponent lies in the admissible range [1, {p_max})")
     if dropped:
         print(
             f"note: dropping moment exponents {list(dropped)} at or above the "
             f"admissible supremum p_max = {p_max}",
             file=sys.stderr,
         )
-    if not admissible:
-        raise ConfigError(f"no requested moment exponent lies in the admissible range [1, {p_max})")
     rep = estimate_moments(
-        bundle.setup, cfg, bundle.x0_shape,
-        x_scales=config["harness.x_scales"], p_values=admissible,
+        bundle.setup, cfg, bundle.x0_shape, x_scales=config["harness.x_scales"], p_values=admissible,
         n_paths=config["harness.n_paths"], p_max=p_max,
-        affinity_factor=config["harness.affinity_factor"], threads=args.threads,
     )
     rows = [
         f"# p_max = {fmt(p_max)}",
@@ -165,9 +163,7 @@ def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
     rows = ["rung,gap,slope"]
     mode_rep = None
     if config["harness.mode_ladder"]:
-        mode_rep = galerkin_convergence_study(
-            bundle.setup, cfg, x0, config["harness.mode_ladder"], n_paths, threads=args.threads
-        )
+        mode_rep = galerkin_convergence_study(bundle.setup, cfg, x0, config["harness.mode_ladder"], n_paths)
         ladder = mode_rep.mode_ladder
         prev = None
         for (a, b), gap in zip(zip(ladder, ladder[1:]), mode_rep.pairwise_gaps):
@@ -178,8 +174,7 @@ def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
     dt_rep = None
     if config["harness.dt_ladder"]:
         dt_rep = strong_order_study(
-            bundle.setup, cfg, x0, config["harness.dt_ladder"], n_paths,
-            ref_refine=config["harness.ref_refine"], threads=args.threads,
+            bundle.setup, cfg, x0, config["harness.dt_ladder"], n_paths, ref_refine=config["harness.ref_refine"]
         )
         rows.append(f"# strong_order_slope = {fmt(dt_rep.strong_slope)}")
         prev = None
@@ -202,13 +197,11 @@ def cmd_uniqueness(bundle: Bundle, out: FsPath, args) -> int:
     x0 = config["solver.x0_scale"] * bundle.x0_shape
     n_paths = config["harness.n_paths"]
     identical = pathwise_stability_study(
-        bundle.setup, cfg, x0, x0.copy(), min(n_paths, 16),
-        g_l1_norm=report.params.g_l1_norm, threads=args.threads,
+        bundle.setup, cfg, x0, x0.copy(), min(n_paths, 16), g_l1_norm=report.params.g_l1_norm
     )
     eps = config["harness.stability_epsilon"]
     perturbed = pathwise_stability_study(
-        bundle.setup, cfg, x0, x0 + eps * bundle.x0_shape, n_paths,
-        g_l1_norm=report.params.g_l1_norm, threads=args.threads,
+        bundle.setup, cfg, x0, x0 + eps * bundle.x0_shape, n_paths, g_l1_norm=report.params.g_l1_norm
     )
     rows = [
         f"# identical_data_bitwise = {fmt(identical.bitwise_identical)}",
@@ -244,14 +237,10 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=FsPath, required=True)
         sp.add_argument("--out", type=FsPath, default=FsPath("out"))
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     if args.seed is not None and not 0 <= args.seed < 2**64:
         print(f"error: --seed must lie in [0, 2**64), got {args.seed}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.threads < 1:
-        print(f"error: --threads must be >= 1, got {args.threads}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         config = parse_config_file(args.config)

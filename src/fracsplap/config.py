@@ -111,10 +111,9 @@ _SCHEMA = {
     "harness.n_paths": (int, 400),
     "harness.p_values": (_parse_float_list, (1.0, 2.0)),
     "harness.x_scales": (_parse_float_list, (0.0, 1.0, 2.0, 4.0)),
-    "harness.mode_ladder": (_parse_int_list, (8, 16, 32)),
+    "harness.mode_ladder": (_parse_int_list, ()),
     "harness.dt_ladder": (_parse_float_list, ()),
     "harness.ref_refine": (int, 16),
-    "harness.affinity_factor": (_parse_finite, 3.0),
     "harness.max_diverged_fraction": (_parse_finite, 0.0),  # in [0, 1]
     "harness.stability_epsilon": (_parse_finite, 1e-3),
 }

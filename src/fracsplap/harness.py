@@ -2,7 +2,7 @@
 
 All reductions are order-independent: paths are computed from per-index
 counter-based streams and collected by index, so results are bitwise
-reproducible for a fixed master seed regardless of the thread count.
+reproducible for a fixed master seed at any worker count.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .space import l2_norm
 
 MOMENT_PATHS = 100  # the fewest paths a moment estimate runs on
 MAX_ENSEMBLE_ENTRIES = 25_000_000  # the most floats the paths of one moment scale may keep: 200 MB
+AFFINITY_FACTOR = 3.0  # a moment exponent is flagged when its affinity ratios spread beyond this factor
 
 
 def require_paths(n_paths: int, floor: int = 1) -> None:
@@ -62,15 +63,18 @@ def mode_ladder_rungs(mode_ladder, n_modes):
     return ladder
 
 
-def run_ensemble(one, n_paths, threads=1):
-    """``[one(j) for j in range(n_paths)]``, on ``threads`` worker threads (at most one per CPU) when above 1.
+def run_ensemble(one, n_paths, parallel=False):
+    """``[one(j) for j in range(n_paths)]``, on up to one worker thread per CPU when ``parallel``.
 
+    The studies ask for workers at p != 2 only: there a step is mostly the
+    quadrature sweep, which runs largely outside the GIL, while a p = 2 step is
+    about 20 small numpy calls that hold it, so more threads only contend.
     ``pool.map`` yields results in index order, so the list is the same at
-    any thread count.
+    any worker count.
     """
     require_paths(n_paths)
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1:
+    workers = min(n_paths, os.cpu_count() or 1) if parallel else 1
+    if workers == 1:
         return [one(j) for j in range(n_paths)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(one, range(n_paths)))
@@ -100,8 +104,7 @@ class MomentReport:
     cross_moments: np.ndarray
     cross_std_errors: np.ndarray
     affinity_ratios: np.ndarray  # sup moment / (1 + ||x||^{2p})
-    affinity_factor: float
-    affinity_flags: tuple        # per p: True when ratios spread beyond the factor
+    affinity_flags: tuple        # per p: True when ratios spread beyond AFFINITY_FACTOR
     n_paths: int
     diverged_by_scale: tuple     # per x_scale: paths dropped from the statistics
 
@@ -118,8 +121,6 @@ def estimate_moments(
     p_values,
     n_paths: int,
     p_max: float = math.inf,
-    affinity_factor: float = 3.0,
-    threads: int = 1,
 ) -> MomentReport:
     """Estimate sup-norm, energy and cross moments over initial-data scales.
 
@@ -147,7 +148,7 @@ def estimate_moments(
     for si, scale in enumerate(x_scales):
         x0 = scale * np.asarray(x0_shape, dtype=float)
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
-        paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, threads)
+        paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, setup.plan is not None)
         diverged.append(sum(1 for p in paths if p.diverged_at is not None))
         done = _completed(paths, scale)
         l2 = np.array([p.l2_norms for p in done])  # (n_done, K+1)
@@ -171,7 +172,7 @@ def estimate_moments(
         denom = np.array([1.0 + xn**p for xn in x_norms_sq])
         ratios[pi] = sup_m[pi] / denom
         spread = ratios[pi].max() / ratios[pi].min() if ratios[pi].min() > 0 else math.inf
-        flags.append(bool(spread > affinity_factor))
+        flags.append(bool(spread > AFFINITY_FACTOR))
     return MomentReport(
         p_values=p_values,
         x_scales=x_scales,
@@ -182,7 +183,6 @@ def estimate_moments(
         cross_moments=cr_m,
         cross_std_errors=cr_se,
         affinity_ratios=ratios,
-        affinity_factor=affinity_factor,
         affinity_flags=tuple(flags),
         n_paths=n_paths,
         diverged_by_scale=tuple(diverged),
@@ -257,7 +257,6 @@ def galerkin_convergence_study(
     x0: np.ndarray,
     mode_ladder,
     n_paths: int,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Gaps between consecutive rungs of a nested mode ladder, shared noise.
 
@@ -275,7 +274,7 @@ def galerkin_convergence_study(
             paths.append(simulate_path(setup, cfg, x0, path_index=j, dW=dW))
         return [_pairwise_gap_sq(a, b, config.dt) for a, b in zip(paths, paths[1:])]
 
-    gaps_sq = np.array(run_ensemble(one, n_paths, threads))  # (n_paths, n_rungs-1)
+    gaps_sq = np.array(run_ensemble(one, n_paths, setup.plan is not None))  # (n_paths, n_rungs-1)
     gaps = tuple(np.sqrt(gaps_sq.mean(axis=0)))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     return ConvergenceReport(mode_ladder=ladder, pairwise_gaps=gaps, gaps_monotone=monotone, n_paths=n_paths)
@@ -309,7 +308,6 @@ def strong_order_study(
     dt_ladder,
     n_paths: int,
     ref_refine: int = 16,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Endpoint RMS error of the tamed/plain scheme against the fine exponential
     reference on shared Brownian increments, with the fitted order."""
@@ -329,7 +327,7 @@ def strong_order_study(
             errs.append(float(np.sum((em.states[-1] - ref.states[-1]) ** 2)))
         return errs
 
-    err_sq = np.array(run_ensemble(one, n_paths, threads))
+    err_sq = np.array(run_ensemble(one, n_paths, setup.plan is not None))
     rms = np.sqrt(err_sq.mean(axis=0))
     slope = float(np.polyfit(np.log2(dts), np.log2(rms), 1)[0])
     return ConvergenceReport(dt_ladder=dts, strong_errors=tuple(rms), strong_slope=slope, n_paths=n_paths)
@@ -355,7 +353,6 @@ def pathwise_stability_study(
     x0_perturbed: np.ndarray,
     n_paths: int,
     g_l1_norm: float = 0.0,
-    threads: int = 1,
 ) -> StabilityReport:
     """Run path pairs on identical increments from two initial states.
 
@@ -378,7 +375,7 @@ def pathwise_stability_study(
         nonincr = bool(np.all(np.diff(diff) <= 1e-14 * max(diff[0], 1e-300)))
         return float(np.max(diff)), identical, nonincr
 
-    rows = run_ensemble(one, n_paths, threads)
+    rows = run_ensemble(one, n_paths, setup.plan is not None)
     sup_gap = np.array([r[0] for r in rows])
     identical = all(r[1] for r in rows)
     nonincr = all(r[2] for r in rows)

@@ -5,6 +5,7 @@ criterion.
 """
 
 import math
+import os
 import time
 from pathlib import Path
 
@@ -159,7 +160,7 @@ def test_a08_strong_stochastic_order():
     rep = strong_order_study(
         bundle.setup, bundle.solver_config, bundle.x0_shape,
         bundle.config["harness.dt_ladder"], n_paths=n_paths,
-        ref_refine=bundle.config["harness.ref_refine"], threads=2,
+        ref_refine=bundle.config["harness.ref_refine"],
     )
     assert len(rep.dt_ladder) == 3
     assert 0.4 <= rep.strong_slope <= 0.6, rep.strong_slope
@@ -174,7 +175,7 @@ def test_a09_moment_affinity():
     rep = estimate_moments(
         bundle.setup, bundle.solver_config, bundle.x0_shape,
         x_scales=(0.0, 1.0, 2.0, 4.0), p_values=(1.0,), n_paths=400,
-        p_max=report.p_max, affinity_factor=3.0, threads=2,
+        p_max=report.p_max,
     )
     assert rep.diverged == 0
     ratios = rep.affinity_ratios[0]
@@ -192,7 +193,7 @@ def test_a10_galerkin_stabilization():
     bundle = build_bundle(parse_config_file(CONFIG_DIR / "galerkin_ladder.cfg"))
     rep = galerkin_convergence_study(
         bundle.setup, bundle.solver_config, bundle.config["solver.x0_scale"] * bundle.x0_shape,
-        (8, 16, 32), n_paths=bundle.config["harness.n_paths"], threads=2,
+        (8, 16, 32), n_paths=bundle.config["harness.n_paths"],
     )
     assert rep.mode_ladder == (8, 16, 32)
     assert rep.gaps_monotone, rep.pairwise_gaps
@@ -271,24 +272,27 @@ def test_a14_boundary_semantics():
     _report(14, "strict and non-strict boundaries behave exactly as stated", t0)
 
 
-def test_a15_cli_reproducibility(tmp_path):
+def test_a15_cli_reproducibility(tmp_path, monkeypatch):
     t0 = time.perf_counter()
     outs = {}
-    for tag, threads in (("s1", "1"), ("s2", "1"), ("s4", "4")):
-        rc = main([
-            "uniqueness", "--config", str(CONFIG_DIR / "uniqueness.cfg"),
-            "--out", str(tmp_path / tag), "--threads", threads,
-        ])
+    for tag in ("s1", "s2"):
+        rc = main(["uniqueness", "--config", str(CONFIG_DIR / "uniqueness.cfg"), "--out", str(tmp_path / tag)])
         assert rc == 0
         outs[tag] = (tmp_path / tag / "stability.csv").read_bytes()
     assert outs["s1"] == outs["s2"]
-    assert outs["s1"] == outs["s4"]
-    for tag, threads in (("m1", "1"), ("m2", "3")):
-        rc = main([
-            "simulate", "--config", str(CONFIG_DIR / "theorem2_ok.cfg"),
-            "--out", str(tmp_path / tag), "--threads", threads,
-        ])
+    for tag in ("m1", "m2"):
+        rc = main(["simulate", "--config", str(CONFIG_DIR / "theorem2_ok.cfg"), "--out", str(tmp_path / tag)])
         assert rc == 0
         outs[tag] = (tmp_path / tag / "path.csv").read_bytes()
     assert outs["m1"] == outs["m2"]
-    _report(15, "identical artifacts across repeated runs and thread counts", t0)
+    # at p = 3 the ensembles run on one worker per CPU: the artifact must not depend on the CPU count
+    p3 = tmp_path / "theorem1_ok.cfg"
+    p3.write_text((CONFIG_DIR / "theorem1_ok.cfg").read_text().replace("harness.n_paths = 100", "harness.n_paths = 4"))
+    for tag, cpus in (("w1", 1), ("w4", 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        rc = main(["uniqueness", "--config", str(p3), "--out", str(tmp_path / tag)])
+        assert rc == 0
+        outs[tag] = (tmp_path / tag / "stability.csv").read_bytes()
+    assert b"harness.n_paths = 4" in outs["w1"]
+    assert outs["w1"] == outs["w4"]
+    _report(15, "identical artifacts across repeated runs and worker counts", t0)

@@ -23,6 +23,7 @@ from fracsplap import (
     strong_order_study,
     time_seminorm_sq,
 )
+from fracsplap import harness
 from fracsplap.harness import run_ensemble
 from fracsplap.solver import Path
 from fracsplap.space import l2_norm
@@ -97,15 +98,15 @@ def test_ensemble_thread_count_invariance(moment_setup):
     def one(j):
         return simulate_path(setup, cfg, shape, path_index=j)
 
-    seq = run_ensemble(one, 8, threads=1)
-    par = run_ensemble(one, 8, threads=4)
+    seq = run_ensemble(one, 8, parallel=False)
+    par = run_ensemble(one, 8, parallel=True)
     assert len(seq) == len(par) == 8
     for a, b in zip(seq, par):
         assert np.array_equal(a.states, b.states)
 
 
 def test_ensemble_threads_capped_at_cpu_count():
-    # a --threads far above the CPU count starts at most one worker thread per CPU
+    # more paths than CPUs start at most one worker thread per CPU
     cpus = os.cpu_count() or 1
     baseline, seen = threading.active_count(), []
 
@@ -114,8 +115,32 @@ def test_ensemble_threads_capped_at_cpu_count():
         seen.append(threading.active_count())
         return j
 
-    assert run_ensemble(one, cpus + 2, threads=10**6) == list(range(cpus + 2))
+    assert run_ensemble(one, cpus + 2, parallel=True) == list(range(cpus + 2))
     assert max(seen) <= baseline + cpus
+
+
+def test_worker_count_follows_p(moment_setup, monkeypatch):
+    # p != 2 ensembles spread over the CPUs; p = 2 ensembles stay on the calling thread
+    p2, shape = moment_setup
+    p3 = SimulationSetup(
+        p2.space, FracOperatorParams(s=0.4, p=3.0), DriftSpec(q=3.0, delta=1.0), LipschitzPerturbationSpec(0.0),
+        SuperlinearNoiseSpec(p1=2.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0),
+    )
+    cfg = SolverConfig(T=2.0**-4, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=3)
+    original, idents = harness.simulate_path, []
+
+    def recorded(*args, **kwargs):
+        idents.append(threading.get_ident())
+        time.sleep(0.02)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_path", recorded)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    pathwise_stability_study(p3, cfg, shape, 1.01 * shape, n_paths=4)
+    assert len(idents) == 8 and len(set(idents)) >= 2
+    idents.clear()
+    pathwise_stability_study(p2, cfg, shape, 1.01 * shape, n_paths=4)
+    assert idents == [threading.get_ident()] * 8
 
 
 def test_time_seminorm_closed_form():

@@ -35,7 +35,7 @@ spans.install(tracer)
 bundle = build_bundle(parse_config_text(text))
 command = run.WORKLOADS[workload][0]
 with tempfile.TemporaryDirectory() as out:
-    args = argparse.Namespace(command=command, config=None, out=Path(out), threads=1, seed=None)
+    args = argparse.Namespace(command=command, config=None, out=Path(out), seed=None)
     rc = getattr(cli, "cmd_" + command)(bundle, Path(out), args)
 print(json.dumps({"rc": rc, "check": run.count_check(tracer.summary(), run.expected_work(workload, run.read_config(text)))}))
 """ % (str(ROOT / "bench"),)
