@@ -19,7 +19,7 @@ those samples and one weight vector ``wts``.  Each row of ``D`` is four
 element and ``v(t)`` per tail point.
 With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
-* ``[v]^p = wts . |dv|^p``,
+* ``[v]^p = f . dv``, by :func:`seminorm_p` alone (the recorded state's sweep) or with the residual,
 * the form residual ``B(v, e_i)`` is ``D^T f`` and ``B(v, u) = f . (D u)``,
 * the p = 2 stiffness is ``(C/2) D^T diag(wts) D``.
 
@@ -58,7 +58,7 @@ class FracPlan:
     weights already contain the kernel value and the factor 2 from enumerating
     unordered element pairs; the singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
     ``elt``/``lt`` locate each sample point inside its element, as :meth:`GalerkinSpace.point_weights`
-    reads them.  ``D`` and ``DT = D^T`` (CSR) are built on first use, so p = 2 runs never build them.
+    reads them.  ``D`` and ``DT = D^T`` (CSR, int32 indices) are built on first use, so p = 2 runs never build them.
     """
 
     elx: np.ndarray
@@ -95,7 +95,10 @@ class FracPlan:
 
         cols, vals = self.row_pairs()
         rows = cols.shape[0]
-        D = sparse.csr_array((vals.ravel(), cols.ravel(), 4 * np.arange(rows + 1)), shape=(rows, self.space.m))
+        idx = np.int32 if 4 * rows < 2**31 else np.int64  # int32 indices: fewer bytes per matvec, the same bits
+        D = sparse.csr_array(
+            (vals.ravel(), cols.ravel().astype(idx), 4 * np.arange(rows + 1, dtype=idx)), shape=(rows, self.space.m)
+        )
         D.sum_duplicates()  # an adjacent pair's shared node: v(x) + (-v(y)) has the bits of v(x) - v(y)
         D.eliminate_zeros()
         return D
@@ -227,6 +230,8 @@ def _odd_power(x: np.ndarray, p: float) -> np.ndarray:
     """|x|^(p-2) * x, with the p = 2 case kept free of 0**0 artifacts."""
     if p == 2.0:
         return x
+    if p in (3.0, 4.0):  # the power form's bits (a NaN's sign aside) in fewer passes
+        return np.abs(x) * x if p == 3.0 else x * x * x
     return np.abs(x) ** (p - 2.0) * x
 
 
@@ -237,8 +242,9 @@ def _flux(plan: FracPlan, v: np.ndarray, p: float):
 
 
 def seminorm_p(plan: FracPlan, v: np.ndarray, p: float) -> float:
-    """p-th power of the Gagliardo seminorm of the hat interpolant."""
-    return float(np.einsum("i,i->", plan.wts, np.abs(plan.D @ v) ** p))
+    """p-th power of the Gagliardo seminorm of the hat interpolant, ``f . D v`` without the residual ``D^T f``."""
+    dv, f = _flux(plan, v, p)
+    return float(np.einsum("i,i->", f, dv))
 
 
 def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):

@@ -24,6 +24,7 @@ from .coefficients import (
     eval_B,
     sqrt_operator,
 )
+from . import fracop
 from .domain import FracOperatorParams
 from .fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual
 from .space import GalerkinSpace, lp_norm
@@ -155,8 +156,7 @@ class SimulationSetup:
         S = self.reduced(k).S
         if S is not None:
             return math.sqrt(max(2.0 / self.op_params.c_kernel * float(z @ (S @ z)), 0.0))
-        value, _ = seminorm_p_with_residual(self.plan, nodal, self.op_params.p)
-        return value ** (1.0 / self.op_params.p)
+        return fracop.seminorm_p(self.plan, nodal, self.op_params.p) ** (1.0 / self.op_params.p)
 
     def diffusion_cols(self, t: float, nodal: np.ndarray, n_noise: int) -> np.ndarray:
         cols = eval_B(self.noise, self.space, t, nodal, n_noise)

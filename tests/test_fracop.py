@@ -12,7 +12,7 @@ from fracsplap import (
     build_space,
     gagliardo_seminorm,
 )
-from fracsplap.fracop import get_plan, seminorm_p, seminorm_p_with_residual
+from fracsplap.fracop import _odd_power, get_plan, seminorm_p, seminorm_p_with_residual
 
 from oracles import (
     apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle, sampling_operator_csr, stiffness_sparse,
@@ -89,14 +89,15 @@ def test_residual_matches_weak_form(space16):
 
 
 @pytest.mark.parametrize("m", [8, 24])
-@pytest.mark.parametrize("p", [3.0, 4.0])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_residual_is_seminorm_gradient(unit_domain, p, m):
     # the Poincare search's L-BFGS gradient relies on residual = (1/p) grad [v]^p
     space = build_space(unit_domain, m=m, n_modes=m)
     plan = get_plan(space, FracOperatorParams(s=0.5, p=p))
     v = np.random.default_rng(m).standard_normal(m)
     value, residual = seminorm_p_with_residual(plan, v, p)
-    assert value == pytest.approx(seminorm_p(plan, v, p), rel=1e-12)
+    # the recorded state's value-only sweep has the bits of the stepper's sweep
+    assert value == seminorm_p(plan, v, p)
     # the cached CSR transpose gives the bits of the per-call transpose
     dv = plan.D @ v
     assert np.array_equal(residual, plan.D.T @ (plan.wts * (np.abs(dv) ** (p - 2.0) * dv)))
@@ -219,6 +220,38 @@ def test_transpose_built_on_first_residual(unit_domain):
     built, fresh = vars(p3_plan)["DT"], plan.D.T.tocsr()
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(built, attr), getattr(fresh, attr))
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0])
+def test_odd_power_multiplies_with_the_bits_of_pow(p):
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.concatenate((
+        [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, np.nan, -np.nan, 1e103, -1e154, 1.0, -1.0],
+        np.random.default_rng(3).standard_normal(10_000) * np.logspace(-320, 300, 10_000),
+    ))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ours, ref = _odd_power(x, p), np.abs(x) ** (p - 2.0) * x
+    # a NaN stays a NaN; only its sign bit may differ (x * x * x keeps the sign of -NaN, the power form clears it)
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(ours), nan) and nan.sum() == 2
+    # every other value has the power form's bits, the signs of zeros, subnormals and infinities included
+    assert np.array_equal(ours[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 8, 24, 64])
+def test_sampling_operator_reads_int32_indices(unit_domain, m):
+    from scipy import sparse
+
+    plan = get_plan(build_space(unit_domain, m=m, n_modes=1), FracOperatorParams(s=0.4, p=3.0))
+    D = plan.D
+    assert D.indices.dtype == D.indptr.dtype == plan.DT.indices.dtype == np.int32
+    wide = sparse.csr_array((D.data, D.indices.astype(np.int64), D.indptr.astype(np.int64)), shape=D.shape)
+    assert wide.indices.dtype == np.int64
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        v, f = rng.standard_normal(m), rng.standard_normal(D.shape[0])
+        assert np.array_equal((D @ v).view(np.uint64), (wide @ v).view(np.uint64))
+        assert np.array_equal((plan.DT @ f).view(np.uint64), (wide.T.tocsr() @ f).view(np.uint64))
 
 
 # u = 0 outside the domain, with the exterior tail integrated to infinity
