@@ -46,6 +46,7 @@ def _header_lines(bundle: Bundle):
 
 def _write_artifact(path: FsPath, bundle: Bundle, body_lines) -> None:
     text = "\n".join(_header_lines(bundle) + list(body_lines)) + "\n"
+    path.parent.mkdir(parents=True, exist_ok=True)  # made by the first artifact, so an exit 2 leaves no directory
     path.write_text(text, encoding="utf-8")
 
 
@@ -242,17 +243,19 @@ def main(argv=None) -> int:
     if args.seed is not None and not 0 <= args.seed < 2**64:
         print(f"error: --seed must lie in [0, 2**64), got {args.seed}", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.out.exists() and not args.out.is_dir():
+        print(f"error: --out {args.out} is not a directory", file=sys.stderr)
+        return EXIT_VALIDATION
     try:
         config = parse_config_file(args.config)
         bundle = build_bundle(config)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
-        args.out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](bundle, args.out, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

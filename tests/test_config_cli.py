@@ -166,6 +166,22 @@ def test_validation_failure_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("which", ["config-is-a-directory", "out-is-a-file"])
+def test_unusable_paths_exit_2(tmp_path, capsys, which):
+    # one line on stderr and no traceback; an existing --out file is left as it was
+    cfg_path, out = tmp_path / "mini.cfg", tmp_path / "out"
+    cfg_path.write_text(MINI)
+    if which == "config-is-a-directory":
+        cfg_path = tmp_path
+    else:
+        out.write_text("keep\n")
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err and err.startswith("error: ")
+    assert (out.read_text() == "keep\n") if which == "out-is-a-file" else not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", str(2**64)]])
 def test_out_of_range_flags_exit_2(tmp_path, capsys, flags):
     cfg_path = tmp_path / "mini.cfg"
@@ -327,7 +343,7 @@ def test_moments_path_floor_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
-    assert not any(out.iterdir())
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "harness.n_paths must be >= 100" in err
 
@@ -355,7 +371,7 @@ def test_moment_ensemble_over_the_memory_bound_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 2
-    assert not any(out.iterdir())
+    assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "over 25000000" in err
 
@@ -414,7 +430,7 @@ def test_fully_diverged_moments_scale_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "diverged" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_diverged_limit_applies_per_scale(tmp_path, capsys, monkeypatch):
@@ -431,7 +447,7 @@ def test_diverged_limit_applies_per_scale(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     rc = main(["moments", "--config", str(cfg_path), "--out", str(out)])
     assert rc == 3
-    assert not any(out.iterdir())
+    assert not out.exists()
     assert capsys.readouterr().err == "diverged fraction 0.3 at x_scale 4.0 exceeds the limit 0.1\n"
 
 

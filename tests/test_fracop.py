@@ -222,20 +222,17 @@ def test_transpose_built_on_first_residual(unit_domain):
         assert np.array_equal(getattr(built, attr), getattr(fresh, attr))
 
 
-@pytest.mark.parametrize("p", [3.0, 4.0])
-def test_odd_power_multiplies_with_the_bits_of_pow(p):
+def test_odd_power_multiplies_with_the_bits_of_pow():
     tiny = np.finfo(float).smallest_subnormal
     x = np.concatenate((
-        [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, np.nan, -np.nan, 1e103, -1e154, 1.0, -1.0],
+        [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, np.nan, -np.nan, 1e154, -1e155, 1.0, -1.0],
         np.random.default_rng(3).standard_normal(10_000) * np.logspace(-320, 300, 10_000),
     ))
     with np.errstate(over="ignore", invalid="ignore"):
-        ours, ref = _odd_power(x, p), np.abs(x) ** (p - 2.0) * x
-    # a NaN stays a NaN; only its sign bit may differ (x * x * x keeps the sign of -NaN, the power form clears it)
-    nan = np.isnan(ref)
-    assert np.array_equal(np.isnan(ours), nan) and nan.sum() == 2
-    # every other value has the power form's bits, the signs of zeros, subnormals and infinities included
-    assert np.array_equal(ours[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+        ours, ref = _odd_power(x, 3.0), np.abs(x) ** 1.0 * x
+    # every value has the power form's bits: the signs of zeros, subnormals, infinities and NaNs included
+    assert np.isnan(ref).sum() == 2
+    assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("m", [1, 8, 24, 64])

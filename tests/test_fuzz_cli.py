@@ -1,9 +1,10 @@
-"""Fuzz the command line over config values and ``--seed``: every input ends in a documented exit code.
+"""Fuzz the command line over config values, ``--seed`` and the two paths: every input ends in a documented exit code.
 
 Each example writes a small config (a mesh of at most 8 nodes, at most 4 steps at the config's dt,
 ensembles of at most 101 paths) with up to three keys overridden by in-range, out-of-range,
-non-finite or unparsable values, then runs one command in process.  The run must return 0, 2 (validation) or 3
-(numerical), print no traceback, and an exit-2 run must write no file.
+non-finite or unparsable values, then runs one command in process; ``--config`` may instead name a directory or
+a missing file, and ``--out`` an existing directory or file.  The run must return 0, 2 (validation) or 3
+(numerical), print no traceback, and an exit-2 run must write nothing: no new directory, no new or changed file.
 """
 
 import contextlib
@@ -92,6 +93,8 @@ def overrides(draw):
 EXTRA_LINES = values("", "", "", "bogus.key = 1", "not a key value line", "operator.s = 0.5", "harness.n_paths = 1e2")
 COMMANDS = ("check-hypotheses", "simulate", "moments", "converge", "uniqueness")
 SEEDS = values(None, 0, 77, -1, 2**64 - 1, 2**64)
+CONFIG_AT = values("file", "file", "file", "file", "directory", "missing")
+OUT_AT = values("new", "new", "new", "existing directory", "existing file")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -100,13 +103,21 @@ SEEDS = values(None, 0, 77, -1, 2**64 - 1, 2**64)
     overrides=overrides(),
     extra=EXTRA_LINES,
     seed=SEEDS,
+    config_at=CONFIG_AT,
+    out_at=OUT_AT,
 )
-def test_cli_exits_with_a_documented_code(command, overrides, extra, seed):
+def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, config_at, out_at):
     config = {**BASE, **overrides}
     text = "\n".join([f"{k} = {v}" for k, v in config.items()] + [extra]) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "fuzz.cfg", Path(tmp) / "out"
         cfg.write_text(text)
+        cfg = {"file": cfg, "directory": Path(tmp), "missing": Path(tmp) / "missing.cfg"}[config_at]
+        if out_at == "existing directory":
+            out.mkdir()
+            (out / "keep.txt").write_text("keep\n")
+        elif out_at == "existing file":
+            out.write_text("keep\n")
         argv = [command, "--config", str(cfg), "--out", str(out)] + ([] if seed is None else ["--seed", str(seed)])
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
@@ -115,4 +126,10 @@ def test_cli_exits_with_a_documented_code(command, overrides, extra, seed):
         assert rc in (0, 2, 3), (rc, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
         if rc == 2:
-            assert not out.exists() or not any(out.iterdir())
+            if out_at == "new":
+                assert not out.exists()
+            elif out_at == "existing file":
+                assert out.read_text() == "keep\n"
+            else:
+                assert [f.name for f in out.iterdir()] == ["keep.txt"]
+                assert (out / "keep.txt").read_text() == "keep\n"

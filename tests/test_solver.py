@@ -267,6 +267,10 @@ def test_nonlinear_p_path_runs():
 
     nodal = setup.reduced(6).H @ path.states[-1]
     assert path.v1_seminorms[-1] == gagliardo_seminorm(space, nodal, params)
+    # and the solver rebuilds the nodal state from the first k basis columns
+    assert path.v1_seminorms[-1] == pytest.approx(
+        gagliardo_seminorm(space, space.h_basis[:, :6] @ path.states[-1], params), rel=1e-10
+    )
 
 
 @pytest.fixture(scope="module")
