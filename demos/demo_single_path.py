@@ -22,7 +22,7 @@ for i in range(0, cfg.n_steps + 1, 8):
         f"  {path.times[i]:.4f}   {path.l2_norms[i]:.6f}    {path.v1_seminorms[i]:.6f}     "
         f"{path.lq_norms[i]:.6f}    {stopping_functional(path, i):.6f}"
     )
-print(f"\nstopped_at = {path.stopped_at}, diverged_at = {path.diverged_at}")
+print(f"\ndiverged_at = {path.diverged_at}")
 
 again = simulate_path(bundle.setup, cfg, bundle.x0_shape, path_index=0)
 print(f"reproducible: states bitwise identical on rerun = {np.array_equal(path.states, again.states)}")

@@ -90,12 +90,8 @@ def cmd_simulate(bundle: Bundle, out: FsPath, args) -> int:
         )
     cfg = bundle.solver_config
     path = simulate_path(bundle.setup, cfg, bundle.config["solver.x0_scale"] * bundle.x0_shape, path_index=0)
-    rows = ["time,l2_norm,gagliardo_seminorm,lq_norm,stopped_flag"]
-    for i, t in enumerate(path.times):
-        flag = 1 if path.stopped_at is not None and i >= path.stopped_at else 0
-        rows.append(
-            f"{fmt(t)},{fmt(path.l2_norms[i])},{fmt(path.v1_seminorms[i])},{fmt(path.lq_norms[i])},{flag}"
-        )
+    series = zip(path.times, path.l2_norms, path.v1_seminorms, path.lq_norms)
+    rows = ["time,l2_norm,gagliardo_seminorm,lq_norm"] + [",".join(map(fmt, row)) for row in series]
     _write_artifact(out / "path.csv", bundle, rows)
     if path.diverged_at is not None:
         print(f"path diverged at step {path.diverged_at}", file=sys.stderr)

@@ -329,6 +329,8 @@ class TransportNoiseSpec:
             raise ValueError("transport growth constants must be nonnegative")
         if abs(self.delta5 - self.delta4) > 1e-10 * max(1.0, self.delta4):
             raise ValueError("delta5 inconsistent with the multiplier family")
+        if self.phi4_amplitude < 0:
+            raise ValueError("phi4 amplitude must be nonnegative")
 
     def phi4_l1(self, horizon: float) -> float:
         return self.phi4_amplitude * horizon

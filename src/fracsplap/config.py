@@ -66,8 +66,7 @@ def _fmt_value(val) -> str:
     return str(val)
 
 
-# key -> (parser, default); _REQUIRED marks keys without defaults.  Every float
-# must be finite except solver.cap_R, whose default inf means "never stop".
+# key -> (parser, default); _REQUIRED marks keys without defaults; every float must be finite.
 _SCHEMA = {
     "operator.s": (_parse_finite, _REQUIRED),
     "operator.p": (_parse_finite, 2.0),
@@ -100,8 +99,6 @@ _SCHEMA = {
     "solver.dt": (_parse_finite, _REQUIRED),
     "solver.n_noise": (int, _REQUIRED),
     "solver.taming": (_parse_bool, True),
-    "solver.cap_R": (float, math.inf),  # the one float key that takes inf
-    "solver.cap_mode": (str, "record"),
     "solver.master_seed": (int, 0),
     "solver.x0_profile": (str, "bump"),  # "bump" or "sine"
     "solver.x0_scale": (_parse_finite, 1.0),
@@ -235,7 +232,7 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
     from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec, TransportNoiseSpec
     from .domain import DomainSpec, FracOperatorParams
     from .harness import dt_ladder_grid, mode_ladder_rungs, moment_grid, require_paths
-    from .solver import SimulationSetup, SolverConfig
+    from .solver import SimulationSetup, SolverConfig, require_linear_reference
     from .space import build_space
 
     try:
@@ -249,8 +246,7 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
         solver_config = SolverConfig(
             T=config["solver.T"], dt=config["solver.dt"],
             n_modes=config["domain.n_modes"], n_noise=config["solver.n_noise"],
-            taming=config["solver.taming"], cap_R=config["solver.cap_R"],
-            cap_mode=config["solver.cap_mode"], master_seed=config["solver.master_seed"],
+            taming=config["solver.taming"], master_seed=config["solver.master_seed"],
         )
         if config["harness.dt_ladder"]:
             _, dt_fine, _ = dt_ladder_grid(
@@ -291,6 +287,8 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
                 decay=config["transport.decay"], phi4_amplitude=config["transport.phi4"],
             )
         setup = SimulationSetup(space, op_params, drift, lip, noise, transport)
+        if config["harness.dt_ladder"]:
+            require_linear_reference(setup)  # the strong-order study's reference path
         x0_shape = _x0_shape(config, space)
     except ConfigError:
         raise

@@ -81,9 +81,7 @@ class PoincareEstimate:
     """
 
     value: float
-    p: float
     certified: bool
-    n_modes: int
 
 
 def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
@@ -105,7 +103,7 @@ def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
     G = 0.5 * (G + G.T)
     if p == 2.0:
         lam = float(np.linalg.eigvalsh(G)[0])
-        return PoincareEstimate(value=lam, p=p, certified=True, n_modes=space.n_modes)
+        return PoincareEstimate(value=lam, certified=True)
 
     plan = fracop.get_plan(space, params)
 
@@ -117,7 +115,7 @@ def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
         return q, H.T @ (p * residual - q * lp_grad) / lp**p
 
     lam = _lbfgs(quotient_and_grad, np.linalg.eigh(G)[1][:, 0])
-    return PoincareEstimate(value=lam, p=p, certified=False, n_modes=space.n_modes)
+    return PoincareEstimate(value=lam, certified=False)
 
 
 def _lbfgs(fun_and_grad, x) -> float:

@@ -312,9 +312,7 @@ def strong_order_study(
     """Endpoint RMS error of the tamed/plain scheme against the fine exponential
     reference on shared Brownian increments, with the fitted order."""
     dts, dt_fine, K_fine = dt_ladder_grid(dt_ladder, config.T, ref_refine)
-    # the study never stops a path: cap_R and cap_mode are reset to their defaults
-    uncapped = dataclasses.replace(config, cap_R=math.inf, cap_mode="record")
-    ref_cfg = dataclasses.replace(uncapped, dt=dt_fine, taming=False)
+    ref_cfg = dataclasses.replace(config, dt=dt_fine, taming=False)
 
     def one(j):
         dWf = brownian_increments(config.master_seed, j, K_fine, config.n_noise, dt_fine)
@@ -323,7 +321,7 @@ def strong_order_study(
         for d in dts:
             r = int(round(d / dt_fine))
             dW = dWf.reshape(-1, r, config.n_noise).sum(axis=1)
-            em = simulate_path(setup, dataclasses.replace(uncapped, dt=d), x0, path_index=j, dW=dW)
+            em = simulate_path(setup, dataclasses.replace(config, dt=d), x0, path_index=j, dW=dW)
             errs.append(float(np.sum((em.states[-1] - ref.states[-1]) ** 2)))
         return errs
 

@@ -37,15 +37,13 @@ MAX_PATH_ENTRIES = 10_000_000
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time grid, truncation ranks, taming and stopping controls."""
+    """Time grid, truncation ranks, taming and the noise seed."""
 
     T: float
     dt: float
     n_modes: int
     n_noise: int
     taming: bool = True
-    cap_R: float = math.inf
-    cap_mode: str = "record"  # "record" keeps integrating past the cap, "truncate" freezes
     master_seed: int = 0
 
     def __post_init__(self):
@@ -61,10 +59,6 @@ class SolverConfig:
                 f"a path of {round(steps)} steps with {self.n_modes} modes and {self.n_noise} noise directions "
                 f"exceeds n_steps * max(n_modes, n_noise) <= {MAX_PATH_ENTRIES}"
             )
-        if self.cap_mode not in ("record", "truncate"):
-            raise ValueError(f"unknown cap_mode {self.cap_mode!r}")
-        if not self.cap_R > 0:
-            raise ValueError("cap radius must be positive")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master seed must lie in [0, 2**64), got {self.master_seed}")
 
@@ -75,7 +69,7 @@ class SolverConfig:
 
 @dataclass
 class Path:
-    """One trajectory with per-step norms and stopping bookkeeping."""
+    """One trajectory with its per-step norms and energy."""
 
     times: np.ndarray
     states: np.ndarray  # (n_steps+1, n_modes) mode coefficients
@@ -83,7 +77,6 @@ class Path:
     v1_seminorms: np.ndarray
     lq_norms: np.ndarray
     energy_series: np.ndarray  # sum_j ||Z||_{V_j}^{q_j} per step
-    stopped_at: int | None
     diverged_at: int | None
 
     @property
@@ -191,14 +184,12 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
     ops = setup.reduced(k)
     q = setup.drift.q
     p = setup.op_params.p
-    dt, cap_R, truncate = config.dt, config.cap_R, config.cap_mode == "truncate"
-    times = dt * np.arange(K + 1)
+    times = config.dt * np.arange(K + 1)
     states = np.full((K + 1, k), np.nan)
     l2 = np.full(K + 1, np.nan)
     v1 = np.full(K + 1, np.nan)
     lq = np.full(K + 1, np.nan)
     energy = np.full(K + 1, np.nan)
-    stopped_at = None
     diverged_at = None
 
     def record(i, zi, nodal, zz):
@@ -213,25 +204,15 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
         nodal = ops.H @ z
         zz = float(z @ z)
         record(0, z, nodal, zz)
-        running_energy = 0.0
-        if l2[0] >= cap_R:
-            stopped_at = 0
-        frozen = stopped_at is not None and truncate
-
         for i in range(K):
-            if not frozen:
-                z_new = stepper(times[i], z, nodal, dW[i], ops)
-                zz = float(z_new @ z_new)  # finite only when every entry is
-                if not math.isfinite(zz) and not np.isfinite(z_new).all():
-                    diverged_at = i + 1
-                    break
-                z = z_new
-                nodal = ops.H @ z
+            z_new = stepper(times[i], z, nodal, dW[i], ops)
+            zz = float(z_new @ z_new)  # finite only when every entry is
+            if not math.isfinite(zz) and not np.isfinite(z_new).all():
+                diverged_at = i + 1
+                break
+            z = z_new
+            nodal = ops.H @ z
             record(i + 1, z, nodal, zz)
-            running_energy += dt * 0.5 * (energy[i] + energy[i + 1])
-            if stopped_at is None and l2[i + 1] + running_energy >= cap_R:
-                stopped_at = i + 1
-                frozen = truncate
 
     return Path(
         times=times,
@@ -240,7 +221,6 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
         v1_seminorms=v1,
         lq_norms=lq,
         energy_series=energy,
-        stopped_at=stopped_at,
         diverged_at=diverged_at,
     )
 
@@ -273,6 +253,16 @@ def simulate_path(
     return _integrate(setup, config, x0, path_index, dW, stepper)
 
 
+def require_linear_reference(setup: SimulationSetup) -> None:
+    """Raise unless the exponential reference applies: p = 2, q = 2 and no bounded-slope perturbation."""
+    if setup.op_params.p != 2.0:
+        raise ValueError("the strong-order exponential reference requires p = 2")
+    if setup.drift.q != 2.0:
+        raise ValueError("the strong-order exponential reference requires a linear drift (q = 2)")
+    if setup.lip.phi3_amplitude != 0.0:
+        raise ValueError("the strong-order exponential reference does not support the bounded-slope perturbation")
+
+
 def reference_solution_p2_linear(
     setup: SimulationSetup,
     config: SolverConfig,
@@ -286,12 +276,7 @@ def reference_solution_p2_linear(
     integrated exactly in its eigenbasis each step; run it at a refined dt with
     the same Brownian increments as the compared path.
     """
-    if setup.op_params.p != 2.0:
-        raise ValueError("the exponential reference requires p = 2")
-    if setup.drift.q != 2.0:
-        raise ValueError("the exponential reference requires a linear drift (q = 2)")
-    if setup.lip.phi3_amplitude != 0.0:
-        raise ValueError("the exponential reference does not support the bounded-slope perturbation")
+    require_linear_reference(setup)
     k = config.n_modes
     c_lin = setup.drift.delta + setup.drift.linear
     A = setup.reduced(k).S + c_lin * np.eye(k)

@@ -229,7 +229,7 @@ def euler_maruyama_oracle(setup, config, x0, dW):
 
     out = {name: np.full(K + 1, np.nan) for name in ("l2", "v1", "lq", "energy")}
     states = np.full((K + 1, k), np.nan)
-    stopped_at = diverged_at = None
+    diverged_at = None
 
     def record(i, z, nodal):
         states[i] = z
@@ -242,26 +242,17 @@ def euler_maruyama_oracle(setup, config, x0, dW):
     z = HT_M @ np.asarray(x0, dtype=float)
     nodal = H @ z
     record(0, z, nodal)
-    running = 0.0
-    if out["l2"][0] >= config.cap_R:
-        stopped_at = 0
-    frozen = stopped_at is not None and config.cap_mode == "truncate"
     for i in range(K):
-        if not frozen:
-            with np.errstate(over="ignore", invalid="ignore"):
-                z_new = step(dt * i, z, nodal, dW[i])
-            if not np.all(np.isfinite(z_new)):
-                diverged_at = i + 1
-                break
-            z = z_new
-            nodal = H @ z
+        with np.errstate(over="ignore", invalid="ignore"):
+            z_new = step(dt * i, z, nodal, dW[i])
+        if not np.all(np.isfinite(z_new)):
+            diverged_at = i + 1
+            break
+        z = z_new
+        nodal = H @ z
         record(i + 1, z, nodal)
-        running += dt * 0.5 * (out["energy"][i] + out["energy"][i + 1])
-        if stopped_at is None and out["l2"][i + 1] + running >= config.cap_R:
-            stopped_at = i + 1
-            frozen = config.cap_mode == "truncate"
     return dict(states=states, l2_norms=out["l2"], v1_seminorms=out["v1"], lq_norms=out["lq"],
-                energy_series=out["energy"], stopped_at=stopped_at, diverged_at=diverged_at)
+                energy_series=out["energy"], diverged_at=diverged_at)
 
 
 def apply_A1_residual(space, v, params):

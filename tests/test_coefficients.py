@@ -258,6 +258,8 @@ def test_transport_constants_consistent(space16, params_s05_p2):
     assert abs(tr.delta5 - d) < 1e-10 * max(1.0, d)
     with pytest.raises(ValueError, match="summable"):
         TransportNoiseSpec.from_family(space16, params_s05_p2, n_g=3, amplitude=math.inf)
+    with pytest.raises(ValueError, match="phi4"):
+        TransportNoiseSpec.from_family(space16, params_s05_p2, n_g=3, amplitude=0.4, phi4_amplitude=-1.0)
 
 
 def test_eval_G_zero_and_eigenvector(space16, params_s05_p2):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import os
 import re
 import subprocess
@@ -38,7 +37,6 @@ def test_parse_defaults_and_types():
     cfg = parse_config_text(MINI)
     assert cfg["operator.p"] == 2.0
     assert cfg["solver.taming"] is True
-    assert cfg["solver.cap_R"] == math.inf
     assert cfg["harness.x_scales"] == (0.0, 1.0, 2.0, 4.0)
     assert cfg["harness.mode_ladder"] == ()
 
@@ -124,7 +122,7 @@ def test_simulate_reproducible_and_headers(tmp_path, capsys):
     assert b1 == b2
     text = b1.decode()
     assert text.splitlines()[0].startswith("# fracsplap ")
-    assert "time,l2_norm,gagliardo_seminorm,lq_norm,stopped_flag" in text
+    assert "time,l2_norm,gagliardo_seminorm,lq_norm\n" in text
     # round-trip: the resolved header reproduces the identical run
     recovered = parse_resolved_header(tmp_path / "r1" / "path.csv")
     cfg_path2 = tmp_path / "recovered.cfg"
@@ -297,12 +295,18 @@ def _with(text, **values):
         ("simulate", {"drift__delta3": "-5"}, "drift.delta3"),
         ("moments", {"harness__max_diverged_fraction": "-1"}, "harness.max_diverged_fraction"),
         ("moments", {"harness__max_diverged_fraction": "1.5"}, "harness.max_diverged_fraction"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.015625", "operator__p": "3.0"}, "requires p = 2"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.015625"}, "requires a linear drift (q = 2)"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.015625", "drift__q": "2.0", "lipschitz__phi3": "0.1"},
+         "bounded-slope perturbation"),
+        ("check-hypotheses", {"transport__enabled": "true", "transport__phi4": "-1"}, "phi4"),
     ],
     ids=[
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
         "one-rung", "fine-step", "rung-multiple", "zero-rung", "moment-exponent", "no-scales", "no-paths-modes",
         "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
         "negative-cutoff", "negative-delta3", "negative-diverged-limit", "diverged-limit-above-one",
+        "reference-p", "reference-q", "reference-phi3", "negative-phi4",
     ],
 )
 def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):
@@ -406,19 +410,13 @@ def test_admissibility_kv_pins_noise_tails(tmp_path, capsys, name):
     [
         ("quadrature.panel_gauss", "6"), ("quadrature.graded_levels", "6"), ("operator.n", "1"),
         ("drift.family", "power"), ("lipschitz.family", "bounded_slope"), ("noise.family", "power_sine"),
-        ("transport.family", "sine"),
+        ("transport.family", "sine"), ("solver.cap_R", "inf"), ("solver.cap_mode", "record"),
     ],
 )
 def test_single_value_keys_are_unknown(key, value):
-    # none of these had a second value to select; the quadrature rule is fixed in fracop
+    # no run selected a second value of any of these; the quadrature rule is fixed in fracop
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(MINI + f"{key} = {value}\n")
-
-
-def test_cap_radius_accepts_inf():
-    assert parse_config_text(_with(MINI, solver__cap_R="inf"))["solver.cap_R"] == math.inf
-    with pytest.raises(ConfigError):
-        build_bundle(parse_config_text(_with(MINI, solver__cap_R="nan")))
 
 
 def test_fully_diverged_moments_scale_exits_3(tmp_path, capsys):

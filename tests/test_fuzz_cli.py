@@ -13,9 +13,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fracsplap.cli import main
+from fracsplap.config import _SCHEMA
 
 BASE = {
     "operator.s": "0.4",
@@ -56,20 +57,23 @@ FUZZ = {
     "noise.beta_b0": values("0.1", "0.0", "-1.0", "1e300"),
     "noise.beta_r": values("2.0", "0.5", "-2.0"),
     "noise.gamma_g0": values("0.1", "0.0", "5.0", "-0.1"),
+    "noise.gamma_r": values("2.0", "0.5", "-2.0"),
     "noise.cutoff": values("0", "1", "3", "-1"),
     "noise.sigma1_amplitude": values("0.0", "0.5", "-1.0"),
+    "noise.sigma1_decay": values("2.0", "0.0", "-1.0"),
     "transport.enabled": values("false", "true", "maybe"),
     "transport.n_g": values("2", "0", "9"),
     "transport.amplitude": values("0.0", "0.5", "-1.0"),
+    "transport.decay": values("1.0", "0.0", "-1.0", "-400.0"),
+    "transport.phi4": values("0.0", "0.5", "-1.0", "-10.0"),
     "solver.T": values("0.25", "0.125", "0.0", "-0.25", "0.3", "nan", "inf"),
     "solver.dt": values("0.0625", "0.125", "0.0", "-0.1", "0.07", "nan"),
     "solver.n_noise": values("2", "1", "0", "-3", "40"),
     "solver.taming": values("true", "false", "2"),
-    "solver.cap_R": values("inf", "0.5", "0.0", "-1.0", "nan"),
-    "solver.cap_mode": values("record", "truncate", "bogus"),
     "solver.master_seed": values("0", "5", "-1", str(2**64)),
     "solver.x0_profile": values("bump", "sine", "flat"),
     "solver.x0_scale": values("1.0", "0.0", "1e300", "-2.0"),
+    "solver.x0_center": values("0.25", "0.5", "-1.0", "1e300"),
     "solver.x0_width": values("0.1", "0.0", "-1.0"),
     "solver.x0_support": values("0", "2", "-1", "99"),
     "harness.n_paths": values("100", "101", "99", "1", "0", "-1"),
@@ -81,6 +85,10 @@ FUZZ = {
     "harness.max_diverged_fraction": values("0.0", "1.0", "2.0"),
     "harness.stability_epsilon": values("1e-3", "0.0", "-1.0"),
 }
+
+
+def test_every_config_key_is_fuzzed():
+    assert set(FUZZ) == set(_SCHEMA)
 
 
 @st.composite
@@ -105,6 +113,16 @@ OUT_AT = values("new", "new", "new", "existing directory", "existing file")
     seed=SEEDS,
     config_at=CONFIG_AT,
     out_at=OUT_AT,
+)
+# the strong-order reference needs q = 2: a dt ladder on the base's q = 4 drift is a validation error
+@example(
+    command="converge", overrides={"harness.dt_ladder": "0.125,0.0625"}, extra="", seed=None,
+    config_at="file", out_at="new",
+)
+# a negative transport phi4 is rejected like a negative phi3
+@example(
+    command="check-hypotheses", overrides={"transport.enabled": "true", "transport.phi4": "-10.0"}, extra="", seed=None,
+    config_at="file", out_at="new",
 )
 def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, config_at, out_at):
     config = {**BASE, **overrides}

@@ -179,8 +179,7 @@ def test_slobodeckij_norm_of_path():
     states = np.linspace(0.0, 1.0, K + 1)[:, None]
     path = Path(
         times=dt * np.arange(K + 1), states=states, l2_norms=np.abs(states[:, 0]),
-        v1_seminorms=np.zeros(K + 1), lq_norms=np.zeros(K + 1), energy_series=np.zeros(K + 1),
-        stopped_at=None, diverged_at=None,
+        v1_seminorms=np.zeros(K + 1), lq_norms=np.zeros(K + 1), energy_series=np.zeros(K + 1), diverged_at=None,
     )
     val = slobodeckij_time_seminorm(path, 0.25)
     semi = time_seminorm_sq(states, dt, 0.25)

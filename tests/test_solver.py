@@ -48,8 +48,6 @@ def test_config_validation():
         SolverConfig(T=1.0, dt=0.3, n_modes=4, n_noise=2)  # dt does not divide T
     with pytest.raises(ValueError):
         SolverConfig(T=1.0, dt=0.25, n_modes=0, n_noise=2)
-    with pytest.raises(ValueError):
-        SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2, cap_mode="bogus")
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="master seed"):
             SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2, master_seed=seed)
@@ -63,7 +61,7 @@ def test_zero_state_is_fixed_point(scalar_setup):
     path = simulate_path(scalar_setup, cfg, np.zeros(1))
     assert np.all(path.states == 0.0)
     assert np.all(path.l2_norms == 0.0)
-    assert path.stopped_at is None and path.diverged_at is None
+    assert path.diverged_at is None
 
 
 @pytest.mark.parametrize("taming", [True, False])
@@ -137,45 +135,16 @@ def test_stopping_functional_closed_forms():
     energy = v1**2.0 + lq**3.0 + l2**2
     path = Path(
         times=dt * np.arange(K + 1), states=z, l2_norms=l2, v1_seminorms=v1, lq_norms=lq,
-        energy_series=energy, stopped_at=None, diverged_at=None,
+        energy_series=energy, diverged_at=None,
     )
     for k in (0, 3, 8):
         expected = l2[0] + dt * k * energy[0]
         assert stopping_functional(path, k) == pytest.approx(expected, rel=1e-12)
     zero = Path(
         times=dt * np.arange(K + 1), states=np.zeros((K + 1, dim)), l2_norms=np.zeros(K + 1),
-        v1_seminorms=np.zeros(K + 1), lq_norms=np.zeros(K + 1), energy_series=np.zeros(K + 1),
-        stopped_at=None, diverged_at=None,
+        v1_seminorms=np.zeros(K + 1), lq_norms=np.zeros(K + 1), energy_series=np.zeros(K + 1), diverged_at=None,
     )
     assert all(stopping_functional(zero, k) == 0.0 for k in range(K + 1))
-
-
-def test_record_mode_stops_at_first_crossing(linear_setup):
-    x0 = 0.5 * np.sin(np.pi * linear_setup.space.nodes)
-    base = dict(T=0.5, dt=2.0**-5, n_modes=12, n_noise=4, master_seed=4)
-    free = simulate_path(linear_setup, SolverConfig(**base), x0)
-    assert free.stopped_at is None
-    values = np.array([stopping_functional(free, i) for i in range(free.times.size)])
-    # a radius halfway between two neighbouring sorted values, reached after step 0
-    ladder = np.unique(values)
-    mid = ladder.size // 2
-    radius = 0.5 * (ladder[mid - 1] + ladder[mid])
-    assert values[0] < radius
-    rec = simulate_path(linear_setup, SolverConfig(**base, cap_R=radius), x0)
-    assert rec.stopped_at == int(np.argmax(values >= radius))
-    assert rec.stopped_at > 0
-    assert np.array_equal(rec.states, free.states)  # record mode does not alter the path
-
-
-def test_cap_modes(linear_setup):
-    x0 = 5.0 * np.sin(np.pi * linear_setup.space.nodes)
-    base = dict(T=0.5, dt=2.0**-5, n_modes=12, n_noise=4, master_seed=4)
-    rec = simulate_path(linear_setup, SolverConfig(**base, cap_R=1.0), x0)
-    assert rec.stopped_at == 0
-    assert not np.array_equal(rec.states[1], rec.states[0])  # record mode keeps integrating
-    frozen = simulate_path(linear_setup, SolverConfig(**base, cap_R=1.0, cap_mode="truncate"), x0)
-    assert frozen.stopped_at == 0
-    assert np.array_equal(frozen.states[-1], frozen.states[0])
 
 
 def test_taming_consistency_small_drift(linear_setup):
@@ -297,7 +266,7 @@ def p3_setup():
 
 
 def _assert_matches_oracle(path, want):
-    assert (path.stopped_at, path.diverged_at) == (want["stopped_at"], want["diverged_at"])
+    assert path.diverged_at == want["diverged_at"]
     for name in ("states", "l2_norms", "v1_seminorms", "lq_norms", "energy_series"):
         got, ref = getattr(path, name), want[name]
         finite = np.isfinite(ref)
@@ -307,7 +276,7 @@ def _assert_matches_oracle(path, want):
 
 
 @pytest.mark.parametrize("which", ["p2", "p3"])
-@pytest.mark.parametrize("case", ["tamed", "plain", "record", "truncate", "diverging"])
+@pytest.mark.parametrize("case", ["tamed", "plain", "diverging"])
 def test_path_matches_per_step_oracle(superlinear_setup, p3_setup, which, case):
     from oracles import euler_maruyama_oracle
 
@@ -317,10 +286,6 @@ def test_path_matches_per_step_oracle(superlinear_setup, p3_setup, which, case):
     x0 = np.sin(np.pi * space.nodes)
     if case == "plain":
         base["taming"] = False
-    if case in ("record", "truncate"):
-        free = simulate_path(setup, SolverConfig(**base), x0, path_index=2)
-        values = np.array([stopping_functional(free, i) for i in range(free.times.size)])
-        base.update(cap_R=0.5 * (values[8] + values[9]), cap_mode=case)
     if case == "diverging":
         base.update(T=2.0, dt=0.25, taming=False)
         x0 = 40.0 * x0
@@ -328,10 +293,6 @@ def test_path_matches_per_step_oracle(superlinear_setup, p3_setup, which, case):
     path = simulate_path(setup, cfg, x0, path_index=2)
     dW = brownian_increments(cfg.master_seed, 2, cfg.n_steps, cfg.n_noise, cfg.dt)
     _assert_matches_oracle(path, euler_maruyama_oracle(setup, cfg, x0, dW))
-    if case in ("record", "truncate"):
-        assert 0 < path.stopped_at < cfg.n_steps
-    if case == "truncate":
-        assert np.all(path.states[path.stopped_at:] == path.states[path.stopped_at])
     assert (path.diverged_at is not None) == (case == "diverging")
 
 
