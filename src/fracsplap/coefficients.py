@@ -15,9 +15,9 @@ Shipped families:
 * transport noise ``G(u) a = sum_i a_i g_i (-Lap)^{s/2} u`` with a finite
   family of smooth multipliers (p = 2 only).
 
-Constructors raise naming the violated bound.  The one condition without a
-closed form, the noise family's local Lipschitz bound, is checked on sampled
-pairs of states.
+Constructors raise naming the violated bound.  The noise family's local
+Lipschitz bound is checked against a deterministic mean-value constant
+(:func:`noise_lipschitz_constant`), exact at p1 = 2 and conservative above.
 """
 
 from __future__ import annotations
@@ -31,8 +31,33 @@ from .domain import FracOperatorParams
 from .fracop import assemble_frac_stiffness
 from .space import GalerkinSpace, mass_orthonormal_basis
 
-_SAMPLE_RANGE = 25.0
-_N_SAMPLES = 4000
+
+def noise_lipschitz_constant(p1: float) -> float:
+    """A ratio ``beta_i/gamma_i`` up to which the noise family's local Lipschitz bound is guaranteed.
+
+    The bound is ``(beta_i/gamma_i) |phi(u1) - phi(u2)|^2 <= (1 + |u1|^{p1-2} + |u2|^{p1-2}) |u1 - u2|^2``
+    for the profile ``phi``.  At p1 = 2, ``phi(u) = u`` and the constant is exactly 3.  For p1 > 2 the
+    mean-value theorem writes ``phi(u1) - phi(u2) = phi'(xi) (u1 - u2)`` with
+    ``|xi|^{p1-2} <= |u1|^{p1-2} + |u2|^{p1-2}``, so ``inf_xi (1 + |xi|^{p1-2}) / phi'(xi)^2`` suffices,
+    where ``phi' = g^a (1 + 2a/(1+xi^2))``, ``g = xi^2/(1+xi^2)`` and ``a = (p1-2)/4``.  In ``g`` the
+    quotient is ``(g^-b + (1-g)^-b) / (1 + b(1-g))^2`` with ``b = 2a``, which is log-convex on (0, 1), so
+    a golden-section search finds its one minimum.  The constant is conservative: at p1 = 2.5, 3, 4 and
+    6 it is 1.7649, 1.6576, 1.6137 and 1.8519, 23-27 % below the sharp constant over pairs (2.3784,
+    2.2751, 2.1419 and 2.4160 on a dense grid of pairs).
+    """
+    if p1 == 2.0:
+        return 3.0
+    b = (p1 - 2.0) / 2.0
+
+    def log_quotient(g):
+        x, y = -b * math.log(g), -b * math.log1p(-g)
+        return max(x, y) + math.log1p(math.exp(-abs(x - y))) - 2.0 * math.log1p(b * (1.0 - g))
+
+    shrink, lo, hi = (math.sqrt(5.0) - 1.0) / 2.0, 0.0, 1.0
+    for _ in range(80):  # the bracket shrinks to 2e-17
+        c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        lo, hi = (lo, d) if log_quotient(c) < log_quotient(d) else (c, hi)
+    return math.exp(min(log_quotient(0.5 * (lo + hi)), 709.0))  # capped inside the float range
 
 
 @dataclass(frozen=True)
@@ -210,9 +235,9 @@ class SuperlinearNoiseSpec:
             return np.zeros((space.m, n_noise))
         return _sine_family(space, self.sigma1_amplitude, self.sigma1_decay, n_noise, self.cutoff)
 
-    def _verify(self, seed=2, tol=1e-12):
+    def _verify(self):
         """The local Lipschitz bound ``sup_i beta_i/gamma_i * |profile(u1) - profile(u2)|^2
-        <= (1 + |u1|^{p1-2} + |u2|^{p1-2}) |u1 - u2|^2``, on sampled pairs of states."""
+        <= (1 + |u1|^{p1-2} + |u2|^{p1-2}) |u1 - u2|^2``, by :func:`noise_lipschitz_constant`."""
         if self.beta_b0 == 0.0:
             return
         if self.gamma_g0 == 0.0:
@@ -224,13 +249,7 @@ class SuperlinearNoiseSpec:
             ratio = self.beta_b0 / self.gamma_g0
         else:
             raise ValueError("noise family violates its local Lipschitz bound (beta/gamma ratio unbounded)")
-        rng = np.random.default_rng(seed)
-        u1 = rng.uniform(-_SAMPLE_RANGE, _SAMPLE_RANGE, _N_SAMPLES)
-        u2 = rng.uniform(-_SAMPLE_RANGE, _SAMPLE_RANGE, _N_SAMPLES)
-        lip = ratio * (self.sigma2_profile(u1) - self.sigma2_profile(u2)) ** 2 - (
-            1.0 + np.abs(u1) ** (self.p1 - 2.0) + np.abs(u2) ** (self.p1 - 2.0)
-        ) * (u1 - u2) ** 2
-        if np.any(lip > tol * np.maximum(1.0, (u1 - u2) ** 2)):
+        if ratio > noise_lipschitz_constant(self.p1):
             raise ValueError("noise family violates its local Lipschitz bound")
 
 

@@ -12,7 +12,7 @@ Zero extension outside the domain contributes ``2 * int |v|^{p-2} v u * tail``
 with the tail kernel integrated analytically over a truncated exterior box.
 
 Every rule is a weighted sum over sampled values of the hat interpolant, so
-the plan holds one sparse operator ``D`` from the interior nodal values to
+the plan holds one linear operator ``D`` from the interior nodal values to
 those samples and one weight vector ``wts``.  Each row of ``D`` is four
 (column, value) pairs read from :meth:`GalerkinSpace.point_weights`
 (:meth:`FracPlan.row_pairs`): ``v(x) - v(y)`` per pair point, the slope per
@@ -25,13 +25,14 @@ With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
 Because every form reads the same samples, the algebraic identities between the
 seminorm, the weak form and the stiffness matrix hold to rounding accuracy.  The
-stiffness sums the rows' (column, value) pairs directly, so p = 2 never forms ``D``.
+stiffness sums the rows' (column, value) pairs directly; the p != 2 sweep applies
+``D`` and ``D^T`` through their block structure (:meth:`FracPlan.forward`,
+:meth:`FracPlan.adjoint`), so no sparse matrix is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -44,13 +45,14 @@ from .space import GalerkinSpace
 PANEL_GAUSS = 6
 GRADED_LEVELS = 6
 _STIFFNESS_ROWS = 8_192  # rows of D per block of the stiffness sum: 1 MB per block array
+_ONE_THREAD_GEMM = 65_536 * 4  # OpenBLAS runs a product of at most this many multiply-adds on the calling thread
 
 
 @dataclass(frozen=True)
 class FracPlan:
     """Precomputed quadrature data for one (space, s, p) combination.
 
-    ``D`` (CSR, columns = the m interior nodes) maps a nodal vector to its
+    ``D`` (columns = the m interior nodes) maps a nodal vector to its
     sampled values: first ``v(x) - v(y)`` at every pair point, then the slope
     of every element (the closed-form same-element term), then ``v(x)`` at
     every exterior-tail point.  ``wts`` holds the matching weights: ``w``,
@@ -58,7 +60,12 @@ class FracPlan:
     weights already contain the kernel value and the factor 2 from enumerating
     unordered element pairs; the singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
     ``elt``/``lt`` locate each sample point inside its element, as :meth:`GalerkinSpace.point_weights`
-    reads them.  ``D`` and ``DT = D^T`` (CSR, int32 indices) are built on first use, so p = 2 runs never build them.
+    reads them.
+
+    The sweep reads ``D`` in blocks of the nodal vector padded with the two exterior zeros, ``vp``: the
+    ``G*G`` rows of a separated pair are one row of ``vp[sep] @ Csep`` (its four nodes), the ``(L*G)^2``
+    rows of an adjacent pair one row of ``vp[adj] @ Cadj`` (its three nodes), and an element or tail row
+    is ``vp[two] . C2`` over its two nodes.  ``scatter`` lists the same nodes in that order for ``D^T``.
     """
 
     elx: np.ndarray
@@ -70,6 +77,13 @@ class FracPlan:
     lt: np.ndarray
     wt: np.ndarray
     wts: np.ndarray
+    sep: np.ndarray    # (separated pairs, 4) padded node indices
+    adj: np.ndarray    # (m, 3)
+    two: np.ndarray    # (m + 1 + tail points, 2)
+    scatter: np.ndarray
+    Csep: np.ndarray   # (4, G*G)
+    Cadj: np.ndarray   # (3, (L*G)^2)
+    C2: np.ndarray     # (m + 1 + tail points, 2)
     space: GalerkinSpace = field(repr=False, compare=False)
 
     def row_pairs(self):
@@ -89,23 +103,42 @@ class FracPlan:
         vals[n:k] /= self.space.h
         return cols, vals
 
-    @cached_property
-    def D(self):
-        from scipy import sparse  # only the p != 2 operator sweep reads D
+    def _blocks(self, x):
+        """``x`` over the rows of ``D`` as its separated-pair, adjacent-pair and two-node blocks (views)."""
+        sep_shape, adj_shape = (self.sep.shape[0], self.Csep.shape[1]), (self.adj.shape[0], self.Cadj.shape[1])
+        a = sep_shape[0] * sep_shape[1]
+        b = a + adj_shape[0] * adj_shape[1]
+        return x[:a].reshape(sep_shape), x[a:b].reshape(adj_shape), x[b:]
 
-        cols, vals = self.row_pairs()
-        rows = cols.shape[0]
-        idx = np.int32 if 4 * rows < 2**31 else np.int64  # int32 indices: fewer bytes per matvec, the same bits
-        D = sparse.csr_array(
-            (vals.ravel(), cols.ravel().astype(idx), 4 * np.arange(rows + 1, dtype=idx)), shape=(rows, self.space.m)
-        )
-        D.sum_duplicates()  # an adjacent pair's shared node: v(x) + (-v(y)) has the bits of v(x) - v(y)
-        D.eliminate_zeros()
-        return D
+    def forward(self, v: np.ndarray) -> np.ndarray:
+        """``D v``: the sampled values of the interior nodal vector ``v``."""
+        vp = np.zeros(self.space.m + 2)
+        vp[1:-1] = v
+        dv = np.empty(self.wts.size)
+        sep, adj, two = self._blocks(dv)
+        _matmul_rows(vp[self.sep], self.Csep, sep)
+        _matmul_rows(vp[self.adj], self.Cadj, adj)
+        np.einsum("ij,ij->i", vp[self.two], self.C2, out=two)
+        return dv
 
-    @cached_property
-    def DT(self):
-        return self.D.T.tocsr()
+    def adjoint(self, f: np.ndarray) -> np.ndarray:
+        """``D^T f`` for ``f`` over the rows of ``D``."""
+        sep, adj, two = self._blocks(f)
+        parts = (np.empty(self.sep.shape), np.empty(self.adj.shape), two[:, None] * self.C2)
+        _matmul_rows(sep, self.Csep.T, parts[0])
+        _matmul_rows(adj, self.Cadj.T, parts[1])
+        vp = np.bincount(self.scatter, np.concatenate([x.ravel() for x in parts]), self.space.m + 2)
+        return vp[1:-1]
+
+
+def _matmul_rows(a, c, out):
+    """``out = a @ c`` in row chunks small enough that no product wakes an OpenBLAS worker thread.
+
+    Unchunked, an m = 128 sweep spent 1.4-2.0 CPU seconds per wall second on two cores for no gain.
+    """
+    rows = max(1, _ONE_THREAD_GEMM // c.size)
+    for i in range(0, a.shape[0], rows):
+        np.matmul(a[i:i + rows], c, out=out[i:i + rows])
 
 
 def _gauss01(n: int):
@@ -216,11 +249,25 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     lt = np.concatenate(lt_parts)
     wt = np.concatenate(wt_parts)
 
+    # D in blocks over the padded nodal vector: a separated pair (ep, eq) reads nodes ep, ep + 1, eq, eq + 1
+    # and an adjacent pair (e, e + 1) nodes e, e + 1, e + 2, each through one coefficient block; an element
+    # row reads the slope over nodes e, e + 1 and a tail row the value between nodes elt, elt + 1
+    sep = np.stack((ep, ep + 1, eq, eq + 1), axis=1)
+    adj = e_left[:, None] + np.arange(3)
+    two = np.concatenate((np.arange(n_el), elt))[:, None] + np.arange(2)
+    lxs, lys = np.repeat(loc, G), np.tile(loc, G)
+    Csep = np.stack((1.0 - lxs, lxs, -(1.0 - lys), -lys))
+    lxa, lya = np.repeat(lx_rel, npts), np.tile(ly_rel, npts)
+    Cadj = np.stack((1.0 - lxa, lxa - (1.0 - lya), -lya))  # the shared node's two values merge as in v(x) - v(y)
+    C2 = np.concatenate((np.tile([-1.0 / h, 1.0 / h], (n_el, 1)), np.stack((1.0 - lt, lt), axis=1)))
+
     # w and wt are views into the weight vector of D's rows
     wts = np.concatenate((w, np.full(n_el, j_same), wt))
     plan = FracPlan(
         elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size],
-        elt=elt, lt=lt, wt=wts[w.size + n_el:], wts=wts, space=space,
+        elt=elt, lt=lt, wt=wts[w.size + n_el:], wts=wts,
+        sep=sep, adj=adj, two=two, scatter=np.concatenate((sep.ravel(), adj.ravel(), two.ravel())),
+        Csep=Csep, Cadj=Cadj, C2=C2, space=space,
     )
     space._cache[key] = plan
     return plan
@@ -237,7 +284,7 @@ def _odd_power(x: np.ndarray, p: float) -> np.ndarray:
 
 def _flux(plan: FracPlan, v: np.ndarray, p: float):
     """Sampled values ``D v`` and the weighted flux ``wts * |D v|^(p-2) D v``."""
-    dv = plan.D @ np.asarray(v, dtype=float)
+    dv = plan.forward(np.asarray(v, dtype=float))
     return dv, plan.wts * _odd_power(dv, p)
 
 
@@ -254,7 +301,7 @@ def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
     values; the weak operator action is ``-(C/2)`` times it.
     """
     dv, f = _flux(plan, v, p)
-    return float(np.einsum("i,i->", f, dv)), plan.DT @ f
+    return float(np.einsum("i,i->", f, dv)), plan.adjoint(f)
 
 
 def gagliardo_seminorm(space: GalerkinSpace, v: np.ndarray, params: FracOperatorParams) -> float:
@@ -270,7 +317,7 @@ def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: Fr
     """Duality pairing of the operator action at v against u (both nodal)."""
     plan = get_plan(space, params)
     _, f = _flux(plan, v, params.p)
-    return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.D @ np.asarray(u, dtype=float)))
+    return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.forward(np.asarray(u, dtype=float))))
 
 
 def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:

@@ -1,16 +1,15 @@
 """Ensemble studies: moment bounds, time regularity, stabilization, stability.
 
-All reductions are order-independent: paths are computed from per-index
-counter-based streams and collected by index, so results are bitwise
-reproducible for a fixed master seed at any worker count.
+Paths run one after another on the calling thread.  Each draws from its own
+per-index counter-based stream and is collected by index, so a path does not
+depend on the paths before it and results are bitwise reproducible for a
+fixed master seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,21 +62,15 @@ def mode_ladder_rungs(mode_ladder, n_modes):
     return ladder
 
 
-def run_ensemble(one, n_paths, parallel=False):
-    """``[one(j) for j in range(n_paths)]``, on up to one worker thread per CPU when ``parallel``.
+def run_ensemble(one, n_paths, floor=1):
+    """``[one(j) for j in range(n_paths)]`` on the calling thread, after checking that ``n_paths >= floor``.
 
-    The studies ask for workers at p != 2 only: there a step is mostly the
-    quadrature sweep, which runs largely outside the GIL, while a p = 2 step is
-    about 20 small numpy calls that hold it, so more threads only contend.
-    ``pool.map`` yields results in index order, so the list is the same at
-    any worker count.
+    Worker threads do not pay here: a p = 2 step is about 20 small numpy calls
+    and a p != 2 step mostly a few small products of the block sweep, and two
+    threads ran the p = 3 steps slower than one.
     """
-    require_paths(n_paths)
-    workers = min(n_paths, os.cpu_count() or 1) if parallel else 1
-    if workers == 1:
-        return [one(j) for j in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(n_paths)))
+    require_paths(n_paths, floor)
+    return [one(j) for j in range(n_paths)]
 
 
 class EnsembleDiverged(RuntimeError):
@@ -126,7 +119,6 @@ def estimate_moments(
 
     Exponents at or above the admissible supremum ``p_max`` are refused.
     """
-    require_paths(n_paths, MOMENT_PATHS)
     require_ensemble_fits(n_paths, config)
     p_values, x_scales = moment_grid(p_values, x_scales)
     for p in p_values:
@@ -148,7 +140,7 @@ def estimate_moments(
     for si, scale in enumerate(x_scales):
         x0 = scale * np.asarray(x0_shape, dtype=float)
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
-        paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, setup.plan is not None)
+        paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, MOMENT_PATHS)
         diverged.append(sum(1 for p in paths if p.diverged_at is not None))
         done = _completed(paths, scale)
         l2 = np.array([p.l2_norms for p in done])  # (n_done, K+1)
@@ -274,7 +266,7 @@ def galerkin_convergence_study(
             paths.append(simulate_path(setup, cfg, x0, path_index=j, dW=dW))
         return [_pairwise_gap_sq(a, b, config.dt) for a, b in zip(paths, paths[1:])]
 
-    gaps_sq = np.array(run_ensemble(one, n_paths, setup.plan is not None))  # (n_paths, n_rungs-1)
+    gaps_sq = np.array(run_ensemble(one, n_paths))  # (n_paths, n_rungs-1)
     gaps = tuple(np.sqrt(gaps_sq.mean(axis=0)))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
     return ConvergenceReport(mode_ladder=ladder, pairwise_gaps=gaps, gaps_monotone=monotone, n_paths=n_paths)
@@ -325,7 +317,7 @@ def strong_order_study(
             errs.append(float(np.sum((em.states[-1] - ref.states[-1]) ** 2)))
         return errs
 
-    err_sq = np.array(run_ensemble(one, n_paths, setup.plan is not None))
+    err_sq = np.array(run_ensemble(one, n_paths))
     rms = np.sqrt(err_sq.mean(axis=0))
     slope = float(np.polyfit(np.log2(dts), np.log2(rms), 1)[0])
     return ConvergenceReport(dt_ladder=dts, strong_errors=tuple(rms), strong_slope=slope, n_paths=n_paths)
@@ -373,7 +365,7 @@ def pathwise_stability_study(
         nonincr = bool(np.all(np.diff(diff) <= 1e-14 * max(diff[0], 1e-300)))
         return float(np.max(diff)), identical, nonincr
 
-    rows = run_ensemble(one, n_paths, setup.plan is not None)
+    rows = run_ensemble(one, n_paths)
     sup_gap = np.array([r[0] for r in rows])
     identical = all(r[1] for r in rows)
     nonincr = all(r[2] for r in rows)

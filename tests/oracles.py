@@ -142,9 +142,10 @@ def h_basis_scipy(space):
 
 
 def stiffness_sparse(space, params):
-    """``(C/2) D^T diag(wts) D`` from the plan's sparse sampling operator."""
+    """``(C/2) D^T diag(wts) D`` from the stacked sampling operator."""
     plan = get_plan(space, params)
-    return 0.5 * params.c_kernel * (plan.D.T @ (sparse.diags_array(plan.wts) @ plan.D)).toarray()
+    D = sampling_operator_csr(plan)
+    return 0.5 * params.c_kernel * (D.T @ (sparse.diags_array(plan.wts) @ D)).toarray()
 
 
 def sampling_operator_csr(plan):
@@ -233,7 +234,7 @@ def euler_maruyama_oracle(setup, config, x0, dW):
 
     def record(i, z, nodal):
         states[i] = z
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             out["l2"][i] = np.sqrt(z @ z)
             out["v1"][i] = v1_of(z, nodal)
             out["lq"][i] = lq_of(nodal)

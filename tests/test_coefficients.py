@@ -12,7 +12,7 @@ from fracsplap import (
     build_space,
     eval_B,
 )
-from fracsplap.coefficients import frac_eigenpairs, sqrt_operator
+from fracsplap.coefficients import frac_eigenpairs, noise_lipschitz_constant, sqrt_operator
 from fracsplap.space import l2_norm, lp_norm
 
 from oracles import (
@@ -168,6 +168,30 @@ def test_noise_local_lipschitz_check():
     for cutoff in (0, -1):
         with pytest.raises(ValueError, match="cutoff"):
             SuperlinearNoiseSpec(p1=2.0, beta_b0=0.1, gamma_g0=0.1, cutoff=cutoff)
+
+
+def test_noise_lipschitz_witness_is_rejected():
+    # at (u1, u2) = (1, 0) the left side is 2.45 * 2^(-1/4) = 2.060 and the right side 2
+    with pytest.raises(ValueError, match="local Lipschitz"):
+        SuperlinearNoiseSpec(p1=2.5, beta_b0=2.45, gamma_g0=1.0)
+    assert [round(noise_lipschitz_constant(p1), 4) for p1 in (2.5, 3.0, 4.0, 6.0)] == [1.7649, 1.6576, 1.6137, 1.8519]
+
+
+@pytest.mark.parametrize("p1", [2.0, 2.1, 2.5, 3.0, 4.0, 6.0, 10.0])
+def test_noise_lipschitz_constant_is_sound_and_near_sharp(p1):
+    c = noise_lipschitz_constant(p1)
+    u = np.concatenate((-np.logspace(-3, 2, 400)[::-1], [0.0], np.logspace(-3, 2, 400)))
+    u1, u2 = u[:, None], u[None, :]
+    profile = SuperlinearNoiseSpec(p1=p1).sigma2_profile
+    lhs = (profile(u1) - profile(u2)) ** 2
+    rhs = (1.0 + np.abs(u1) ** (p1 - 2.0) + np.abs(u2) ** (p1 - 2.0)) * (u1 - u2) ** 2
+    assert np.all(c * lhs <= rhs * (1.0 + 1e-12))
+    # the grid's infimum is at least the sharp constant; the mean-value bound stays within 30 % of it
+    sharp = np.min(rhs[lhs > 0] / lhs[lhs > 0])
+    assert 0.7 * sharp <= c <= sharp * (1.0 + 1e-12)
+    SuperlinearNoiseSpec(p1=p1, beta_b0=c, gamma_g0=1.0)
+    with pytest.raises(ValueError, match="local Lipschitz"):
+        SuperlinearNoiseSpec(p1=p1, beta_b0=1.001 * sharp, gamma_g0=1.0)
 
 
 def test_noise_growth_bound_pointwise(noise_p3):

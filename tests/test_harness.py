@@ -1,7 +1,5 @@
 import math
-import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -24,6 +22,7 @@ from fracsplap import (
     time_seminorm_sq,
 )
 from fracsplap import harness
+from fracsplap.config import ConfigError
 from fracsplap.harness import run_ensemble
 from fracsplap.solver import Path
 from fracsplap.space import l2_norm
@@ -91,56 +90,41 @@ def test_moment_affinity_and_self_consistency(moment_setup):
     assert gap < 4.0 * (rep.sup_std_errors[0, 1] + rep2.sup_std_errors[0, 1])
 
 
-def test_ensemble_thread_count_invariance(moment_setup):
-    setup, shape = moment_setup
-    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=9)
-
-    def one(j):
-        return simulate_path(setup, cfg, shape, path_index=j)
-
-    seq = run_ensemble(one, 8, parallel=False)
-    par = run_ensemble(one, 8, parallel=True)
-    assert len(seq) == len(par) == 8
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.states, b.states)
+def test_run_ensemble_checks_its_floor():
+    assert run_ensemble(lambda j: j * j, 3, floor=3) == [0, 1, 4]
+    with pytest.raises(ConfigError, match="harness.n_paths must be >= 4"):
+        run_ensemble(lambda j: j, 3, floor=4)
 
 
-def test_ensemble_threads_capped_at_cpu_count():
-    # more paths than CPUs start at most one worker thread per CPU
-    cpus = os.cpu_count() or 1
-    baseline, seen = threading.active_count(), []
-
-    def one(j):
-        time.sleep(0.05)
-        seen.append(threading.active_count())
-        return j
-
-    assert run_ensemble(one, cpus + 2, parallel=True) == list(range(cpus + 2))
-    assert max(seen) <= baseline + cpus
-
-
-def test_worker_count_follows_p(moment_setup, monkeypatch):
-    # p != 2 ensembles spread over the CPUs; p = 2 ensembles stay on the calling thread
+def test_every_study_runs_on_the_calling_thread(moment_setup, monkeypatch):
+    # at p = 2 and p = 3 every study steps its paths one after another, starting no thread
     p2, shape = moment_setup
     p3 = SimulationSetup(
         p2.space, FracOperatorParams(s=0.4, p=3.0), DriftSpec(q=3.0, delta=1.0), LipschitzPerturbationSpec(0.0),
         SuperlinearNoiseSpec(p1=2.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0),
     )
+    linear = SimulationSetup(
+        p2.space, p2.op_params, DriftSpec(q=2.0, delta=1.0), LipschitzPerturbationSpec(0.0),
+        SuperlinearNoiseSpec(p1=2.0),
+    )
     cfg = SolverConfig(T=2.0**-4, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=3)
-    original, idents = harness.simulate_path, []
+    calls, threads = [], threading.active_count()
 
-    def recorded(*args, **kwargs):
-        idents.append(threading.get_ident())
-        time.sleep(0.02)
-        return original(*args, **kwargs)
+    def recorded(original):
+        def run(*args, **kwargs):
+            calls.append((threading.get_ident(), threading.active_count()))
+            return original(*args, **kwargs)
+        return run
 
-    monkeypatch.setattr(harness, "simulate_path", recorded)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    pathwise_stability_study(p3, cfg, shape, 1.01 * shape, n_paths=4)
-    assert len(idents) == 8 and len(set(idents)) >= 2
-    idents.clear()
-    pathwise_stability_study(p2, cfg, shape, 1.01 * shape, n_paths=4)
-    assert idents == [threading.get_ident()] * 8
+    monkeypatch.setattr(harness, "simulate_path", recorded(harness.simulate_path))
+    monkeypatch.setattr(harness, "reference_solution_p2_linear", recorded(harness.reference_solution_p2_linear))
+    for setup in (p2, p3):
+        estimate_moments(setup, cfg, shape, [1.0], [1.0], n_paths=100)
+        galerkin_convergence_study(setup, cfg, shape, [4, 8], n_paths=2)
+        pathwise_stability_study(setup, cfg, shape, 1.01 * shape, n_paths=2)
+    strong_order_study(linear, cfg, shape, [2.0**-5, 2.0**-6], n_paths=2, ref_refine=2)
+    assert len(calls) == 2 * (100 + 2 * 2 + 2 * 2) + 2 * 3
+    assert set(calls) == {(threading.get_ident(), threads)}
 
 
 def test_time_seminorm_closed_form():

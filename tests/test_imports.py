@@ -1,5 +1,5 @@
-"""Which heavy scipy subpackages a run loads: none on import or on a p = 2 run,
-``scipy.sparse`` alone once a p != 2 sweep needs its sampling operator.
+"""Which heavy scipy subpackages a run loads: none, on import, on a p = 2 run or
+on a p != 2 run.
 
 Each case runs in a fresh interpreter, and the tests assert on module names
 only, never on timings.
@@ -47,5 +47,5 @@ def test_import_and_p2_runs_load_no_heavy_scipy():
     assert _loaded(*configs) == dict.fromkeys(("import",) + configs, [])
 
 
-def test_p3_run_loads_only_scipy_sparse():
-    assert _loaded("theorem1_ok.cfg") == {"import": [], "theorem1_ok.cfg": ["scipy.sparse"]}
+def test_p3_run_loads_no_heavy_scipy():
+    assert _loaded("theorem1_ok.cfg") == {"import": [], "theorem1_ok.cfg": []}
