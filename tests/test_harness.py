@@ -1,4 +1,5 @@
 import math
+import os
 import threading
 
 import numpy as np
@@ -96,7 +97,38 @@ def test_run_ensemble_checks_its_floor():
         run_ensemble(lambda j: j, 3, floor=4)
 
 
-def test_every_study_runs_on_the_calling_thread(moment_setup, monkeypatch):
+def test_ensemble_thread_count_invariance(moment_setup):
+    # an ensemble run from another thread gives the same paths, bit for bit and in index order
+    setup, shape = moment_setup
+    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=9)
+
+    def one(j):
+        return simulate_path(setup, cfg, shape, path_index=j)
+
+    here, there = run_ensemble(one, 8), []
+    worker = threading.Thread(target=lambda: there.extend(run_ensemble(one, 8)))
+    worker.start()
+    worker.join()
+    assert len(here) == len(there) == 8
+    for a, b in zip(here, there):
+        assert np.array_equal(a.states, b.states)
+
+
+def test_ensemble_threads_capped_at_cpu_count():
+    # more paths than CPUs start no worker thread: every path runs on the calling thread
+    cpus = os.cpu_count() or 1
+    baseline, seen = threading.active_count(), []
+
+    def one(j):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return j
+
+    assert run_ensemble(one, cpus + 2) == list(range(cpus + 2))
+    assert max(n for _, n in seen) <= baseline + cpus
+    assert set(seen) == {(threading.get_ident(), baseline)}
+
+
+def test_worker_count_follows_p(moment_setup, monkeypatch):
     # at p = 2 and p = 3 every study steps its paths one after another, starting no thread
     p2, shape = moment_setup
     p3 = SimulationSetup(
