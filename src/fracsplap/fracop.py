@@ -28,6 +28,10 @@ seminorm, the weak form and the stiffness matrix hold to rounding accuracy.  The
 stiffness sums the rows' (column, value) pairs directly; the p != 2 sweep applies
 ``D`` and ``D^T`` through their block structure (:meth:`FracPlan.forward`,
 :meth:`FracPlan.adjoint`), so no sparse matrix is ever formed.
+
+The flux is formed once per nodal vector: the plan keeps the last ``(p, v)``
+with its value and flux, so the stepper's residual at a recorded state reuses
+the flux of that state's seminorm and applies only ``D^T``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ class FracPlan:
     ``G*G`` rows of a separated pair are one row of ``vp[sep] @ Csep`` (its four nodes), the ``(L*G)^2``
     rows of an adjacent pair one row of ``vp[adj] @ Cadj`` (its three nodes), and an element or tail row
     is ``vp[two] . C2`` over its two nodes.  ``scatter`` lists the same nodes in that order for ``D^T``.
+
+    ``_memo`` holds the last sweep as one ``((p, v bytes), value, read-only flux)`` tuple, so the flux is
+    formed once per nodal vector (the stepper reuses the recorded state's flux and applies only ``D^T``),
+    and a reader on another thread sees a key together with its own value and flux.
     """
 
     elx: np.ndarray
@@ -85,6 +93,7 @@ class FracPlan:
     Cadj: np.ndarray   # (3, (L*G)^2)
     C2: np.ndarray     # (m + 1 + tail points, 2)
     space: GalerkinSpace = field(repr=False, compare=False)
+    _memo: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def row_pairs(self):
         """The four (column, value) pairs of every row of ``D``, (rows, 4) each, filled in place (no stacked copies).
@@ -273,25 +282,37 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     return plan
 
 
-def _odd_power(x: np.ndarray, p: float) -> np.ndarray:
-    """|x|^(p-2) * x, with the p = 2 case kept free of 0**0 artifacts."""
-    if p == 2.0:
-        return x
-    if p == 3.0:  # the power form's bits in one pass fewer
-        return np.abs(x) * x
-    return np.abs(x) ** (p - 2.0) * x
-
-
 def _flux(plan: FracPlan, v: np.ndarray, p: float):
-    """Sampled values ``D v`` and the weighted flux ``wts * |D v|^(p-2) D v``."""
-    dv = plan.forward(np.asarray(v, dtype=float))
-    return dv, plan.wts * _odd_power(dv, p)
+    """Sampled values ``D v`` and the weighted flux ``wts * |D v|^(p-2) D v``, formed in one buffer.
+
+    The operations run in the order of ``wts * (|dv| ** (p-2) * dv)``, so every value has that form's bits,
+    signed zeros, subnormals, infinities and NaNs included; p = 3 skips the power.
+    """
+    dv = plan.forward(v)
+    f = np.abs(dv)
+    if p != 3.0:
+        np.power(f, p - 2.0, out=f)
+    f *= dv
+    f *= plan.wts
+    return dv, f
+
+
+def _sweep(plan: FracPlan, v: np.ndarray, p: float):
+    """``[v]^p = f . D v`` and the read-only flux ``f``, formed once per ``(p, v)`` and kept on the plan."""
+    v = np.asarray(v, dtype=float)
+    key = (p, v.tobytes())
+    entry = plan._memo[0]
+    if entry is None or entry[0] != key:
+        dv, f = _flux(plan, v, p)
+        f.flags.writeable = False
+        entry = (key, float(np.einsum("i,i->", f, dv)), f)
+        plan._memo[0] = entry
+    return entry[1], entry[2]
 
 
 def seminorm_p(plan: FracPlan, v: np.ndarray, p: float) -> float:
     """p-th power of the Gagliardo seminorm of the hat interpolant, ``f . D v`` without the residual ``D^T f``."""
-    dv, f = _flux(plan, v, p)
-    return float(np.einsum("i,i->", f, dv))
+    return _sweep(plan, v, p)[0]
 
 
 def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
@@ -300,24 +321,29 @@ def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
     The residual is ``(1/p)`` times the gradient of ``[v]^p`` in the nodal
     values; the weak operator action is ``-(C/2)`` times it.
     """
-    dv, f = _flux(plan, v, p)
-    return float(np.einsum("i,i->", f, dv)), plan.adjoint(f)
+    value, f = _sweep(plan, v, p)
+    return value, plan.adjoint(f)
+
+
+def _nodal(space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (space.m,):
+        raise ValueError(f"expected nodal vector of length {space.m}")
+    return v
 
 
 def gagliardo_seminorm(space: GalerkinSpace, v: np.ndarray, params: FracOperatorParams) -> float:
     """Discrete seminorm ``[v]_{W^{s,p}}`` including the exterior-tail term."""
-    plan = get_plan(space, params)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (space.m,):
-        raise ValueError(f"expected nodal vector of length {space.m}")
-    return seminorm_p(plan, v, params.p) ** (1.0 / params.p)
+    v = _nodal(space, v)
+    return seminorm_p(get_plan(space, params), v, params.p) ** (1.0 / params.p)
 
 
 def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: FracOperatorParams) -> float:
     """Duality pairing of the operator action at v against u (both nodal)."""
+    v, u = _nodal(space, v), _nodal(space, u)
     plan = get_plan(space, params)
-    _, f = _flux(plan, v, params.p)
-    return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.forward(np.asarray(u, dtype=float))))
+    f = _sweep(plan, v, params.p)[1]
+    return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.forward(u)))
 
 
 def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:

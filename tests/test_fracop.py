@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +10,19 @@ from scipy.linalg import eigh
 
 from fracsplap import (
     DomainSpec,
+    DriftSpec,
     FracOperatorParams,
+    LipschitzPerturbationSpec,
+    SimulationSetup,
+    SolverConfig,
+    SuperlinearNoiseSpec,
     apply_A1_weak,
     assemble_frac_stiffness,
     build_space,
     gagliardo_seminorm,
+    simulate_path,
 )
-from fracsplap.fracop import _odd_power, get_plan, seminorm_p, seminorm_p_with_residual
+from fracsplap.fracop import FracPlan, _flux, _sweep, get_plan, seminorm_p, seminorm_p_with_residual
 
 from oracles import (
     apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle, sampling_operator_csr, stiffness_sparse,
@@ -203,17 +213,141 @@ def test_stiffness_matches_sparse_product(unit_domain, m):
         assert np.max(np.abs(assemble_frac_stiffness(space, params) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
 def test_odd_power_multiplies_with_the_bits_of_pow():
     tiny = np.finfo(float).smallest_subnormal
     x = np.concatenate((
         [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, np.nan, -np.nan, 1e154, -1e155, 1.0, -1.0],
         np.random.default_rng(3).standard_normal(10_000) * np.logspace(-320, 300, 10_000),
     ))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ours, ref = _odd_power(x, 3.0), np.abs(x) ** 1.0 * x
-    # every value has the power form's bits: the signs of zeros, subnormals, infinities and NaNs included
-    assert np.isnan(ref).sum() == 2
-    assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+    wts = np.random.default_rng(4).uniform(0.1, 10.0, x.size)
+    plan = SimpleNamespace(forward=lambda v: x.copy(), wts=wts)
+    # the in-place flux has the bits of the power form on every value: the signs of zeros, subnormals,
+    # infinities and NaNs included, at p = 3 (no power) and through np.power(out=) at p = 2, 2.5 and 4
+    for p in (2.0, 2.5, 3.0, 4.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            (dv, ours), ref = _flux(plan, None, p), wts * (np.abs(x) ** (p - 2.0) * x)
+        assert np.isnan(ref).sum() == 2
+        assert np.array_equal(bits(dv), bits(x))
+        assert np.array_equal(bits(ours), bits(ref)), p
+
+
+def test_memo_keeps_the_bits_of_an_uncached_plan():
+    space = build_space(DomainSpec(), 8, 4)
+    plan = get_plan(space, FracOperatorParams(s=0.4, p=3.0))
+    rng = np.random.default_rng(11)
+    v1, v2 = rng.standard_normal((2, 8))
+    v_nan = v1.copy()
+    v_nan[3] = np.nan
+    plus, minus = np.zeros(8), np.zeros(8)
+    minus[2:5] = -0.0
+    calls = [(v1, 3.0), (v1, 3.0), (v2, 3.0), (v1, 3.0), (v_nan, 3.0), (v_nan, 3.0), (plus, 3.0), (minus, 3.0),
+             (plus, 3.0), (v2, 2.5), (v2, 3.0), (v2, 2.5), (v2.tolist(), 2.5)]
+    with np.errstate(invalid="ignore"):
+        for v, p in calls:
+            fresh = dataclasses.replace(plan)
+            assert np.array_equal(bits(seminorm_p(plan, v, p)), bits(seminorm_p(fresh, v, p)))
+            value, residual = seminorm_p_with_residual(plan, v, p)
+            fresh_value, fresh_residual = seminorm_p_with_residual(dataclasses.replace(plan), v, p)
+            assert np.array_equal(bits(value), bits(fresh_value))
+            assert np.array_equal(bits(residual), bits(fresh_residual))
+            assert np.array_equal(bits(_sweep(plan, v, p)[1]), bits(_sweep(dataclasses.replace(plan), v, p)[1]))
+    # -0.0 and +0.0 are different keys
+    _sweep(plan, plus, 3.0)
+    entry = plan._memo[0]
+    _sweep(plan, minus, 3.0)
+    assert plan._memo[0] is not entry
+
+
+def test_memo_flux_is_read_only(space16):
+    plan = get_plan(space16, FracOperatorParams(s=0.6, p=3.0))
+    f = _sweep(plan, np.random.default_rng(12).standard_normal(16), 3.0)[1]
+    assert not f.flags.writeable
+    with pytest.raises(ValueError):
+        f[0] = 1.0
+
+
+def test_p3_path_forms_one_flux_per_state(monkeypatch):
+    # the recorded seminorm of state i and the residual of step i share one D v
+    space = build_space(DomainSpec(), 8, 6)
+    setup = SimulationSetup(
+        space, FracOperatorParams(s=0.4, p=3.0),
+        DriftSpec(q=3.0, delta=1.0), LipschitzPerturbationSpec(0.1),
+        SuperlinearNoiseSpec(p1=2.0, beta_b0=0.2, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0),
+    )
+    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=6, n_noise=3, master_seed=21)
+    forward, calls = FracPlan.forward, []
+    monkeypatch.setattr(FracPlan, "forward", lambda plan, v: calls.append(1) or forward(plan, v))
+    path = simulate_path(setup, cfg, np.sin(np.pi * space.nodes))
+    assert path.diverged_at is None
+    assert len(calls) == cfg.n_steps + 1
+
+
+def test_memo_hit_on_another_thread(space16, monkeypatch):
+    plan = get_plan(space16, FracOperatorParams(s=0.3, p=3.0))
+    v = np.random.default_rng(13).standard_normal(16)
+    value, residual = seminorm_p_with_residual(plan, v, 3.0)
+    forward, calls, results = FracPlan.forward, [], []
+    monkeypatch.setattr(FracPlan, "forward", lambda plan, v: calls.append(1) or forward(plan, v))
+    worker = threading.Thread(target=lambda: results.append(seminorm_p_with_residual(plan, v.copy(), 3.0)))
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive() and not calls
+    assert np.array_equal(bits(results[0][0]), bits(value))
+    assert np.array_equal(bits(results[0][1]), bits(residual))
+
+
+def test_memo_under_threads_returns_each_callers_own_bits(space16):
+    # threads that overwrite one another's memo entries still each read a key with its own value and flux
+    plan = get_plan(space16, FracOperatorParams(s=0.7, p=3.0))
+    vs = np.random.default_rng(14).standard_normal((6, 16))
+    fresh = [seminorm_p_with_residual(dataclasses.replace(plan), v, 3.0) for v in vs]
+    wrong = []
+
+    def work(t):
+        for i in range(1000):
+            j = (t + i) % len(vs)
+            value, residual = seminorm_p_with_residual(plan, vs[j], 3.0)
+            if bits(value) != bits(fresh[j][0]) or not np.array_equal(bits(residual), bits(fresh[j][1])):
+                wrong.append((t, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong
+
+
+def test_plan_equality_and_repr_ignore_the_memo(space16):
+    plan = get_plan(space16, FracOperatorParams(s=0.5, p=3.0))
+    fresh = dataclasses.replace(plan)
+    seminorm_p(plan, np.ones(16), 3.0)
+    assert plan._memo[0] is not None and fresh._memo[0] is None
+    assert plan == fresh
+    assert repr(plan) == repr(fresh)
+    assert "_memo" not in repr(plan)
+
+
+@pytest.mark.parametrize("bad", ["v", "u"])
+def test_nodal_shape_is_checked_at_the_public_boundary(bad):
+    space = build_space(DomainSpec(), 8, 4)
+    params = FracOperatorParams(s=0.4, p=3.0)
+    v, u = np.linspace(-1.0, 1.0, 8), np.linspace(0.5, 2.0, 8)
+    args = {"v": v, "u": u, bad: np.array([2.0])}
+    with pytest.raises(ValueError, match="length 8"):
+        apply_A1_weak(space, args["v"], args["u"], params)
+    with pytest.raises(ValueError, match="length 8"):
+        gagliardo_seminorm(space, args[bad], params)
 
 
 # u = 0 outside the domain, with the exterior tail integrated to infinity
