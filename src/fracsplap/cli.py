@@ -34,12 +34,7 @@ EXIT_NUMERICAL = 3
 
 
 def _header_lines(bundle: Bundle):
-    import scipy  # only its version is read, so the package import does not pay for it
-
-    lines = [
-        f"# fracsplap {__version__}",
-        f"# numpy {np.__version__} scipy {scipy.__version__}",
-    ]
+    lines = [f"# fracsplap {__version__}", f"# numpy {np.__version__}"]
     lines += [f"# config: {line}" for line in bundle.config.resolved_lines()]
     return lines
 

@@ -129,6 +129,9 @@ class LipschitzPerturbationSpec:
         return self.phi3(t) * u / (1.0 + np.abs(u))
 
 
+MAX_NOISE_CUTOFF = 10**6  # terms of a finite family: its sums are formed term by term, 8 MB at this size
+
+
 def _power_law(c0: float, r: float, i, cutoff: int | None) -> np.ndarray:
     """The series terms ``c0 * i^-r`` at the indices i, zero beyond ``cutoff`` when one is given."""
     i = np.asarray(i, dtype=float)
@@ -195,8 +198,10 @@ class SuperlinearNoiseSpec:
             raise ValueError(f"noise exponent must satisfy p1 >= 2, got p1={self.p1}")
         if self.beta_b0 < 0 or self.gamma_g0 < 0 or self.sigma1_amplitude < 0:
             raise ValueError("series amplitudes must be nonnegative")
-        if self.cutoff is not None and self.cutoff < 1:
-            raise ValueError(f"noise cutoff must be >= 1 (None for an infinite family), got {self.cutoff}")
+        if self.cutoff is not None and not 1 <= self.cutoff <= MAX_NOISE_CUTOFF:
+            raise ValueError(
+                f"noise cutoff must lie in [1, {MAX_NOISE_CUTOFF}] (None for an infinite family), got {self.cutoff}"
+            )
         self.beta_sum()  # raises for non-summable families
         self.gamma_sum()
         self._verify()

@@ -229,7 +229,9 @@ def _x0_shape(config: ExperimentConfig, space) -> np.ndarray:
 
 def build_bundle(config: ExperimentConfig) -> Bundle:
     """Construct and cross-validate every component named by the configuration."""
-    from .coefficients import DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec, TransportNoiseSpec
+    from .coefficients import (
+        MAX_NOISE_CUTOFF, DriftSpec, LipschitzPerturbationSpec, SuperlinearNoiseSpec, TransportNoiseSpec,
+    )
     from .domain import DomainSpec, FracOperatorParams
     from .harness import dt_ladder_grid, mode_ladder_rungs, moment_grid, require_paths
     from .solver import SimulationSetup, SolverConfig, require_linear_reference
@@ -264,8 +266,10 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
         delta3, cutoff = config["drift.delta3"], config["noise.cutoff"]
         if delta3 < 0 and delta3 != -1.0:
             raise ConfigError(f"drift.delta3 must be >= 0, or -1 for the family default delta/2, got {delta3!r}")
-        if cutoff < 0:
-            raise ConfigError(f"noise.cutoff must be >= 1, or 0 for an infinite family, got {cutoff}")
+        if not 0 <= cutoff <= MAX_NOISE_CUTOFF:
+            raise ConfigError(
+                f"noise.cutoff must be >= 1, or 0 for an infinite family, and at most {MAX_NOISE_CUTOFF}, got {cutoff}"
+            )
         space = build_space(domain, config["domain.mesh_m"], config["domain.n_modes"])
         drift = DriftSpec(
             q=config["drift.q"], delta=config["drift.delta"], linear=config["drift.linear"],

@@ -13,11 +13,11 @@ with the tail kernel integrated analytically over a truncated exterior box.
 
 Every rule is a weighted sum over sampled values of the hat interpolant, so
 the plan holds one linear operator ``D`` from the interior nodal values to
-those samples and one weight vector ``wts``.  Each row of ``D`` is four
-(column, value) pairs read from :meth:`GalerkinSpace.point_weights`
-(:meth:`FracPlan.row_pairs`): ``v(x) - v(y)`` per pair point, the slope per
-element and ``v(t)`` per tail point.
-With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
+those samples and one weight vector ``wts``: ``v(x) - v(y)`` per pair point,
+the slope per element and ``v(t)`` per tail point.  ``D`` is kept only in the
+rule's block structure: each separated or adjacent element pair reads its four
+or three nodes through one coefficient block, and each element or tail row two
+nodes.  With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
 * ``[v]^p = f . dv``, by :func:`seminorm_p` alone (the recorded state's sweep) or with the residual,
 * the form residual ``B(v, e_i)`` is ``D^T f`` and ``B(v, u) = f . (D u)``,
@@ -25,9 +25,9 @@ With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
 Because every form reads the same samples, the algebraic identities between the
 seminorm, the weak form and the stiffness matrix hold to rounding accuracy.  The
-stiffness sums the rows' (column, value) pairs directly; the p != 2 sweep applies
-``D`` and ``D^T`` through their block structure (:meth:`FracPlan.forward`,
-:meth:`FracPlan.adjoint`), so no sparse matrix is ever formed.
+p != 2 sweep applies ``D`` and ``D^T`` through the blocks (:meth:`FracPlan.forward`,
+:meth:`FracPlan.adjoint`), and the stiffness sums one small ``C diag(w) C^T`` per
+block, so no sparse matrix is ever formed.
 
 The flux is formed once per nodal vector: the plan keeps the last ``(p, v)``
 with its value and flux, so the stepper's residual at a recorded state reuses
@@ -48,7 +48,6 @@ from .space import GalerkinSpace
 # levels toward the shared node of adjacent elements and toward the boundary.
 PANEL_GAUSS = 6
 GRADED_LEVELS = 6
-_STIFFNESS_ROWS = 8_192  # rows of D per block of the stiffness sum: 1 MB per block array
 _ONE_THREAD_GEMM = 65_536 * 4  # OpenBLAS runs a product of at most this many multiply-adds on the calling thread
 
 
@@ -64,12 +63,13 @@ class FracPlan:
     weights already contain the kernel value and the factor 2 from enumerating
     unordered element pairs; the singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
     ``elt``/``lt`` locate each sample point inside its element, as :meth:`GalerkinSpace.point_weights`
-    reads them.
+    reads them; no form reads them, they are kept for the tests' independent oracle and the benchmark's tracer.
 
     The sweep reads ``D`` in blocks of the nodal vector padded with the two exterior zeros, ``vp``: the
     ``G*G`` rows of a separated pair are one row of ``vp[sep] @ Csep`` (its four nodes), the ``(L*G)^2``
     rows of an adjacent pair one row of ``vp[adj] @ Cadj`` (its three nodes), and an element or tail row
     is ``vp[two] . C2`` over its two nodes.  ``scatter`` lists the same nodes in that order for ``D^T``.
+    The p = 2 stiffness reads the same blocks with the matching parts of ``wts``.
 
     ``_memo`` holds the last sweep as one ``((p, v bytes), value, read-only flux)`` tuple, so the flux is
     formed once per nodal vector (the stepper reuses the recorded state's flux and applies only ``D^T``),
@@ -94,23 +94,6 @@ class FracPlan:
     C2: np.ndarray     # (m + 1 + tail points, 2)
     space: GalerkinSpace = field(repr=False, compare=False)
     _memo: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
-
-    def row_pairs(self):
-        """The four (column, value) pairs of every row of ``D``, (rows, 4) each, filled in place (no stacked copies).
-
-        A pair row holds ``v(x)`` and ``-v(y)``, an element row ``v(1)`` and ``-v(0)`` over h, a
-        tail row ``v(t)`` and zero values on the same columns.
-        """
-        pw, el = self.space.point_weights, np.arange(self.space.m + 1)
-        n, k = self.elx.size, self.elx.size + el.size  # pair rows end at n, element rows at k
-        cols, vals = np.zeros((k + self.elt.size, 4), dtype=np.int64), np.zeros((k + self.elt.size, 4))
-        (cols[:n, :2], vals[:n, :2]), (cols[:n, 2:], vals[:n, 2:]) = pw(self.elx, self.lx), pw(self.ely, self.ly)
-        (cols[n:k, :2], vals[n:k, :2]), (cols[n:k, 2:], vals[n:k, 2:]) = pw(el, 1.0), pw(el, 0.0)
-        cols[k:, :2], vals[k:, :2] = pw(self.elt, self.lt)
-        cols[k:, 2:] = cols[k:, :2]
-        vals[:k, 2:] *= -1.0
-        vals[n:k] /= self.space.h
-        return cols, vals
 
     def _blocks(self, x):
         """``x`` over the rows of ``D`` as its separated-pair, adjacent-pair and two-node blocks (views)."""
@@ -349,7 +332,8 @@ def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: Fr
 def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:
     """Matrix ``S = (C/2) D^T diag(wts) D`` with ``v^T S v = (C/2) [v]^2``; p = 2 only.
 
-    ``S_ab`` sums ``d_ka wts_k d_kb`` over the (at most four) entries of each row k of ``D``.
+    Each block of ``D``'s rows adds ``C diag(w) C^T`` over its nodes: a 4x4 block per separated pair, a 3x3 block
+    per adjacent pair and a 2x2 block per element or tail row, summed over the padded nodes in one ``bincount``.
     """
     if params.p != 2.0:
         raise ValueError(f"stiffness assembly requires p = 2, got p={params.p}")
@@ -357,12 +341,23 @@ def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) ->
     if key in space._cache:
         return space._cache[key]
     plan = get_plan(space, params)
-    m, (cols, vals) = space.m, plan.row_pairs()
-    S = np.zeros(m * m)
-    for k in range(0, cols.shape[0], _STIFFNESS_ROWS):
-        c, v = cols[k:k + _STIFFNESS_ROWS], vals[k:k + _STIFFNESS_ROWS]
-        wv = plan.wts[k:k + _STIFFNESS_ROWS, None] * v
-        S += np.bincount((c[:, :, None] * m + c[:, None, :]).ravel(), (v[:, :, None] * wv[:, None, :]).ravel(), m * m)
-    S = 0.5 * params.c_kernel * S.reshape(m, m)
+    n = space.m + 2
+    wsep, wadj, wtwo = plan._blocks(plan.wts)
+    blocks = (_gram(wsep, plan.Csep), _gram(wadj, plan.Cadj), wtwo[:, None] * _outer(plan.C2))
+    index = np.concatenate([(x[:, :, None] * n + x[:, None, :]).ravel() for x in (plan.sep, plan.adj, plan.two)])
+    S = np.bincount(index, np.concatenate([b.ravel() for b in blocks]), n * n).reshape(n, n)
+    S = 0.5 * params.c_kernel * S[1:-1, 1:-1]
     space._cache[key] = S
     return S
+
+
+def _outer(c):
+    """The products ``c[i, a] * c[i, b]`` of every row of ``c``, flattened over ``(a, b)``."""
+    return (c[:, :, None] * c[:, None, :]).reshape(c.shape[0], -1)
+
+
+def _gram(w, c):
+    """``c diag(w_r) c^T`` for every row ``w_r`` of ``w``, flattened, as one product ``w @ _outer(c^T)``."""
+    out = np.empty((w.shape[0], c.shape[0] ** 2))
+    _matmul_rows(w, _outer(c.T), out)
+    return out

@@ -170,6 +170,17 @@ def test_noise_local_lipschitz_check():
             SuperlinearNoiseSpec(p1=2.0, beta_b0=0.1, gamma_g0=0.1, cutoff=cutoff)
 
 
+def test_noise_cutoff_is_bounded():
+    # the finite sums are formed term by term: the largest cutoff is a few ms, one past it is rejected before any sum
+    from fracsplap.coefficients import MAX_NOISE_CUTOFF
+
+    top = SuperlinearNoiseSpec(p1=2.0, beta_b0=0.1, gamma_g0=0.1, cutoff=MAX_NOISE_CUTOFF)
+    assert top.beta_sum() == pytest.approx(0.1 * (np.pi**2 / 6.0 - 1.0 / MAX_NOISE_CUTOFF), rel=1e-9)
+    for cutoff in (MAX_NOISE_CUTOFF + 1, 10**12, 2**64):
+        with pytest.raises(ValueError, match="cutoff"):
+            SuperlinearNoiseSpec(p1=2.0, beta_b0=0.1, gamma_g0=0.1, cutoff=cutoff)
+
+
 def test_noise_lipschitz_witness_is_rejected():
     # at (u1, u2) = (1, 0) the left side is 2.45 * 2^(-1/4) = 2.060 and the right side 2
     with pytest.raises(ValueError, match="local Lipschitz"):

@@ -292,6 +292,7 @@ def _with(text, **values):
         ("converge", {"harness__mode_ladder": "0,4"}, "rungs must be >= 1"),
         ("converge", {"harness__mode_ladder": "4"}, "at least two rungs"),
         ("simulate", {"noise__cutoff": "-1"}, "noise.cutoff must be >= 1, or 0 for an infinite family"),
+        ("check-hypotheses", {"noise__cutoff": "1000000000000"}, "and at most 1000000, got 1000000000000"),
         ("simulate", {"drift__delta3": "-5"}, "drift.delta3"),
         ("moments", {"harness__max_diverged_fraction": "-1"}, "harness.max_diverged_fraction"),
         ("moments", {"harness__max_diverged_fraction": "1.5"}, "harness.max_diverged_fraction"),
@@ -305,7 +306,7 @@ def _with(text, **values):
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
         "one-rung", "fine-step", "rung-multiple", "zero-rung", "moment-exponent", "no-scales", "no-paths-modes",
         "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
-        "negative-cutoff", "negative-delta3", "negative-diverged-limit", "diverged-limit-above-one",
+        "negative-cutoff", "huge-cutoff", "negative-delta3", "negative-diverged-limit", "diverged-limit-above-one",
         "reference-p", "reference-q", "reference-phi3", "negative-phi4",
     ],
 )

@@ -206,11 +206,14 @@ def test_sampling_operator_matches_point_values(space16):
 
 @pytest.mark.parametrize("m", [8, 24, 128])
 def test_stiffness_matches_sparse_product(unit_domain, m):
-    space = build_space(unit_domain, m=m, n_modes=1)
-    for s in (0.15, 0.4, 0.6, 0.9):
-        params = FracOperatorParams(s=s, p=2.0)
-        ref = stiffness_sparse(space, params)
-        assert np.max(np.abs(assemble_frac_stiffness(space, params) - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # 4x the worst seen, 7.6e-15 of the largest entry over these domains, m in {1, 8, 24, 128} and s in 0.1 .. 0.9
+    exact = tuple(DomainSpec(a, b, exterior_truncation=math.inf) for a, b in ((0, 1), (0, 2), (-1, 1)))
+    for domain in (unit_domain,) + exact:
+        space = build_space(domain, m=m, n_modes=1)
+        for s in (0.15, 0.4, 0.6, 0.9):
+            params = FracOperatorParams(s=s, p=2.0)
+            ref = stiffness_sparse(space, params)
+            assert np.max(np.abs(assemble_frac_stiffness(space, params) - ref)) <= 3e-14 * np.max(np.abs(ref))
 
 
 def bits(x):

@@ -58,7 +58,7 @@ FUZZ = {
     "noise.beta_r": values("2.0", "0.5", "-2.0"),
     "noise.gamma_g0": values("0.1", "0.0", "5.0", "-0.1"),
     "noise.gamma_r": values("2.0", "0.5", "-2.0"),
-    "noise.cutoff": values("0", "1", "3", "-1"),
+    "noise.cutoff": values("0", "1", "3", "-1", "1000000000000"),
     "noise.sigma1_amplitude": values("0.0", "0.5", "-1.0"),
     "noise.sigma1_decay": values("2.0", "0.0", "-1.0"),
     "transport.enabled": values("false", "true", "maybe"),
@@ -122,6 +122,11 @@ OUT_AT = values("new", "new", "new", "existing directory", "existing file")
 # a negative transport phi4 is rejected like a negative phi3
 @example(
     command="check-hypotheses", overrides={"transport.enabled": "true", "transport.phi4": "-10.0"}, extra="", seed=None,
+    config_at="file", out_at="new",
+)
+# a cutoff past coefficients.MAX_NOISE_CUTOFF exits 2 before any noise sum (10^12 terms would take 7.28 TiB)
+@example(
+    command="check-hypotheses", overrides={"noise.cutoff": "1000000000000"}, extra="", seed=None,
     config_at="file", out_at="new",
 )
 def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, config_at, out_at):

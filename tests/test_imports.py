@@ -1,5 +1,5 @@
 """Which heavy scipy subpackages a run loads: none, on import, on a p = 2 run or
-on a p != 2 run.
+on a p != 2 run; and that a CLI run, artifact header included, loads no scipy module at all.
 
 Each case runs in a fresh interpreter, and the tests assert on module names
 only, never on timings.
@@ -49,3 +49,22 @@ def test_import_and_p2_runs_load_no_heavy_scipy():
 
 def test_p3_run_loads_no_heavy_scipy():
     assert _loaded("theorem1_ok.cfg") == {"import": [], "theorem1_ok.cfg": []}
+
+
+# runs one check-hypotheses command through the CLI and lists every scipy module then loaded
+CLI_SCRIPT = """
+import contextlib, io, json, sys, tempfile
+from fracsplap import cli
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["check-hypotheses", "--config", sys.argv[1], "--out", out])
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_cli_run_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_SCRIPT, str(ROOT / "configs" / "theorem1_ok.cfg")],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    assert json.loads(proc.stdout) == {"rc": 0, "scipy": []}
