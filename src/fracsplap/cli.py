@@ -99,7 +99,7 @@ def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
     bundle = _seeded(bundle, args.seed)
     config = bundle.config
     require_paths(config["harness.n_paths"], MOMENT_PATHS)
-    require_ensemble_fits(config["harness.n_paths"], bundle.solver_config)
+    require_ensemble_fits(config["harness.n_paths"], len(config["harness.p_values"]))
     report = bundle.admissibility()
     cfg = bundle.solver_config
     p_max = report.p_max

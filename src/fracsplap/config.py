@@ -227,6 +227,20 @@ def _x0_shape(config: ExperimentConfig, space) -> np.ndarray:
     return shape / norm
 
 
+def _require_finite_initial_states(config: ExperimentConfig, shape: np.ndarray) -> None:
+    """Check every initial state a command builds from ``shape``: ``simulate``, ``converge`` and
+    ``uniqueness`` start from ``x0_scale * shape``, ``uniqueness`` also from that plus
+    ``stability_epsilon * shape``, and ``moments`` from each ``x_scales`` entry times ``shape``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = config["solver.x0_scale"] * shape
+        perturbed = x0 + config["harness.stability_epsilon"] * shape
+        states = [("solver.x0_scale", x0), ("harness.stability_epsilon", perturbed)]
+        states += [("harness.x_scales", scale * shape) for scale in config["harness.x_scales"]]
+    for key, state in states:
+        if not np.isfinite(state).all():
+            raise ConfigError(f"{key}: the initial state it gives is not finite")
+
+
 def build_bundle(config: ExperimentConfig) -> Bundle:
     """Construct and cross-validate every component named by the configuration."""
     from .coefficients import (
@@ -294,6 +308,7 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
         if config["harness.dt_ladder"]:
             require_linear_reference(setup)  # the strong-order study's reference path
         x0_shape = _x0_shape(config, space)
+        _require_finite_initial_states(config, x0_shape)
     except ConfigError:
         raise
     except ValueError as exc:

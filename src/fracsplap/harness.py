@@ -3,7 +3,11 @@
 Paths run one after another on the calling thread.  Each draws from its own
 per-index counter-based stream and is collected by index, so a path does not
 depend on the paths before it and results are bitwise reproducible for a
-fixed master seed.
+fixed master seed.  No study keeps a path: each is reduced to the few numbers
+its statistics read as soon as it finishes (the moment study keeps
+``2 + len(p_values)`` floats a path).  The moment study drops diverged paths
+from a scale's statistics; the other studies need every path whole and raise
+``EnsembleDiverged`` at the first whose L2 norm is not finite.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .space import l2_norm
 
 
 MOMENT_PATHS = 100  # the fewest paths a moment estimate runs on
-MAX_ENSEMBLE_ENTRIES = 25_000_000  # the most floats the paths of one moment scale may keep: 200 MB
+MAX_ENSEMBLE_ENTRIES = 25_000_000  # the most samples the paths of one moment scale may keep: 200 MB
 AFFINITY_FACTOR = 3.0  # a moment exponent is flagged when its affinity ratios spread beyond this factor
 
 
@@ -30,9 +34,10 @@ def require_paths(n_paths: int, floor: int = 1) -> None:
         raise ConfigError(f"harness.n_paths must be >= {floor}, got {n_paths}")
 
 
-def require_ensemble_fits(n_paths: int, config: SolverConfig) -> None:
-    """Check that one moment scale's paths (states and five series) fit; other studies keep a few floats a path."""
-    if (entries := n_paths * (config.n_steps + 1) * (config.n_modes + 5)) > MAX_ENSEMBLE_ENTRIES:
+def require_ensemble_fits(n_paths: int, n_p: int) -> None:
+    """Check that one moment scale's samples fit: ``2 + n_p`` floats a path (its sup norm, its
+    energy integral and one cross integral per exponent).  Other studies keep a few floats a path."""
+    if (entries := n_paths * (n_p + 2)) > MAX_ENSEMBLE_ENTRIES:
         raise ConfigError(f"harness.n_paths: a moment ensemble keeps {entries} floats, over {MAX_ENSEMBLE_ENTRIES}")
 
 
@@ -74,14 +79,17 @@ def run_ensemble(one, n_paths, floor=1):
 
 
 class EnsembleDiverged(RuntimeError):
-    """Every path of an ensemble diverged, so it has no statistics."""
+    """An ensemble has no statistics: every path of a moment scale diverged, or a path of a
+    study that needs every path whole did."""
 
 
-def _completed(paths, scale):
-    done = [p for p in paths if p.diverged_at is None]
-    if not done:
-        raise EnsembleDiverged(f"all {len(paths)} paths at x_scale {scale!r} diverged; no statistics available")
-    return done
+def _whole(path: Path, j: int, what: str) -> Path:
+    """``path``, after checking that its L2 norm is finite at every step (a diverged path's is NaN from
+    the step it diverged at, and an overflowing one's is inf)."""
+    bad = np.flatnonzero(~np.isfinite(path.l2_norms))
+    if bad.size:
+        raise EnsembleDiverged(f"path {j} ({what}) diverged at step {bad[0]}; no statistics available")
+    return path
 
 
 @dataclass
@@ -117,10 +125,16 @@ def estimate_moments(
 ) -> MomentReport:
     """Estimate sup-norm, energy and cross moments over initial-data scales.
 
-    Exponents at or above the admissible supremum ``p_max`` are refused.
+    Each path is reduced to its samples as it finishes and then dropped: the
+    sup of its L2 norm, the trapezoidal integral of its energy and one cross
+    integral ``int ||Z||^(2p-2) * energy dt`` per exponent, so a scale keeps
+    ``n_paths * (2 + len(p_values))`` floats.  Diverged paths are counted in
+    ``diverged_by_scale`` and left out of the scale's statistics; a scale
+    whose every path diverged raises ``EnsembleDiverged``.  Exponents at or
+    above the admissible supremum ``p_max`` are refused.
     """
-    require_ensemble_fits(n_paths, config)
     p_values, x_scales = moment_grid(p_values, x_scales)
+    require_ensemble_fits(n_paths, len(p_values))
     for p in p_values:
         if p >= p_max:
             raise ValueError(
@@ -140,24 +154,36 @@ def estimate_moments(
     for si, scale in enumerate(x_scales):
         x0 = scale * np.asarray(x0_shape, dtype=float)
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
-        paths = run_ensemble(lambda j: simulate_path(setup, config, x0, path_index=j), n_paths, MOMENT_PATHS)
-        diverged.append(sum(1 for p in paths if p.diverged_at is not None))
-        done = _completed(paths, scale)
-        l2 = np.array([p.l2_norms for p in done])  # (n_done, K+1)
-        en = np.array([p.energy_series for p in done])
-        sup_l2 = np.max(l2, axis=1)
-        energy = np.trapezoid(en, dx=dt, axis=1)
+        # one column a path: sup of the L2 norm, energy integral, one cross integral per exponent
+        samples = np.empty((2 + n_p, n_paths))
+
+        def reduce_path(j):
+            path = simulate_path(setup, config, x0, path_index=j)
+            if path.diverged_at is not None:
+                return False
+            l2, en = path.l2_norms, path.energy_series
+            samples[0, j] = np.max(l2)
+            samples[1, j] = np.trapezoid(en, dx=dt)
+            for pi, p in enumerate(p_values):
+                samples[2 + pi, j] = np.trapezoid(l2 ** (2.0 * p - 2.0) * en, dx=dt)
+            return True
+
+        finished = run_ensemble(reduce_path, n_paths, MOMENT_PATHS)
+        n_done = sum(finished)
+        diverged.append(n_paths - n_done)
+        if not n_done:
+            raise EnsembleDiverged(f"all {n_paths} paths at x_scale {scale!r} diverged; no statistics available")
+        sup_l2, energy, *cross = samples[:, finished]
+        root = math.sqrt(n_done)
         for pi, p in enumerate(p_values):
             sup_samples = sup_l2 ** (2.0 * p)
             en_samples = energy**p
-            cr_samples = np.trapezoid(l2 ** (2.0 * p - 2.0) * en, dx=dt, axis=1)
-            root = math.sqrt(len(done))
             sup_m[pi, si] = sup_samples.mean()
             sup_se[pi, si] = sup_samples.std(ddof=1) / root
             en_m[pi, si] = en_samples.mean()
             en_se[pi, si] = en_samples.std(ddof=1) / root
-            cr_m[pi, si] = cr_samples.mean()
-            cr_se[pi, si] = cr_samples.std(ddof=1) / root
+            cr_m[pi, si] = cross[pi].mean()
+            cr_se[pi, si] = cross[pi].std(ddof=1) / root
     ratios = np.zeros((n_p, n_s))
     flags = []
     for pi, p in enumerate(p_values):
@@ -254,6 +280,7 @@ def galerkin_convergence_study(
 
     Every rung consumes the same per-path increments (the coarse run sees the
     same stream as the fine one), so the gaps isolate the truncation effect.
+    The first rung path whose L2 norm is not finite raises ``EnsembleDiverged``.
     """
     ladder = mode_ladder_rungs(mode_ladder, setup.space.n_modes)
     K = config.n_steps
@@ -263,7 +290,7 @@ def galerkin_convergence_study(
         paths = []
         for nm in ladder:
             cfg = dataclasses.replace(config, n_modes=nm)
-            paths.append(simulate_path(setup, cfg, x0, path_index=j, dW=dW))
+            paths.append(_whole(simulate_path(setup, cfg, x0, path_index=j, dW=dW), j, f"{nm}-mode rung"))
         return [_pairwise_gap_sq(a, b, config.dt) for a, b in zip(paths, paths[1:])]
 
     gaps_sq = np.array(run_ensemble(one, n_paths))  # (n_paths, n_rungs-1)
@@ -302,18 +329,21 @@ def strong_order_study(
     ref_refine: int = 16,
 ) -> ConvergenceReport:
     """Endpoint RMS error of the tamed/plain scheme against the fine exponential
-    reference on shared Brownian increments, with the fitted order."""
+    reference on shared Brownian increments, with the fitted order.  The first
+    reference or rung path whose L2 norm is not finite raises ``EnsembleDiverged``.
+    """
     dts, dt_fine, K_fine = dt_ladder_grid(dt_ladder, config.T, ref_refine)
     ref_cfg = dataclasses.replace(config, dt=dt_fine, taming=False)
 
     def one(j):
         dWf = brownian_increments(config.master_seed, j, K_fine, config.n_noise, dt_fine)
-        ref = reference_solution_p2_linear(setup, ref_cfg, x0, path_index=j, dW=dWf)
+        ref = _whole(reference_solution_p2_linear(setup, ref_cfg, x0, path_index=j, dW=dWf), j, "reference")
         errs = []
         for d in dts:
             r = int(round(d / dt_fine))
             dW = dWf.reshape(-1, r, config.n_noise).sum(axis=1)
             em = simulate_path(setup, dataclasses.replace(config, dt=d), x0, path_index=j, dW=dW)
+            _whole(em, j, f"dt {d!r}")
             errs.append(float(np.sum((em.states[-1] - ref.states[-1]) ** 2)))
         return errs
 
@@ -348,7 +378,8 @@ def pathwise_stability_study(
 
     The ratio column compares the per-path sup-gap against the one-sided
     Gronwall envelope ``||dx||^2 * exp(g_l1_norm)`` of the local-monotonicity
-    weight (the shipped families have no state-dependent weight).
+    weight (the shipped families have no state-dependent weight).  The first
+    path whose L2 norm is not finite raises ``EnsembleDiverged``.
     """
     x0 = np.asarray(x0, dtype=float)
     x0_perturbed = np.asarray(x0_perturbed, dtype=float)
@@ -358,8 +389,8 @@ def pathwise_stability_study(
 
     def one(j):
         dW = brownian_increments(config.master_seed, j, K, config.n_noise, config.dt)
-        pa = simulate_path(setup, config, x0, path_index=j, dW=dW)
-        pb = simulate_path(setup, config, x0_perturbed, path_index=j, dW=dW)
+        pa = _whole(simulate_path(setup, config, x0, path_index=j, dW=dW), j, "first initial state")
+        pb = _whole(simulate_path(setup, config, x0_perturbed, path_index=j, dW=dW), j, "second initial state")
         diff = np.sum((pa.states - pb.states) ** 2, axis=1)
         identical = bool(np.array_equal(pa.states, pb.states))
         nonincr = bool(np.all(np.diff(diff) <= 1e-14 * max(diff[0], 1e-300)))

@@ -301,13 +301,18 @@ def _with(text, **values):
         ("converge", {"harness__dt_ladder": "0.03125,0.015625", "drift__q": "2.0", "lipschitz__phi3": "0.1"},
          "bounded-slope perturbation"),
         ("check-hypotheses", {"transport__enabled": "true", "transport__phi4": "-1"}, "phi4"),
+        ("simulate", {"solver__x0_scale": "1e308"}, "solver.x0_scale: the initial state it gives is not finite"),
+        ("uniqueness", {"harness__stability_epsilon": "1e308"},
+         "harness.stability_epsilon: the initial state it gives is not finite"),
+        ("moments", {"harness__x_scales": "0.0,1e308"}, "harness.x_scales: the initial state it gives is not finite"),
     ],
     ids=[
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
         "one-rung", "fine-step", "rung-multiple", "zero-rung", "moment-exponent", "no-scales", "no-paths-modes",
         "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
         "negative-cutoff", "huge-cutoff", "negative-delta3", "negative-diverged-limit", "diverged-limit-above-one",
-        "reference-p", "reference-q", "reference-phi3", "negative-phi4",
+        "reference-p", "reference-q", "reference-phi3", "negative-phi4", "overflowing-x0",
+        "overflowing-perturbed-x0", "overflowing-x-scale",
     ],
 )
 def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):
@@ -370,7 +375,7 @@ def test_overflowing_transport_family_exits_2_quietly(tmp_path, values):
 
 
 def test_moment_ensemble_over_the_memory_bound_exits_2(tmp_path, capsys):
-    # 10^7 paths of 64 steps and 12 modes would keep 1.1e10 floats: refused before any path runs
+    # 10^7 paths with two exponents would keep 4e7 samples: refused before any path runs
     cfg_path = tmp_path / "big.cfg"
     cfg_path.write_text(_with((CONFIG_DIR / "moments.cfg").read_text(), harness__n_paths="10000000"))
     out = tmp_path / "out"
@@ -429,6 +434,32 @@ def test_fully_diverged_moments_scale_exits_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err and "diverged" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, command, x0_scale, needle",
+    [
+        ("galerkin_ladder", "converge", "1e300", "path 0 (8-mode rung) diverged at step 0"),
+        ("strong_order", "converge", "1e200", "path 0 (reference) diverged at step 0"),
+        ("uniqueness", "uniqueness", "1e300", "path 0 (first initial state) diverged at step 0"),
+    ],
+    ids=["mode-ladder", "strong-order", "stability"],
+)
+def test_diverged_study_path_exits_3(tmp_path, name, command, x0_scale, needle):
+    # the squared norm of the initial state overflows: one line naming the path and its step, no numpy
+    # warning, nothing written
+    cfg_path = tmp_path / "diverge.cfg"
+    text = _with((CONFIG_DIR / f"{name}.cfg").read_text(), harness__n_paths="2", solver__x0_scale=x0_scale)
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracsplap.cli", command, "--config", str(cfg_path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == f"numerical failure: {needle}; no statistics available\n"
     assert not out.exists()
 
 

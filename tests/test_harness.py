@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +93,62 @@ def test_moment_affinity_and_self_consistency(moment_setup):
     assert gap < 4.0 * (rep.sup_std_errors[0, 1] + rep2.sup_std_errors[0, 1])
 
 
+def test_moment_partial_divergence_drops_those_paths(moment_setup, monkeypatch):
+    # every third path is marked diverged: each scale counts those and reads the statistics of the rest
+    setup, shape = moment_setup
+    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=4)
+    simulate = harness.simulate_path
+
+    def every_third_diverged(setup, config, x0, path_index=0, dW=None):
+        path = simulate(setup, config, x0, path_index=path_index, dW=dW)
+        return dataclasses.replace(path, diverged_at=1) if path_index % 3 == 0 else path
+
+    monkeypatch.setattr(harness, "simulate_path", every_third_diverged)
+    x_scales, p_values, n = [1.0, 2.0], [1.0, 2.5], 100
+    rep = estimate_moments(setup, cfg, shape, x_scales, p_values, n_paths=n)
+    assert rep.diverged_by_scale == (34, 34) and rep.diverged == 68
+    for si, scale in enumerate(x_scales):
+        whole = [simulate(setup, cfg, scale * shape, path_index=j) for j in range(n) if j % 3]
+        l2 = np.array([path.l2_norms for path in whole])
+        en = np.array([path.energy_series for path in whole])
+        for pi, p in enumerate(p_values):
+            for samples, moments, std_errors in (
+                (l2.max(axis=1) ** (2 * p), rep.sup_moments, rep.sup_std_errors),
+                (np.trapezoid(en, dx=cfg.dt, axis=1) ** p, rep.energy_moments, rep.energy_std_errors),
+                (np.trapezoid(l2 ** (2 * p - 2) * en, dx=cfg.dt, axis=1), rep.cross_moments, rep.cross_std_errors),
+            ):
+                assert moments[pi, si] == pytest.approx(samples.mean(), rel=1e-13, abs=0)
+                std_error = samples.std(ddof=1) / math.sqrt(len(whole))
+                assert std_errors[pi, si] == pytest.approx(std_error, rel=1e-12, abs=0)
+
+
+def test_moment_study_keeps_samples_not_paths(moment_setup, monkeypatch):
+    # each path is reduced to its samples as it finishes; keeping the paths of a scale would take
+    # n * (K+1) * (k+5) floats, and the bound counts the samples only.  Every path is a fresh copy of
+    # one solved path of that size, since solving 200 paths under tracemalloc takes seconds.
+    setup, shape = moment_setup
+    n, cfg = 200, SolverConfig(T=0.25, dt=2.0**-10, n_modes=8, n_noise=2, master_seed=6)
+    solved = simulate_path(setup, cfg, shape)
+    arrays = {key: value for key, value in vars(solved).items() if isinstance(value, np.ndarray)}
+
+    def copy_of_solved(*args, **kwargs):
+        return dataclasses.replace(solved, **{key: value.copy() for key, value in arrays.items()})
+
+    monkeypatch.setattr(harness, "simulate_path", copy_of_solved)
+    kept_paths_bytes = n * (cfg.n_steps + 1) * (cfg.n_modes + 5) * 8
+    tracemalloc.start()
+    try:
+        rep = estimate_moments(setup, cfg, shape, x_scales=[1.0], p_values=[1.0], n_paths=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.diverged == 0
+    assert peak < kept_paths_bytes / 4
+    harness.require_ensemble_fits(harness.MAX_ENSEMBLE_ENTRIES // 4, 2)
+    with pytest.raises(ConfigError, match="keeps 25000004 floats"):
+        harness.require_ensemble_fits(harness.MAX_ENSEMBLE_ENTRIES // 4 + 1, 2)
+
+
 def test_run_ensemble_checks_its_floor():
     assert run_ensemble(lambda j: j * j, 3, floor=3) == [0, 1, 4]
     with pytest.raises(ConfigError, match="harness.n_paths must be >= 4"):
@@ -157,6 +215,36 @@ def test_worker_count_follows_p(moment_setup, monkeypatch):
     strong_order_study(linear, cfg, shape, [2.0**-5, 2.0**-6], n_paths=2, ref_refine=2)
     assert len(calls) == 2 * (100 + 2 * 2 + 2 * 2) + 2 * 3
     assert set(calls) == {(threading.get_ident(), threads)}
+
+
+def test_studies_stop_at_the_first_diverged_path(moment_setup, monkeypatch):
+    # path 1 diverges at step 3 (its norm is NaN from there): the studies that need every path whole name it
+    setup, shape = moment_setup
+    linear = SimulationSetup(
+        setup.space, setup.op_params, DriftSpec(q=2.0, delta=1.0), LipschitzPerturbationSpec(0.0),
+        SuperlinearNoiseSpec(p1=2.0),
+    )
+    cfg = SolverConfig(T=2.0**-3, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=3)
+
+    def diverging(original):
+        def run(*args, path_index=0, **kwargs):
+            path = original(*args, path_index=path_index, **kwargs)
+            if path_index == 1:
+                path.l2_norms[3:] = np.nan
+                path.diverged_at = 3
+            return path
+        return run
+
+    monkeypatch.setattr(harness, "simulate_path", diverging(harness.simulate_path))
+    with pytest.raises(harness.EnsembleDiverged, match=r"^path 1 \(4-mode rung\) diverged at step 3;"):
+        galerkin_convergence_study(setup, cfg, shape, [4, 8], n_paths=3)
+    with pytest.raises(harness.EnsembleDiverged, match=r"^path 1 \(first initial state\) diverged at step 3;"):
+        pathwise_stability_study(setup, cfg, shape, 1.01 * shape, n_paths=3)
+    with pytest.raises(harness.EnsembleDiverged, match=r"^path 1 \(dt 0.03125\) diverged at step 3;"):
+        strong_order_study(linear, cfg, shape, [2.0**-5, 2.0**-6], n_paths=3, ref_refine=2)
+    monkeypatch.setattr(harness, "reference_solution_p2_linear", diverging(harness.reference_solution_p2_linear))
+    with pytest.raises(harness.EnsembleDiverged, match=r"^path 1 \(reference\) diverged at step 3;"):
+        strong_order_study(linear, cfg, shape, [2.0**-5, 2.0**-6], n_paths=3, ref_refine=2)
 
 
 def test_time_seminorm_closed_form():
