@@ -72,8 +72,7 @@ class FracPlan:
     The p = 2 stiffness reads the same blocks with the matching parts of ``wts``.
 
     ``_memo`` holds the last sweep as one ``((p, v bytes), value, read-only flux)`` tuple, so the flux is
-    formed once per nodal vector (the stepper reuses the recorded state's flux and applies only ``D^T``),
-    and a reader on another thread sees a key together with its own value and flux.
+    formed once per nodal vector: the stepper reuses the recorded state's flux and applies only ``D^T``.
     """
 
     elx: np.ndarray

@@ -5,9 +5,10 @@ per-index counter-based stream and is collected by index, so a path does not
 depend on the paths before it and results are bitwise reproducible for a
 fixed master seed.  No study keeps a path: each is reduced to the few numbers
 its statistics read as soon as it finishes (the moment study keeps
-``2 + len(p_values)`` floats a path).  The moment study drops diverged paths
-from a scale's statistics; the other studies need every path whole and raise
-``EnsembleDiverged`` at the first whose L2 norm is not finite.
+``2 + len(p_values)`` floats a path).  A path diverged when the solver set
+its ``Path.diverged_at``; no study checks the series again.  The moment study
+drops diverged paths from a scale's statistics; the other studies need every
+path whole and raise ``EnsembleDiverged`` at the first diverged one.
 """
 
 from __future__ import annotations
@@ -84,11 +85,9 @@ class EnsembleDiverged(RuntimeError):
 
 
 def _whole(path: Path, j: int, what: str) -> Path:
-    """``path``, after checking that its L2 norm is finite at every step (a diverged path's is NaN from
-    the step it diverged at, and an overflowing one's is inf)."""
-    bad = np.flatnonzero(~np.isfinite(path.l2_norms))
-    if bad.size:
-        raise EnsembleDiverged(f"path {j} ({what}) diverged at step {bad[0]}; no statistics available")
+    """``path``, after checking that the solver did not flag it diverged."""
+    if path.diverged_at is not None:
+        raise EnsembleDiverged(f"path {j} ({what}) diverged at step {path.diverged_at}; no statistics available")
     return path
 
 
@@ -114,6 +113,7 @@ class MomentReport:
         return sum(self.diverged_by_scale)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing sample or statistic is refused below
 def estimate_moments(
     setup: SimulationSetup,
     config: SolverConfig,
@@ -130,8 +130,9 @@ def estimate_moments(
     integral ``int ||Z||^(2p-2) * energy dt`` per exponent, so a scale keeps
     ``n_paths * (2 + len(p_values))`` floats.  Diverged paths are counted in
     ``diverged_by_scale`` and left out of the scale's statistics; a scale
-    whose every path diverged raises ``EnsembleDiverged``.  Exponents at or
-    above the admissible supremum ``p_max`` are refused.
+    whose every path diverged, or one with a moment or standard error that is
+    not finite, raises ``EnsembleDiverged``.  Exponents at or above the
+    admissible supremum ``p_max`` are refused.
     """
     p_values, x_scales = moment_grid(p_values, x_scales)
     require_ensemble_fits(n_paths, len(p_values))
@@ -184,6 +185,8 @@ def estimate_moments(
             en_se[pi, si] = en_samples.std(ddof=1) / root
             cr_m[pi, si] = cross[pi].mean()
             cr_se[pi, si] = cross[pi].std(ddof=1) / root
+        if not all(np.isfinite(a[:, si]).all() for a in (sup_m, sup_se, en_m, en_se, cr_m, cr_se)):
+            raise EnsembleDiverged(f"the moments at x_scale {scale!r} are not finite; no statistics available")
     ratios = np.zeros((n_p, n_s))
     flags = []
     for pi, p in enumerate(p_values):
@@ -280,7 +283,7 @@ def galerkin_convergence_study(
 
     Every rung consumes the same per-path increments (the coarse run sees the
     same stream as the fine one), so the gaps isolate the truncation effect.
-    The first rung path whose L2 norm is not finite raises ``EnsembleDiverged``.
+    The first diverged rung path raises ``EnsembleDiverged``.
     """
     ladder = mode_ladder_rungs(mode_ladder, setup.space.n_modes)
     K = config.n_steps
@@ -330,7 +333,7 @@ def strong_order_study(
 ) -> ConvergenceReport:
     """Endpoint RMS error of the tamed/plain scheme against the fine exponential
     reference on shared Brownian increments, with the fitted order.  The first
-    reference or rung path whose L2 norm is not finite raises ``EnsembleDiverged``.
+    diverged reference or rung path raises ``EnsembleDiverged``.
     """
     dts, dt_fine, K_fine = dt_ladder_grid(dt_ladder, config.T, ref_refine)
     ref_cfg = dataclasses.replace(config, dt=dt_fine, taming=False)
@@ -379,7 +382,7 @@ def pathwise_stability_study(
     The ratio column compares the per-path sup-gap against the one-sided
     Gronwall envelope ``||dx||^2 * exp(g_l1_norm)`` of the local-monotonicity
     weight (the shipped families have no state-dependent weight).  The first
-    path whose L2 norm is not finite raises ``EnsembleDiverged``.
+    diverged path raises ``EnsembleDiverged``.
     """
     x0 = np.asarray(x0, dtype=float)
     x0_perturbed = np.asarray(x0_perturbed, dtype=float)

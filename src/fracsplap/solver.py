@@ -77,7 +77,7 @@ class Path:
     v1_seminorms: np.ndarray
     lq_norms: np.ndarray
     energy_series: np.ndarray  # sum_j ||Z||_{V_j}^{q_j} per step
-    diverged_at: int | None
+    diverged_at: int | None  # first index, 0 included, whose z·z is not finite; the series are NaN from it on
 
     @property
     def dt(self) -> float:
@@ -168,6 +168,7 @@ def brownian_increments(master_seed: int, path_index: int, n_steps: int, n_noise
 
 
 def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int, dW, stepper) -> Path:
+    """Run ``stepper`` from the projected ``x0``; the only place that decides a path diverged (``Path.diverged_at``)."""
     space = setup.space
     k = config.n_modes
     if k > space.n_modes:
@@ -201,18 +202,15 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
 
     with np.errstate(over="ignore", invalid="ignore"):
         z = ops.HT_M @ x0  # projection onto the retained span
-        nodal = ops.H @ z
-        zz = float(z @ z)
-        record(0, z, nodal, zz)
-        for i in range(K):
-            z_new = stepper(times[i], z, nodal, dW[i], ops)
-            zz = float(z_new @ z_new)  # finite only when every entry is
-            if not math.isfinite(zz) and not np.isfinite(z_new).all():
-                diverged_at = i + 1
+        for i in range(K + 1):
+            zz = float(z @ z)
+            if not math.isfinite(zz):  # a non-finite entry, or a norm past the float range
+                diverged_at = i
                 break
-            z = z_new
             nodal = ops.H @ z
-            record(i + 1, z, nodal, zz)
+            record(i, z, nodal, zz)
+            if i < K:
+                z = stepper(times[i], z, nodal, dW[i], ops)
 
     return Path(
         times=times,

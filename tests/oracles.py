@@ -240,18 +240,18 @@ def euler_maruyama_oracle(setup, config, x0, dW):
             out["lq"][i] = lq_of(nodal)
             out["energy"][i] = out["v1"][i] ** p + out["lq"][i] ** q + out["l2"][i] ** 2
 
+    # the path diverges at the first index, 0 included, whose squared L2 norm is not finite
     z = HT_M @ np.asarray(x0, dtype=float)
-    nodal = H @ z
-    record(0, z, nodal)
-    for i in range(K):
+    for i in range(K + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            z_new = step(dt * i, z, nodal, dW[i])
-        if not np.all(np.isfinite(z_new)):
-            diverged_at = i + 1
+            if i > 0:
+                z = step(dt * (i - 1), z, nodal, dW[i - 1])
+            zz = z @ z
+        if not np.isfinite(zz):
+            diverged_at = i
             break
-        z = z_new
         nodal = H @ z
-        record(i + 1, z, nodal)
+        record(i, z, nodal)
     return dict(states=states, l2_norms=out["l2"], v1_seminorms=out["v1"], lq_norms=out["lq"],
                 energy_series=out["energy"], diverged_at=diverged_at)
 

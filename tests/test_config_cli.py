@@ -437,6 +437,26 @@ def test_fully_diverged_moments_scale_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_moments_exit_3(tmp_path):
+    # untamed paths at x_scale 2 keep finite norms near 1e286, so energy**p overflows: one line naming
+    # the scale, no numpy warning, nothing written
+    cfg_path = tmp_path / "overflow.cfg"
+    text = _with(
+        (CONFIG_DIR / "moments.cfg").read_text(), solver__dt="0.0625", solver__taming="false",
+        harness__n_paths="100", harness__x_scales="1.0,2.0", harness__max_diverged_fraction="1.0",
+    )
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracsplap.cli", "moments", "--config", str(cfg_path), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "numerical failure: the moments at x_scale 2.0 are not finite; no statistics available\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "name, command, x0_scale, needle",
     [

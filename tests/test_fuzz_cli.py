@@ -5,10 +5,12 @@ ensembles of at most 101 paths) with up to three keys overridden by in-range, ou
 non-finite or unparsable values, then runs one command in process; ``--config`` may instead name a directory or
 a missing file, and ``--out`` an existing directory or file.  The run must return 0, 2 (validation) or 3
 (numerical), print no traceback, and an exit-2 run must write nothing: no new directory, no new or changed file.
+An exit-0 ``simulate`` run must write a ``path.csv`` of finite numbers only.
 """
 
 import contextlib
 import io
+import math
 import tempfile
 import warnings
 from pathlib import Path
@@ -129,6 +131,11 @@ OUT_AT = values("new", "new", "new", "existing directory", "existing file")
     command="check-hypotheses", overrides={"noise.cutoff": "1000000000000"}, extra="", seed=None,
     config_at="file", out_at="new",
 )
+# a finite initial state whose squared norm overflows diverges at step 0: simulate exits 3, not 0 with inf rows
+@example(
+    command="simulate", overrides={"drift.q": "2.0", "solver.x0_scale": "1e300"}, extra="", seed=None,
+    config_at="file", out_at="new",
+)
 def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, config_at, out_at):
     config = {**BASE, **overrides}
     text = "\n".join([f"{k} = {v}" for k, v in config.items()] + [extra]) + "\n"
@@ -148,6 +155,9 @@ def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, confi
             rc = main(argv)
         assert rc in (0, 2, 3), (rc, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
+        if rc == 0 and command == "simulate":
+            rows = [line for line in (out / "path.csv").read_text().splitlines() if not line.startswith("#")]
+            assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
         if rc == 2:
             if out_at == "new":
                 assert not out.exists()

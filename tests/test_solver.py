@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -177,6 +181,58 @@ def test_divergence_marked_not_fatal():
     path = simulate_path(setup, cfg, 10.0 * np.ones(4))
     assert path.diverged_at is not None
     assert np.all(np.isnan(path.states[path.diverged_at]))
+
+
+@pytest.mark.parametrize("which", ["p2", "p3"])
+def test_overflowing_norm_diverges_with_finite_entries(monkeypatch, superlinear_setup, p3_setup, which):
+    # a noise spike at step 2 gives a state with finite entries whose z.z overflows: the path diverges at step 3
+    from fracsplap import solver
+
+    steps = []
+    integrate = solver._integrate
+
+    def spy(setup, config, x0, path_index, dW, stepper):
+        def kept(*args):
+            steps.append(stepper(*args))
+            return steps[-1]
+
+        return integrate(setup, config, x0, path_index, dW, kept)
+
+    monkeypatch.setattr(solver, "_integrate", spy)
+    setup = superlinear_setup if which == "p2" else p3_setup
+    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=setup.space.n_modes, n_noise=4, master_seed=13)
+    dW = brownian_increments(cfg.master_seed, 0, cfg.n_steps, cfg.n_noise, cfg.dt)
+    dW[2] = 1e160
+    path = simulate_path(setup, cfg, np.sin(np.pi * setup.space.nodes), dW=dW)
+    assert np.isfinite(steps[2]).all()
+    with np.errstate(over="ignore"):
+        assert steps[2] @ steps[2] == math.inf
+    assert path.diverged_at == 3 and len(steps) == 3
+    for series in (path.l2_norms, path.v1_seminorms, path.lq_norms, path.energy_series):
+        assert np.isfinite(series[:3]).all() and np.isnan(series[3:]).all()
+    assert np.isnan(path.states[3:]).all()
+
+
+def test_overflowing_initial_norm_diverges_at_step_0(linear_setup):
+    # finite nodal values whose projected z.z overflows: the path diverges at step 0 and records nothing
+    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=12, n_noise=2, master_seed=0)
+    for run in (simulate_path, reference_solution_p2_linear):
+        path = run(linear_setup, cfg, 1e200 * np.sin(np.pi * linear_setup.space.nodes))
+        assert path.diverged_at == 0
+        assert np.isnan(path.states).all() and np.isnan(path.l2_norms).all() and np.isnan(path.energy_series).all()
+
+
+def test_simulate_overflowing_initial_state_exits_3(tmp_path):
+    # theorem2_ok.cfg at x0_scale 1e200: one stderr line naming step 0, no numpy warning
+    root = FsPath(__file__).parent.parent
+    cfg_path = tmp_path / "overflow.cfg"
+    cfg_path.write_text((root / "configs" / "theorem2_ok.cfg").read_text() + "solver.x0_scale = 1e200\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracsplap.cli", "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "path diverged at step 0\n"
 
 
 def test_reference_solution_eigen_decay(linear_setup):
