@@ -85,12 +85,12 @@ def cmd_simulate(bundle: Bundle, out: FsPath, args) -> int:
         )
     cfg = bundle.solver_config
     path = simulate_path(bundle.setup, cfg, bundle.config["solver.x0_scale"] * bundle.x0_shape, path_index=0)
-    series = zip(path.times, path.l2_norms, path.v1_seminorms, path.lq_norms)
-    rows = ["time,l2_norm,gagliardo_seminorm,lq_norm"] + [",".join(map(fmt, row)) for row in series]
-    _write_artifact(out / "path.csv", bundle, rows)
     if path.diverged_at is not None:
         print(f"path diverged at step {path.diverged_at}", file=sys.stderr)
         return EXIT_NUMERICAL
+    series = zip(path.times, path.l2_norms, path.v1_seminorms, path.lq_norms)
+    rows = ["time,l2_norm,gagliardo_seminorm,lq_norm"] + [",".join(map(fmt, row)) for row in series]
+    _write_artifact(out / "path.csv", bundle, rows)
     print(f"wrote {out / 'path.csv'} ({cfg.n_steps} steps)")
     return EXIT_OK
 

@@ -32,6 +32,11 @@ block, so no sparse matrix is ever formed.
 The flux is formed once per nodal vector: the plan keeps the last ``(p, v)``
 with its value and flux, so the stepper's residual at a recorded state reuses
 the flux of that state's seminorm and applies only ``D^T``.
+
+A plan keeps only what the sweeps and the stiffness read: the sample points of
+the rule are derived on each read, and the stiffness caches its matrix but not
+the plan it summed, so only a swept (p != 2) operator leaves a plan in the
+space's cache.
 """
 
 from __future__ import annotations
@@ -61,28 +66,23 @@ class FracPlan:
     every exterior-tail point.  ``wts`` holds the matching weights: ``w``,
     the closed-form same-element weight of every element and ``wt``.  The
     weights already contain the kernel value and the factor 2 from enumerating
-    unordered element pairs; the singular diagonal is never sampled.  ``elx``/``lx``, ``ely``/``ly`` and
-    ``elt``/``lt`` locate each sample point inside its element, as :meth:`GalerkinSpace.point_weights`
-    reads them; no form reads them, they are kept for the tests' independent oracle and the benchmark's tracer.
+    unordered element pairs; the singular diagonal is never sampled.  ``w`` and ``wt`` are views of ``wts``.
+    ``elx``/``lx``, ``ely``/``ly`` and ``elt``/``lt`` locate each sample point inside its element, as
+    :meth:`GalerkinSpace.point_weights` reads them.  No form reads them, so the plan does not store them: each
+    read derives them from the block tables and the rule (the tests' independent oracle and the benchmark's
+    tracer read them).
 
     The sweep reads ``D`` in blocks of the nodal vector padded with the two exterior zeros, ``vp``: the
     ``G*G`` rows of a separated pair are one row of ``vp[sep] @ Csep`` (its four nodes), the ``(L*G)^2``
     rows of an adjacent pair one row of ``vp[adj] @ Cadj`` (its three nodes), and an element or tail row
     is ``vp[two] . C2`` over its two nodes.  ``scatter`` lists the same nodes in that order for ``D^T``.
-    The p = 2 stiffness reads the same blocks with the matching parts of ``wts``.
+    The p = 2 stiffness reads the same blocks with the matching parts of ``wts`` from a plan it builds and
+    drops, so only a swept operator's plan is cached.
 
     ``_memo`` holds the last sweep as one ``((p, v bytes), value, read-only flux)`` tuple, so the flux is
     formed once per nodal vector: the stepper reuses the recorded state's flux and applies only ``D^T``.
     """
 
-    elx: np.ndarray
-    lx: np.ndarray
-    ely: np.ndarray
-    ly: np.ndarray
-    w: np.ndarray
-    elt: np.ndarray
-    lt: np.ndarray
-    wt: np.ndarray
     wts: np.ndarray
     sep: np.ndarray    # (separated pairs, 4) padded node indices
     adj: np.ndarray    # (m, 3)
@@ -93,6 +93,23 @@ class FracPlan:
     C2: np.ndarray     # (m + 1 + tail points, 2)
     space: GalerkinSpace = field(repr=False, compare=False)
     _memo: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+
+    w = property(lambda self: self.wts[: self.wts.size - self.two.shape[0]])
+    wt = property(lambda self: self._blocks(self.wts)[2][self.space.m + 1:])
+    elx = property(lambda self: self._pair_points(0)[0])
+    lx = property(lambda self: self._pair_points(0)[1])
+    ely = property(lambda self: self._pair_points(1)[0])
+    ly = property(lambda self: self._pair_points(1)[1])
+    elt = property(lambda self: self.two[self.space.m + 1:, 0])
+    lt = property(lambda self: self.C2[self.space.m + 1:, 1])
+
+    def _pair_points(self, end: int):
+        """Element and local coordinate of the x (``end`` 0) or the y (``end`` 1) point of every pair row."""
+        loc, rel = _gauss01(PANEL_GAUSS)[0], _adjacent_rule(self.space.h)[end]
+        spread = (np.repeat, np.tile)[end]  # x runs over the rows of a pair's tensor grid, y over its columns
+        sep, adj = self.sep[:, 2 * end], self.adj[:, end]
+        el = np.concatenate((np.repeat(sep, loc.size ** 2), np.repeat(adj, rel.size ** 2)))
+        return el, np.concatenate((np.tile(spread(loc, loc.size), sep.size), np.tile(spread(rel, rel.size), adj.size)))
 
     def _blocks(self, x):
         """``x`` over the rows of ``D`` as its separated-pair, adjacent-pair and two-node blocks (views)."""
@@ -148,63 +165,47 @@ def _graded_cells(width: float, levels: int):
     return starts, widths
 
 
-def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
-    """Build (or fetch from the space cache) the quadrature plan."""
-    key = ("fracplan", params.s, params.p)
-    if key in space._cache:
-        return space._cache[key]
+def _adjacent_rule(h: float):
+    """Local coordinates, in the left and the right element, of the adjacent-pair points per axis, their
+    distances from the shared node and their weights; the points are graded toward that node."""
+    loc, gw = _gauss01(PANEL_GAUSS)
+    starts, widths = _graded_cells(h, GRADED_LEVELS)
+    off = (starts[:, None] + widths[:, None] * loc[None, :]).reshape(-1)
+    return 1.0 + -off / h, off / h, off, (widths[:, None] * gw[None, :]).reshape(-1)
 
+
+def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
+    """Fetch from the space cache, or build and cache, the quadrature plan of a swept operator."""
+    key = ("fracplan", params.s, params.p)
+    if key not in space._cache:
+        space._cache[key] = _build_plan(space, params)
+    return space._cache[key]
+
+
+def _build_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
+    """The quadrature plan of ``(space, s, p)``, not cached: :func:`get_plan` caches it for the sweeps."""
     m, h = space.m, space.h
     a, b = space.domain.a, space.domain.b
     p, ps = params.p, params.p * params.s
     expo = 1.0 + ps
     loc, gw = _gauss01(PANEL_GAUSS)
-    G, L = PANEL_GAUSS, GRADED_LEVELS
     n_el = m + 1
     xall = space.all_nodes
 
-    elx_parts, lx_parts, ely_parts, ly_parts, w_parts = [], [], [], [], []
-
     # separated pairs (gap of at least one element): tensor Gauss
     ep, eq = np.triu_indices(n_el, k=2)
-    if ep.size:
-        X = xall[ep][:, None] + h * loc[None, :]          # (npairs, G)
-        Y = xall[eq][:, None] + h * loc[None, :]
-        K = np.abs(X[:, :, None] - Y[:, None, :]) ** (-expo)
-        W = 2.0 * (h * gw)[None, :, None] * (h * gw)[None, None, :] * K
-        npairs = ep.size
-        elx_parts.append(np.repeat(ep, G * G))
-        ely_parts.append(np.repeat(eq, G * G))
-        lx_parts.append(np.tile(np.repeat(loc, G), npairs))
-        ly_parts.append(np.tile(np.tile(loc, G), npairs))
-        w_parts.append(W.reshape(-1))
+    X = xall[ep][:, None] + h * loc[None, :]          # (npairs, G)
+    Y = xall[eq][:, None] + h * loc[None, :]
+    K = np.abs(X[:, :, None] - Y[:, None, :]) ** (-expo)
+    W = 2.0 * (h * gw)[None, :, None] * (h * gw)[None, None, :] * K
 
     # adjacent pairs: graded subdivision toward the shared node; geometry is
     # identical for every pair on the uniform mesh, so kernel weights are
     # computed once
-    starts, widths = _graded_cells(h, L)
-    # offsets from the shared node: x side negative, y side positive
-    xoff = -(starts[:, None] + widths[:, None] * loc[None, :])      # (L, G)
-    yoff = starts[:, None] + widths[:, None] * loc[None, :]
-    cell_w = widths[:, None] * gw[None, :]                          # (L, G)
-    dist = np.abs(xoff.reshape(-1)[:, None] - yoff.reshape(-1)[None, :])
-    Krel = dist ** (-expo)
-    Wrel = 2.0 * cell_w.reshape(-1)[:, None] * cell_w.reshape(-1)[None, :] * Krel
-    lx_rel = 1.0 + xoff.reshape(-1) / h      # local coordinate in the left element
-    ly_rel = yoff.reshape(-1) / h
-    npts = lx_rel.size
+    lx_rel, ly_rel, off, cell_w = _adjacent_rule(h)
+    Krel = np.abs(-off[:, None] - off[None, :]) ** (-expo)  # x lies at -off and y at +off from the shared node
+    Wrel = 2.0 * cell_w[:, None] * cell_w[None, :] * Krel
     e_left = np.arange(n_el - 1)
-    elx_parts.append(np.repeat(e_left, npts * npts))
-    ely_parts.append(np.repeat(e_left + 1, npts * npts))
-    lx_parts.append(np.tile(np.repeat(lx_rel, npts), n_el - 1))
-    ly_parts.append(np.tile(np.tile(ly_rel, npts), n_el - 1))
-    w_parts.append(np.tile(Wrel.reshape(-1), n_el - 1))
-
-    elx = np.concatenate(elx_parts).astype(np.int64)
-    ely = np.concatenate(ely_parts).astype(np.int64)
-    lx = np.concatenate(lx_parts)
-    ly = np.concatenate(ly_parts)
-    w = np.concatenate(w_parts)
 
     # identical elements: closed form for the pure power integral
     alpha = p - 1.0 - ps
@@ -219,13 +220,11 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
             + (b - x) ** (-ps) - (b - x + wt_box) ** (-ps)
         ) / ps
 
-    elt_parts, lt_parts, wt_parts = [], [], []
+    starts, widths = _graded_cells(h, GRADED_LEVELS)
     inner = np.arange(1, n_el - 1)
-    if inner.size:
-        Xi = xall[inner][:, None] + h * loc[None, :]
-        elt_parts.append(np.repeat(inner, G))
-        lt_parts.append(np.tile(loc, inner.size))
-        wt_parts.append((2.0 * h * gw[None, :] * tail_kernel(Xi)).reshape(-1))
+    Xi = xall[inner][:, None] + h * loc[None, :]
+    elt_parts, lt_parts = [np.repeat(inner, PANEL_GAUSS)], [np.tile(loc, inner.size)]
+    wt_parts = [(2.0 * h * gw[None, :] * tail_kernel(Xi)).reshape(-1)]
     for e, toward_left in ((0, True), (n_el - 1, False)):
         if toward_left:
             pts = xall[e] + starts[:, None] + widths[:, None] * loc[None, :]
@@ -238,7 +237,6 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
         wt_parts.append(wq.reshape(-1))
     elt = np.concatenate(elt_parts).astype(np.int64)
     lt = np.concatenate(lt_parts)
-    wt = np.concatenate(wt_parts)
 
     # D in blocks over the padded nodal vector: a separated pair (ep, eq) reads nodes ep, ep + 1, eq, eq + 1
     # and an adjacent pair (e, e + 1) nodes e, e + 1, e + 2, each through one coefficient block; an element
@@ -246,22 +244,16 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     sep = np.stack((ep, ep + 1, eq, eq + 1), axis=1)
     adj = e_left[:, None] + np.arange(3)
     two = np.concatenate((np.arange(n_el), elt))[:, None] + np.arange(2)
-    lxs, lys = np.repeat(loc, G), np.tile(loc, G)
+    lxs, lys = np.repeat(loc, PANEL_GAUSS), np.tile(loc, PANEL_GAUSS)
     Csep = np.stack((1.0 - lxs, lxs, -(1.0 - lys), -lys))
-    lxa, lya = np.repeat(lx_rel, npts), np.tile(ly_rel, npts)
+    lxa, lya = np.repeat(lx_rel, lx_rel.size), np.tile(ly_rel, ly_rel.size)
     Cadj = np.stack((1.0 - lxa, lxa - (1.0 - lya), -lya))  # the shared node's two values merge as in v(x) - v(y)
     C2 = np.concatenate((np.tile([-1.0 / h, 1.0 / h], (n_el, 1)), np.stack((1.0 - lt, lt), axis=1)))
-
-    # w and wt are views into the weight vector of D's rows
-    wts = np.concatenate((w, np.full(n_el, j_same), wt))
-    plan = FracPlan(
-        elx=elx, lx=lx, ely=ely, ly=ly, w=wts[: w.size],
-        elt=elt, lt=lt, wt=wts[w.size + n_el:], wts=wts,
-        sep=sep, adj=adj, two=two, scatter=np.concatenate((sep.ravel(), adj.ravel(), two.ravel())),
+    wts = np.concatenate((W.reshape(-1), np.tile(Wrel.reshape(-1), n_el - 1), np.full(n_el, j_same), *wt_parts))
+    return FracPlan(
+        wts=wts, sep=sep, adj=adj, two=two, scatter=np.concatenate((sep.ravel(), adj.ravel(), two.ravel())),
         Csep=Csep, Cadj=Cadj, C2=C2, space=space,
     )
-    space._cache[key] = plan
-    return plan
 
 
 def _flux(plan: FracPlan, v: np.ndarray, p: float):
@@ -333,13 +325,14 @@ def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) ->
 
     Each block of ``D``'s rows adds ``C diag(w) C^T`` over its nodes: a 4x4 block per separated pair, a 3x3 block
     per adjacent pair and a 2x2 block per element or tail row, summed over the padded nodes in one ``bincount``.
+    The plan is built for this sum and dropped; the space caches only ``S``.
     """
     if params.p != 2.0:
         raise ValueError(f"stiffness assembly requires p = 2, got p={params.p}")
     key = ("fracstiff", params.s)
     if key in space._cache:
         return space._cache[key]
-    plan = get_plan(space, params)
+    plan = _build_plan(space, params)
     n = space.m + 2
     wsep, wadj, wtwo = plan._blocks(plan.wts)
     blocks = (_gram(wsep, plan.Csep), _gram(wadj, plan.Cadj), wtwo[:, None] * _outer(plan.C2))

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,8 +20,11 @@ from fracsplap import (
     SuperlinearNoiseSpec,
     apply_A1_weak,
     assemble_frac_stiffness,
+    build_bundle,
     build_space,
     gagliardo_seminorm,
+    parse_config_file,
+    poincare_constant,
     simulate_path,
 )
 from fracsplap.fracop import FracPlan, _flux, _sweep, get_plan, seminorm_p, seminorm_p_with_residual
@@ -27,6 +32,8 @@ from fracsplap.fracop import FracPlan, _flux, _sweep, get_plan, seminorm_p, semi
 from oracles import (
     apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle, sampling_operator_csr, stiffness_sparse,
 )
+
+CONFIGS = Path(__file__).parent.parent / "configs"
 
 
 def test_seminorm_zero_function(space32, params_s05_p2):
@@ -287,6 +294,41 @@ def test_p3_path_forms_one_flux_per_state(monkeypatch):
     path = simulate_path(setup, cfg, np.sin(np.pi * space.nodes))
     assert path.diverged_at is None
     assert len(calls) == cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_a_run_keeps_only_the_plan_it_sweeps(p):
+    # the p = 2 stiffness, for the solver or the Poincare search, keeps its matrix and drops its plan
+    space = build_space(DomainSpec(), 8, 6)
+    params = FracOperatorParams(s=0.4, p=p)
+    setup = SimulationSetup(
+        space, params, DriftSpec(q=3.0, delta=1.0), LipschitzPerturbationSpec(0.1), SuperlinearNoiseSpec(p1=2.0),
+    )
+    poincare_constant(space, params)
+    plans = {key: value for key, value in space._cache.items() if isinstance(value, FracPlan)}
+    if p == 2.0:
+        assert plans == {}
+        return
+    assert list(plans) == [("fracplan", 0.4, 3.0)] and plans[("fracplan", 0.4, 3.0)] is setup.plan
+    # the sample points are derived on each read; the plan stores no other array of the rule's length
+    arrays = {key: value for key, value in vars(setup.plan).items() if isinstance(value, np.ndarray)}
+    stored = [key for key, value in arrays.items() if value.size == setup.plan.wts.size]
+    assert stored == ["wts"]
+
+
+@pytest.mark.parametrize("name, held_mb", [("theorem1_ok", 2.0), ("moments", 0.5)])
+def test_bundle_holds_little_after_admissibility(name, held_mb):
+    # a p = 3 bundle holds one plan without its sample points; a p = 2 bundle holds no plan
+    cfg = parse_config_file(CONFIGS / f"{name}.cfg")
+    build_bundle(cfg).admissibility()  # first-use imports and caches outside the bundle
+    tracemalloc.start()
+    try:
+        bundle = build_bundle(cfg)
+        bundle.admissibility()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= held_mb * 1e6, held
 
 
 def test_memo_hit_on_another_thread(space16, monkeypatch):

@@ -223,7 +223,7 @@ def test_overflowing_initial_norm_diverges_at_step_0(linear_setup):
 
 
 def test_simulate_overflowing_initial_state_exits_3(tmp_path):
-    # theorem2_ok.cfg at x0_scale 1e200: one stderr line naming step 0, no numpy warning
+    # theorem2_ok.cfg at x0_scale 1e200: one stderr line naming step 0, no numpy warning, no artifact
     root = FsPath(__file__).parent.parent
     cfg_path = tmp_path / "overflow.cfg"
     cfg_path.write_text((root / "configs" / "theorem2_ok.cfg").read_text() + "solver.x0_scale = 1e200\n")
@@ -233,6 +233,7 @@ def test_simulate_overflowing_initial_state_exits_3(tmp_path):
     )
     assert proc.returncode == 3
     assert proc.stderr == "path diverged at step 0\n"
+    assert not (tmp_path / "out" / "path.csv").exists()
 
 
 def test_reference_solution_eigen_decay(linear_setup):
