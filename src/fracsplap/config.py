@@ -111,7 +111,6 @@ _SCHEMA = {
     "harness.mode_ladder": (_parse_int_list, ()),
     "harness.dt_ladder": (_parse_float_list, ()),
     "harness.ref_refine": (int, 16),
-    "harness.max_diverged_fraction": (_parse_finite, 0.0),  # in [0, 1]
     "harness.stability_epsilon": (_parse_finite, 1e-3),
 }
 
@@ -248,8 +247,8 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
     )
     from .domain import DomainSpec, FracOperatorParams
     from .harness import dt_ladder_grid, mode_ladder_rungs, moment_grid, require_paths
-    from .solver import SimulationSetup, SolverConfig, require_linear_reference
-    from .space import build_space
+    from .solver import MAX_PATH_ENTRIES, SimulationSetup, SolverConfig, require_linear_reference
+    from .space import MAX_MESH_NODES, build_space
 
     try:
         trunc = config["domain.exterior_truncation"]
@@ -274,9 +273,6 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
             mode_ladder_rungs(config["harness.mode_ladder"], math.inf)
         require_paths(config["harness.n_paths"])
         moment_grid(config["harness.p_values"], config["harness.x_scales"])
-        limit = config["harness.max_diverged_fraction"]
-        if not 0.0 <= limit <= 1.0:
-            raise ConfigError(f"harness.max_diverged_fraction must lie in [0, 1], got {limit!r}")
         delta3, cutoff = config["drift.delta3"], config["noise.cutoff"]
         if delta3 < 0 and delta3 != -1.0:
             raise ConfigError(f"drift.delta3 must be >= 0, or -1 for the family default delta/2, got {delta3!r}")
@@ -284,7 +280,13 @@ def build_bundle(config: ExperimentConfig) -> Bundle:
             raise ConfigError(
                 f"noise.cutoff must be >= 1, or 0 for an infinite family, and at most {MAX_NOISE_CUTOFF}, got {cutoff}"
             )
-        space = build_space(domain, config["domain.mesh_m"], config["domain.n_modes"])
+        m = config["domain.mesh_m"]
+        if m > MAX_MESH_NODES:
+            raise ConfigError(f"domain.mesh_m must be at most {MAX_MESH_NODES}, got {m}")
+        for key in ("solver.n_noise", "transport.n_g"):  # the noise and multiplier columns are (m, n) arrays
+            if m * config[key] > MAX_PATH_ENTRIES:
+                raise ConfigError(f"{key}: domain.mesh_m * {key} = {m * config[key]} exceeds {MAX_PATH_ENTRIES}")
+        space = build_space(domain, m, config["domain.n_modes"])
         drift = DriftSpec(
             q=config["drift.q"], delta=config["drift.delta"], linear=config["drift.linear"],
             delta3=None if delta3 == -1.0 else delta3,

@@ -6,9 +6,9 @@ depend on the paths before it and results are bitwise reproducible for a
 fixed master seed.  No study keeps a path: each is reduced to the few numbers
 its statistics read as soon as it finishes (the moment study keeps
 ``2 + len(p_values)`` floats a path).  A path diverged when the solver set
-its ``Path.diverged_at``; no study checks the series again.  The moment study
-drops diverged paths from a scale's statistics; the other studies need every
-path whole and raise ``EnsembleDiverged`` at the first diverged one.
+its ``Path.diverged_at``; no study checks the series again.  Every study
+raises ``EnsembleDiverged`` at the first diverged path, so no statistic is
+ever taken over the surviving paths alone.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def run_ensemble(one, n_paths, floor=1):
 
 
 class EnsembleDiverged(RuntimeError):
-    """An ensemble has no statistics: every path of a moment scale diverged, or a path of a
-    study that needs every path whole did."""
+    """An ensemble has no statistics: one of its paths diverged, or a moment or standard error
+    is not finite."""
 
 
 def _whole(path: Path, j: int, what: str) -> Path:
@@ -106,11 +106,6 @@ class MomentReport:
     affinity_ratios: np.ndarray  # sup moment / (1 + ||x||^{2p})
     affinity_flags: tuple        # per p: True when ratios spread beyond AFFINITY_FACTOR
     n_paths: int
-    diverged_by_scale: tuple     # per x_scale: paths dropped from the statistics
-
-    @property
-    def diverged(self) -> int:
-        return sum(self.diverged_by_scale)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing sample or statistic is refused below
@@ -128,11 +123,10 @@ def estimate_moments(
     Each path is reduced to its samples as it finishes and then dropped: the
     sup of its L2 norm, the trapezoidal integral of its energy and one cross
     integral ``int ||Z||^(2p-2) * energy dt`` per exponent, so a scale keeps
-    ``n_paths * (2 + len(p_values))`` floats.  Diverged paths are counted in
-    ``diverged_by_scale`` and left out of the scale's statistics; a scale
-    whose every path diverged, or one with a moment or standard error that is
-    not finite, raises ``EnsembleDiverged``.  Exponents at or above the
-    admissible supremum ``p_max`` are refused.
+    ``n_paths * (2 + len(p_values))`` floats.  The first diverged path, or a
+    scale with a moment or standard error that is not finite, raises
+    ``EnsembleDiverged``.  Exponents at or above the admissible supremum
+    ``p_max`` are refused.
     """
     p_values, x_scales = moment_grid(p_values, x_scales)
     require_ensemble_fits(n_paths, len(p_values))
@@ -150,8 +144,8 @@ def estimate_moments(
     cr_m = np.zeros((n_p, n_s))
     cr_se = np.zeros((n_p, n_s))
     x_norms_sq = []
-    diverged = []
     dt = config.dt
+    root = math.sqrt(n_paths)
     for si, scale in enumerate(x_scales):
         x0 = scale * np.asarray(x0_shape, dtype=float)
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
@@ -159,23 +153,15 @@ def estimate_moments(
         samples = np.empty((2 + n_p, n_paths))
 
         def reduce_path(j):
-            path = simulate_path(setup, config, x0, path_index=j)
-            if path.diverged_at is not None:
-                return False
+            path = _whole(simulate_path(setup, config, x0, path_index=j), j, f"x_scale {scale!r}")
             l2, en = path.l2_norms, path.energy_series
             samples[0, j] = np.max(l2)
             samples[1, j] = np.trapezoid(en, dx=dt)
             for pi, p in enumerate(p_values):
                 samples[2 + pi, j] = np.trapezoid(l2 ** (2.0 * p - 2.0) * en, dx=dt)
-            return True
 
-        finished = run_ensemble(reduce_path, n_paths, MOMENT_PATHS)
-        n_done = sum(finished)
-        diverged.append(n_paths - n_done)
-        if not n_done:
-            raise EnsembleDiverged(f"all {n_paths} paths at x_scale {scale!r} diverged; no statistics available")
-        sup_l2, energy, *cross = samples[:, finished]
-        root = math.sqrt(n_done)
+        run_ensemble(reduce_path, n_paths, MOMENT_PATHS)
+        sup_l2, energy, *cross = samples
         for pi, p in enumerate(p_values):
             sup_samples = sup_l2 ** (2.0 * p)
             en_samples = energy**p
@@ -206,7 +192,6 @@ def estimate_moments(
         affinity_ratios=ratios,
         affinity_flags=tuple(flags),
         n_paths=n_paths,
-        diverged_by_scale=tuple(diverged),
     )
 
 
@@ -238,10 +223,11 @@ def time_seminorm_sq(values: np.ndarray, dt: float, sigma: float) -> float:
 
 
 def slobodeckij_time_seminorm(path: Path, sigma: float) -> float:
-    """W^{sigma,2}(0,T;H) norm of a trajectory: sqrt(int ||Z||^2 + seminorm^2)."""
-    states = path.states
+    """W^{sigma,2}(0,T;H) norm of a trajectory: sqrt(int ||Z||^2 + seminorm^2).  A diverged path
+    has no norm and is refused."""
     if path.diverged_at is not None:
-        states = states[: path.diverged_at]
+        raise ValueError(f"the path diverged at step {path.diverged_at}; it has no time seminorm")
+    states = path.states
     if states.shape[0] < 2:
         raise ValueError("need at least two recorded steps")
     semi = time_seminorm_sq(states, path.dt, sigma)

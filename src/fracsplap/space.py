@@ -10,6 +10,7 @@ from .domain import DomainSpec
 
 _ORTHO_TOL = 1e-10
 _LP_GAUSS = 8  # points of the per-element Gauss rule behind lp_norm
+MAX_MESH_NODES = 700  # a quadrature plan has about 18 m^2 rows: 9.72 M at m = 700, under 80 MB per row array
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,6 @@ def test_a09_moment_affinity():
         x_scales=(0.0, 1.0, 2.0, 4.0), p_values=(1.0,), n_paths=400,
         p_max=report.p_max,
     )
-    assert rep.diverged == 0
     ratios = rep.affinity_ratios[0]
     assert ratios.max() / ratios.min() < 3.0, ratios
     assert not rep.affinity_flags[0]

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.optimize import minimize
 
 from fracsplap import (
     DomainSpec,
@@ -30,7 +31,8 @@ from fracsplap import (
 from fracsplap.fracop import FracPlan, _flux, _sweep, get_plan, seminorm_p, seminorm_p_with_residual
 
 from oracles import (
-    apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle, sampling_operator_csr, stiffness_sparse,
+    apply_A1_residual, check_scalar_monotonicity, gagliardo_seminorm_oracle, quartic_bump, quartic_bump_load,
+    sampling_operator_csr, stiffness_sparse, toeplitz_stiffness_p2,
 )
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -452,6 +454,50 @@ def test_exact_exterior_solve_converges_to_closed_form(s, err_127):
         errs.append(math.sqrt((e @ M @ e) / (exact @ M @ exact)))
     assert all(b < a for a, b in zip(errs, errs[1:])), errs
     assert errs[-1] < 1.25 * err_127, errs
+
+
+# 2x the largest difference from the closed form, relative to its largest entry; the same at m = 24 and 128
+TOEPLITZ_BOUNDS = {0.1: 3e-9, 0.3: 9e-8, 0.5: 1.5e-6, 0.7: 1.7e-5, 0.9: 1e-4}
+
+
+@pytest.mark.parametrize("m", [24, 128])
+@pytest.mark.parametrize("s", sorted(TOEPLITZ_BOUNDS))
+def test_stiffness_matches_closed_form_toeplitz(s, m):
+    # with the whole exterior the p = 2 stiffness is exactly Toeplitz; what is left is the quadrature's own error
+    space = build_space(DomainSpec(exterior_truncation=math.inf), m, 1)
+    params = FracOperatorParams(s=s, p=2.0)
+    exact = toeplitz_stiffness_p2(space, params)
+    err = np.max(np.abs(assemble_frac_stiffness(space, params) - exact)) / np.max(np.abs(exact))
+    assert err <= TOEPLITZ_BOUNDS[s], err
+
+
+@pytest.mark.parametrize(
+    # the relative L2 errors measured at m = 15, 31 and 63
+    "p, measured", [(3.0, (6.2814e-3, 1.2283e-3, 2.5160e-4)), (4.0, (5.8714e-3, 1.0854e-3, 2.3215e-4))]
+)
+def test_galerkin_solution_converges_to_manufactured_solution(p, measured):
+    # the Galerkin solution of (-Delta_p)^0.6 u = F for u = (1 - x^2)^2 minimises (C/(2p)) [v]^p - b.v, with
+    # b the load against each hat by an 8-point Gauss rule per element; the energy is strictly convex
+    params, errs = FracOperatorParams(s=0.6, p=p), []
+    c = params.c_kernel
+    for m in (15, 31, 63):
+        space = build_space(EXACT_EXTERIOR, m, 1)
+        plan = get_plan(space, params)
+        E, w = space.gauss_rule(8)
+        x = (space.all_nodes[:-1, None] + space.h * 0.5 * (np.polynomial.legendre.leggauss(8)[0] + 1.0)).ravel()
+        b = E.T @ (w * quartic_bump_load(x, params))
+
+        def energy_and_gradient(v):
+            value, residual = seminorm_p_with_residual(plan, v, p)
+            return c / (2.0 * p) * value - b @ v, 0.5 * c * residual - b
+
+        v = minimize(energy_and_gradient, quartic_bump(space.nodes), jac=True, method="L-BFGS-B",
+                     options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 5000}).x
+        u, e = quartic_bump(x), E @ v - quartic_bump(x)
+        errs.append(math.sqrt((w @ e**2) / (w @ u**2)))
+    assert all(b < a for a, b in zip(errs, errs[1:])), errs
+    assert all(math.log2(a / b) >= 1.8 for a, b in zip(errs, errs[1:])), errs
+    assert all(e <= 1.25 * want for e, want in zip(errs, measured)), errs
 
 
 def test_exact_exterior_operator_tends_to_identity_as_s_vanishes():

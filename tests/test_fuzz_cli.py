@@ -84,7 +84,6 @@ FUZZ = {
     "harness.mode_ladder": values("1,3", "", "3,1", "0", "2,99"),
     "harness.dt_ladder": values("", "0.125,0.0625", "0.0", "0.07"),
     "harness.ref_refine": values("2", "1", "0", "-1"),
-    "harness.max_diverged_fraction": values("0.0", "1.0", "2.0"),
     "harness.stability_epsilon": values("1e-3", "0.0", "-1.0"),
 }
 
@@ -130,6 +129,16 @@ OUT_AT = values("new", "new", "new", "existing directory", "existing file")
 @example(
     command="check-hypotheses", overrides={"noise.cutoff": "1000000000000"}, extra="", seed=None,
     config_at="file", out_at="new",
+)
+# every array a key sizes is bounded before anything is allocated: the (m, m) mass matrix of a 10^6-node mesh
+# would take 7.28 TiB, and so would the (m, n_g) multiplier fields of 10^12 transport fields
+@example(
+    command="check-hypotheses", overrides={"domain.mesh_m": "1000000"}, extra="", seed=None,
+    config_at="file", out_at="new",
+)
+@example(
+    command="check-hypotheses", overrides={"transport.enabled": "true", "transport.n_g": "1000000000000"}, extra="",
+    seed=None, config_at="file", out_at="new",
 )
 # a finite initial state whose squared norm overflows diverges at step 0: simulate exits 3, not 0 with inf rows
 @example(

@@ -93,24 +93,34 @@ def test_moment_affinity_and_self_consistency(moment_setup):
     assert gap < 4.0 * (rep.sup_std_errors[0, 1] + rep2.sup_std_errors[0, 1])
 
 
-def test_moment_partial_divergence_drops_those_paths(moment_setup, monkeypatch):
-    # every third path is marked diverged: each scale counts those and reads the statistics of the rest
+def test_moment_study_stops_at_the_first_diverged_path(moment_setup, monkeypatch):
+    # every third path is marked diverged: the first of them raises, and no statistic is taken over the rest
     setup, shape = moment_setup
     cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=4)
     simulate = harness.simulate_path
+    calls = []
 
     def every_third_diverged(setup, config, x0, path_index=0, dW=None):
+        calls.append(path_index)
         path = simulate(setup, config, x0, path_index=path_index, dW=dW)
         return dataclasses.replace(path, diverged_at=1) if path_index % 3 == 0 else path
 
     monkeypatch.setattr(harness, "simulate_path", every_third_diverged)
+    with pytest.raises(harness.EnsembleDiverged, match=r"^path 0 \(x_scale 1.0\) diverged at step 1; no statistics"):
+        estimate_moments(setup, cfg, shape, [1.0, 2.0], [1.0, 2.5], n_paths=100)
+    assert calls == [0]
+
+
+def test_moment_statistics_read_every_path(moment_setup):
+    # each moment and std error is the mean and the standard error of its samples over all n paths
+    setup, shape = moment_setup
+    cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=4)
     x_scales, p_values, n = [1.0, 2.0], [1.0, 2.5], 100
     rep = estimate_moments(setup, cfg, shape, x_scales, p_values, n_paths=n)
-    assert rep.diverged_by_scale == (34, 34) and rep.diverged == 68
     for si, scale in enumerate(x_scales):
-        whole = [simulate(setup, cfg, scale * shape, path_index=j) for j in range(n) if j % 3]
-        l2 = np.array([path.l2_norms for path in whole])
-        en = np.array([path.energy_series for path in whole])
+        paths = [simulate_path(setup, cfg, scale * shape, path_index=j) for j in range(n)]
+        l2 = np.array([path.l2_norms for path in paths])
+        en = np.array([path.energy_series for path in paths])
         for pi, p in enumerate(p_values):
             for samples, moments, std_errors in (
                 (l2.max(axis=1) ** (2 * p), rep.sup_moments, rep.sup_std_errors),
@@ -118,8 +128,7 @@ def test_moment_partial_divergence_drops_those_paths(moment_setup, monkeypatch):
                 (np.trapezoid(l2 ** (2 * p - 2) * en, dx=cfg.dt, axis=1), rep.cross_moments, rep.cross_std_errors),
             ):
                 assert moments[pi, si] == pytest.approx(samples.mean(), rel=1e-13, abs=0)
-                std_error = samples.std(ddof=1) / math.sqrt(len(whole))
-                assert std_errors[pi, si] == pytest.approx(std_error, rel=1e-12, abs=0)
+                assert std_errors[pi, si] == pytest.approx(samples.std(ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
 
 
 def test_moment_study_keeps_samples_not_paths(moment_setup, monkeypatch):
@@ -142,7 +151,6 @@ def test_moment_study_keeps_samples_not_paths(moment_setup, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rep.diverged == 0
     assert peak < kept_paths_bytes / 4
     harness.require_ensemble_fits(harness.MAX_ENSEMBLE_ENTRIES // 4, 2)
     with pytest.raises(ConfigError, match="keeps 25000004 floats"):
@@ -291,6 +299,9 @@ def test_slobodeckij_norm_of_path():
     w[0] = w[-1] = dt / 2
     expected = math.sqrt(float(w @ states[:, 0] ** 2) + semi)
     assert val == pytest.approx(expected, rel=1e-12)
+    # a diverged path has no norm: the states from its diverged step on are not read
+    with pytest.raises(ValueError, match="diverged at step 5"):
+        slobodeckij_time_seminorm(dataclasses.replace(path, diverged_at=5), 0.25)
 
 
 @pytest.fixture(scope="module")
