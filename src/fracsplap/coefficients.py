@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import FracOperatorParams
-from .fracop import assemble_frac_stiffness
-from .space import GalerkinSpace, mass_orthonormal_basis
+from .space import GalerkinSpace
 
 
 def noise_lipschitz_constant(p1: float) -> float:
@@ -275,37 +274,6 @@ def eval_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.nda
         forcing = spec.sigma1_nodal(space, t, n_noise)
         space._cache[key] = scale, forcing
     return scale * spec.sigma2_profile(v)[:, None] + forcing
-
-
-def sqrt_operator(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:
-    """Matrix of the spectral square root of the p = 2 nonlocal form.
-
-    Built from the eigenpairs of (S, M) that :func:`frac_eigenpairs` caches; satisfies
-    ``||R v||_{L2}^2 = v^T S v`` on nodal vectors and is self-adjoint in the
-    mass inner product.
-    """
-    if params.p != 2.0:
-        raise ValueError("the spectral square root requires p = 2")
-    key = ("sqrtop", params.s)
-    if key in space._cache:
-        return space._cache[key]
-    vals, vecs = frac_eigenpairs(space, params)
-    vals = np.clip(vals, 0.0, None)
-    R = vecs @ (np.sqrt(vals)[:, None] * (vecs.T @ space.mass_matrix))
-    space._cache[key] = R
-    return R
-
-
-def frac_eigenpairs(space: GalerkinSpace, params: FracOperatorParams):
-    """Generalized eigenpairs of (S, M) with M-orthonormal eigenvectors: with ``M = L L^T``,
-    ``L^{-T}`` times the eigenpairs of ``L^{-1} S L^{-T}``."""
-    key = ("fraceig", params.s)
-    if key in space._cache:
-        return space._cache[key]
-    B = mass_orthonormal_basis(space.mass_matrix)
-    vals, vecs = np.linalg.eigh(B.T @ assemble_frac_stiffness(space, params) @ B)
-    space._cache[key] = (vals, B @ vecs)
-    return space._cache[key]
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 def kernel_constant(n: int, p: float, s: float) -> float:
     """Normalising constant of the fractional p-Laplace kernel.
@@ -74,8 +72,8 @@ class PoincareEstimate:
     """Estimated constant ``lam`` with ``[v]^p >= lam * ||v||_Lp^p`` on the discrete space.
 
     ``certified`` is True only on the p = 2 path, where the estimate is the
-    smallest eigenvalue of the seminorm Gram matrix in the retained mode span
-    and therefore exact for that span.  For p != 2 the value is the Rayleigh
+    smallest generalized eigenvalue of ``((2/C) S, M)`` over all m hats and
+    therefore exact on the mesh.  For p != 2 the value is the Rayleigh
     quotient one descent reaches from the p = 2 minimiser: a heuristic upper
     bound on the discrete minimum, reported as the operative constant.
     """
@@ -85,37 +83,31 @@ class PoincareEstimate:
 
 
 def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
-    """Estimate the best discrete constant in the fractional Poincare inequality.
+    """Estimate the best discrete constant in the fractional Poincare inequality over all m hats.
 
-    The smallest eigenpair of the p = 2 Gram matrix ``(2/C_2) H^T S_2 H`` gives
-    the constant for p = 2.  For p != 2 one L-BFGS descent of ``[v]^p / ||v||_Lp^p``
-    starts from its eigenvector: the first fractional p-eigenfunction is simple
-    and of one sign (Lindgren & Lindqvist, Calc. Var. PDE 49, 2014).
+    The smallest eigenpair of ``(S_2, M)`` from :func:`fracop.frac_eigenpairs`, scaled by ``2/C_2``, gives
+    the constant for p = 2.  For p != 2 one L-BFGS descent of ``[v]^p / ||v||_Lp^p`` over the nodal vector
+    starts from its eigenvector: the first fractional p-eigenfunction is simple and of one sign
+    (Lindgren & Lindqvist, Calc. Var. PDE 49, 2014).
     """
     from . import fracop
     from .space import lp_norm
 
-    H = space.h_basis
     p = params.p
     p2 = FracOperatorParams(s=params.s, p=2.0)
-    S = fracop.assemble_frac_stiffness(space, p2)
-    G = (2.0 / p2.c_kernel) * (H.T @ S @ H)
-    G = 0.5 * (G + G.T)
+    vals, vecs = fracop.frac_eigenpairs(space, p2)
     if p == 2.0:
-        lam = float(np.linalg.eigvalsh(G)[0])
-        return PoincareEstimate(value=lam, certified=True)
+        return PoincareEstimate(value=float((2.0 / p2.c_kernel) * vals[0]), certified=True)
 
     plan = fracop.get_plan(space, params)
 
-    def quotient_and_grad(z):
-        v = H @ z
+    def quotient_and_grad(v):
         semi_p, residual = fracop.seminorm_p_with_residual(plan, v, p)
         lp, lp_grad = lp_norm(space, v, p, with_grad=True)
         q = semi_p / lp**p
-        return q, H.T @ (p * residual - q * lp_grad) / lp**p
+        return q, (p * residual - q * lp_grad) / lp**p
 
-    lam = _lbfgs(quotient_and_grad, np.linalg.eigh(G)[1][:, 0])
-    return PoincareEstimate(value=lam, certified=False)
+    return PoincareEstimate(value=_lbfgs(quotient_and_grad, vecs[:, 0]), certified=False)
 
 
 def _lbfgs(fun_and_grad, x) -> float:

@@ -21,7 +21,8 @@ nodes.  With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
 
 * ``[v]^p = f . dv``, by :func:`seminorm_p` alone (the recorded state's sweep) or with the residual,
 * the form residual ``B(v, e_i)`` is ``D^T f`` and ``B(v, u) = f . (D u)``,
-* the p = 2 stiffness is ``(C/2) D^T diag(wts) D``.
+* the p = 2 stiffness is ``(C/2) D^T diag(wts) D``, and its eigenpairs against the mass matrix
+  (:func:`frac_eigenpairs`) are the one p = 2 spectrum: the Poincare search and the transport noise read it.
 
 Because every form reads the same samples, the algebraic identities between the
 seminorm, the weak form and the stiffness matrix hold to rounding accuracy.  The
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import FracOperatorParams
-from .space import GalerkinSpace
+from .space import GalerkinSpace, mass_orthonormal_basis
 
 
 # The one quadrature rule: Gauss points per panel axis, and geometric grading
@@ -81,6 +82,9 @@ class FracPlan:
 
     ``_memo`` holds the last sweep as one ``((p, v bytes), value, read-only flux)`` tuple, so the flux is
     formed once per nodal vector: the stepper reuses the recorded state's flux and applies only ``D^T``.
+    ``_spare`` hands the sweep's ``D v`` buffer on to the next :meth:`forward`, so a sweep frees one
+    ``wts``-sized buffer, not two: freeing two could let glibc trim them off the heap top and fault them back
+    in on every sweep (about 137,000 page faults in one 64-path p = 3 study at m = 24).
     """
 
     wts: np.ndarray
@@ -93,6 +97,7 @@ class FracPlan:
     C2: np.ndarray     # (m + 1 + tail points, 2)
     space: GalerkinSpace = field(repr=False, compare=False)
     _memo: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+    _spare: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     w = property(lambda self: self.wts[: self.wts.size - self.two.shape[0]])
     wt = property(lambda self: self._blocks(self.wts)[2][self.space.m + 1:])
@@ -122,7 +127,10 @@ class FracPlan:
         """``D v``: the sampled values of the interior nodal vector ``v``."""
         vp = np.zeros(self.space.m + 2)
         vp[1:-1] = v
-        dv = np.empty(self.wts.size)
+        try:
+            dv = self._spare.pop()
+        except IndexError:
+            dv = np.empty(self.wts.size)
         sep, adj, two = self._blocks(dv)
         _matmul_rows(vp[self.sep], self.Csep, sep)
         _matmul_rows(vp[self.adj], self.Cadj, adj)
@@ -281,6 +289,7 @@ def _sweep(plan: FracPlan, v: np.ndarray, p: float):
         f.flags.writeable = False
         entry = (key, float(np.einsum("i,i->", f, dv)), f)
         plan._memo[0] = entry
+        plan._spare.append(dv)
     return entry[1], entry[2]
 
 
@@ -353,3 +362,27 @@ def _gram(w, c):
     out = np.empty((w.shape[0], c.shape[0] ** 2))
     _matmul_rows(w, _outer(c.T), out)
     return out
+
+
+def frac_eigenpairs(space: GalerkinSpace, params: FracOperatorParams):
+    """Generalized eigenpairs of (S, M) over all m hats, ascending, with M-orthonormal eigenvectors: with
+    ``M = L L^T``, ``L^{-T}`` times the eigenpairs of ``L^{-1} S L^{-T}``.  Cached per s: the one eigensolve
+    of the p = 2 operator on the mesh."""
+    key = ("fraceig", params.s)
+    if key not in space._cache:
+        B = mass_orthonormal_basis(space.mass_matrix)
+        vals, vecs = np.linalg.eigh(B.T @ assemble_frac_stiffness(space, params) @ B)
+        space._cache[key] = (vals, B @ vecs)
+    return space._cache[key]
+
+
+def sqrt_operator(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:
+    """Matrix of the spectral square root of the p = 2 nonlocal form.
+
+    Built from :func:`frac_eigenpairs`; satisfies ``||R v||_{L2}^2 = v^T S v`` on nodal vectors and is
+    self-adjoint in the mass inner product.
+    """
+    if params.p != 2.0:
+        raise ValueError("the spectral square root requires p = 2")
+    vals, vecs = frac_eigenpairs(space, params)
+    return vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * (vecs.T @ space.mass_matrix))

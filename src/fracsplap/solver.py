@@ -22,11 +22,10 @@ from .coefficients import (
     SuperlinearNoiseSpec,
     TransportNoiseSpec,
     eval_B,
-    sqrt_operator,
 )
 from . import fracop
 from .domain import FracOperatorParams
-from .fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual
+from .fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual, sqrt_operator
 from .space import GalerkinSpace, lp_norm
 
 

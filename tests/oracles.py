@@ -21,9 +21,9 @@ from mpmath import mp
 from scipy import sparse
 
 from fracsplap import FracOperatorParams
-from fracsplap.coefficients import eval_B, sqrt_operator
-from fracsplap.fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual
-from fracsplap.space import lp_norm
+from fracsplap.coefficients import eval_B
+from fracsplap.fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual, sqrt_operator
+from fracsplap.space import lp_norm, mass_orthonormal_basis
 
 
 def kernel_constant_oracle(n, p, s, dps=50):
@@ -224,18 +224,18 @@ def frac_eigenpairs_scipy(space, params):
 
 
 def poincare_lbfgsb(space, params):
-    """The p != 2 Poincare estimate by scipy's L-BFGS-B from the p = 2 minimiser."""
-    H, p = space.h_basis, params.p
+    """The p != 2 Poincare estimate by scipy's L-BFGS-B over all m hats, from the p = 2 minimiser."""
+    B, p = mass_orthonormal_basis(space.mass_matrix), params.p
     p2 = FracOperatorParams(s=params.s, p=2.0)
-    G = (2.0 / p2.c_kernel) * (H.T @ assemble_frac_stiffness(space, p2) @ H)
+    G = (2.0 / p2.c_kernel) * (B.T @ assemble_frac_stiffness(space, p2) @ B)
     plan = get_plan(space, params)
 
     def quotient_and_grad(z):
-        v = H @ z
+        v = B @ z
         semi_p, residual = seminorm_p_with_residual(plan, v, p)
         lp, lp_grad = lp_norm(space, v, p, with_grad=True)
         q = semi_p / lp**p
-        return q, H.T @ (p * residual - q * lp_grad) / lp**p
+        return q, B.T @ (p * residual - q * lp_grad) / lp**p
 
     z0 = np.linalg.eigh(0.5 * (G + G.T))[1][:, 0]
     res = scipy.optimize.minimize(

@@ -12,7 +12,8 @@ from fracsplap import (
     build_space,
     eval_B,
 )
-from fracsplap.coefficients import frac_eigenpairs, noise_lipschitz_constant, sqrt_operator
+from fracsplap.coefficients import noise_lipschitz_constant
+from fracsplap.fracop import frac_eigenpairs, sqrt_operator
 from fracsplap.space import l2_norm, lp_norm
 
 from oracles import (

@@ -281,6 +281,8 @@ def _with(text, **values):
         ("converge", {"harness__dt_ladder": "0.03125,0.03"}, "must divide solver.T"),
         ("converge", {"harness__dt_ladder": "0.1,0.0625"}, "multiple of the refined step"),
         ("converge", {"harness__dt_ladder": "0.03125,0.0"}, "must be positive"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.03125"}, "harness.dt_ladder rungs must be distinct"),
+        ("converge", {"harness__dt_ladder": "0.03125,0.0312500000001"}, "harness.dt_ladder rungs must be distinct"),
         ("moments", {"harness__p_values": "0.5,1.0"}, "harness.p_values"),
         ("moments", {"harness__x_scales": ""}, "harness.x_scales"),
         ("converge", {"harness__n_paths": "0", "harness__mode_ladder": "2,4"}, "harness.n_paths must be >= 1"),
@@ -312,8 +314,8 @@ def _with(text, **values):
     ],
     ids=[
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
-        "one-rung", "fine-step", "rung-multiple", "zero-rung", "moment-exponent", "no-scales", "no-paths-modes",
-        "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
+        "one-rung", "fine-step", "rung-multiple", "zero-rung", "repeated-rung", "near-repeated-rung", "moment-exponent",
+        "no-scales", "no-paths-modes", "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
         "negative-cutoff", "huge-cutoff", "negative-delta3", "huge-mesh", "huge-noise-columns",
         "huge-transport-family", "reference-p", "reference-q", "reference-phi3", "negative-phi4", "overflowing-x0",
         "overflowing-perturbed-x0", "overflowing-x-scale",

@@ -282,6 +282,20 @@ def test_memo_flux_is_read_only(space16):
         f[0] = 1.0
 
 
+def test_a_sweep_allocates_one_wts_sized_buffer(space16):
+    # D v goes into the buffer the previous sweep left in _spare, so a sweep allocates only the flux it keeps
+    plan = dataclasses.replace(get_plan(space16, FracOperatorParams(s=0.6, p=3.0)))
+    v1, v2 = np.random.default_rng(15).standard_normal((2, 16))
+    _sweep(plan, v1, 3.0)
+    tracemalloc.start()
+    try:
+        _sweep(plan, v2, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.wts.nbytes <= peak < 2 * plan.wts.nbytes
+
+
 def test_p3_path_forms_one_flux_per_state(monkeypatch):
     # the recorded seminorm of state i and the residual of step i share one D v
     space = build_space(DomainSpec(), 8, 6)

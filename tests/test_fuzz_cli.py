@@ -5,7 +5,8 @@ ensembles of at most 101 paths) with up to three keys overridden by in-range, ou
 non-finite or unparsable values, then runs one command in process; ``--config`` may instead name a directory or
 a missing file, and ``--out`` an existing directory or file.  The run must return 0, 2 (validation) or 3
 (numerical), print no traceback, and an exit-2 run must write nothing: no new directory, no new or changed file.
-An exit-0 ``simulate`` run must write a ``path.csv`` of finite numbers only.
+An exit-0 ``simulate`` run must write a ``path.csv`` of finite numbers only, and an exit-0 ``converge`` run must
+report distinct dt rungs, coarsest first.
 """
 
 import contextlib
@@ -145,6 +146,11 @@ OUT_AT = values("new", "new", "new", "existing directory", "existing file")
     command="simulate", overrides={"drift.q": "2.0", "solver.x0_scale": "1e300"}, extra="", seed=None,
     config_at="file", out_at="new",
 )
+# a repeated dt rung is a validation error: the slope fit over its rungs would be rank-deficient
+@example(
+    command="converge", overrides={"drift.q": "2.0", "harness.dt_ladder": "0.0625,0.0625"}, extra="", seed=None,
+    config_at="file", out_at="new",
+)
 def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, config_at, out_at):
     config = {**BASE, **overrides}
     text = "\n".join([f"{k} = {v}" for k, v in config.items()] + [extra]) + "\n"
@@ -167,6 +173,10 @@ def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, confi
         if rc == 0 and command == "simulate":
             rows = [line for line in (out / "path.csv").read_text().splitlines() if not line.startswith("#")]
             assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
+        if rc == 0 and command == "converge":
+            lines = (out / "convergence.csv").read_text().splitlines()
+            rungs = [float(line.split(",")[0][len("dt="):]) for line in lines if line.startswith("dt=")]
+            assert all(a > b for a, b in zip(rungs, rungs[1:])), rungs
         if rc == 2:
             if out_at == "new":
                 assert not out.exists()

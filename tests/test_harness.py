@@ -3,6 +3,7 @@ import math
 import os
 import threading
 import tracemalloc
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fracsplap import (
     time_seminorm_sq,
 )
 from fracsplap import harness
-from fracsplap.config import ConfigError
+from fracsplap.config import ConfigError, ExperimentConfig, build_bundle, parse_config_file
 from fracsplap.harness import run_ensemble
 from fracsplap.solver import Path
 from fracsplap.space import l2_norm
@@ -155,6 +156,33 @@ def test_moment_study_keeps_samples_not_paths(moment_setup, monkeypatch):
     harness.require_ensemble_fits(harness.MAX_ENSEMBLE_ENTRIES // 4, 2)
     with pytest.raises(ConfigError, match="keeps 25000004 floats"):
         harness.require_ensemble_fits(harness.MAX_ENSEMBLE_ENTRIES // 4 + 1, 2)
+
+
+def test_energy_moment_matches_the_exact_gaussian_law():
+    # p = q = 2, additive sigma1 forcing, no taming: the Euler-Maruyama state is Gaussian, with
+    # mu <- (I - dt A) mu and P <- (I - dt A) P (I - dt A)^T + dt B B^T, A = S_red + (delta + linear) I,
+    # and the recorded energy is z^T Q z, Q = (2/C) S_red + (E H)^T diag(w) (E H) + I, so the exponent-1
+    # energy moment E[int energy dt] is exact for the scheme (4.7252 and 47.661 at x_scales 1 and 4)
+    shipped = parse_config_file(FsPath(__file__).parent.parent / "configs" / "moments.cfg").values
+    overrides = {"drift.q": 2.0, "noise.beta_b0": 0.0, "noise.gamma_g0": 0.0, "solver.taming": False}
+    bundle = build_bundle(ExperimentConfig({**shipped, **overrides}))
+    setup, cfg = bundle.setup, bundle.solver_config
+    ops, space, dt = setup.reduced(cfg.n_modes), setup.space, cfg.dt
+    step = np.eye(cfg.n_modes) - dt * (ops.S + (setup.drift.delta + setup.drift.linear) * np.eye(cfg.n_modes))
+    B = ops.HT_M @ setup.noise.sigma1_nodal(space, 0.0, cfg.n_noise)
+    E, w = space.gauss_rule(8)
+    EH = E @ ops.H
+    Q = (2.0 / setup.op_params.c_kernel) * ops.S + EH.T @ (w[:, None] * EH) + np.eye(cfg.n_modes)
+    scales = (1.0, 4.0)
+    rep = estimate_moments(setup, cfg, bundle.x0_shape, x_scales=scales, p_values=(1.0,), n_paths=400)
+    for si, (scale, recorded) in enumerate(zip(scales, (4.7252, 47.661))):
+        mu, P, energy = ops.HT_M @ (scale * bundle.x0_shape), np.zeros_like(Q), []
+        for _ in range(cfg.n_steps + 1):
+            energy.append(mu @ Q @ mu + np.sum(Q * P))
+            mu, P = step @ mu, step @ P @ step.T + dt * (B @ B.T)
+        exact = float(np.trapezoid(energy, dx=dt))
+        assert exact == pytest.approx(recorded, rel=1e-4)
+        assert abs(rep.energy_moments[0, si] - exact) < 4.0 * rep.energy_std_errors[0, si]
 
 
 def test_run_ensemble_checks_its_floor():

@@ -237,7 +237,7 @@ def test_simulate_overflowing_initial_state_exits_3(tmp_path):
 
 
 def test_reference_solution_eigen_decay(linear_setup):
-    from fracsplap.coefficients import frac_eigenpairs
+    from fracsplap.fracop import frac_eigenpairs
 
     space = linear_setup.space
     setup = SimulationSetup(
