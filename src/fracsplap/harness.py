@@ -46,6 +46,8 @@ def moment_grid(p_values, x_scales):
     """The moment exponents and initial-data scales as floats, after checking
     the moment study's preconditions."""
     p_values = tuple(float(p) for p in p_values)
+    if not p_values:
+        raise ConfigError("harness.p_values needs at least one exponent")
     if any(p < 1.0 for p in p_values):
         raise ConfigError("harness.p_values: moment exponents start at 1")
     x_scales = tuple(float(s) for s in x_scales)
@@ -93,7 +95,8 @@ def _whole(path: Path, j: int, what: str) -> Path:
 
 @dataclass
 class MomentReport:
-    """Monte Carlo estimates of the three bounded moment families."""
+    """Monte Carlo estimates of the three bounded moment families.  The moment and std error
+    fields are views of one ``(3, n_p, n_scales)`` table each, with the families on the first axis."""
 
     p_values: tuple
     x_scales: tuple
@@ -136,13 +139,8 @@ def estimate_moments(
                 f"moment exponent p={p} is outside the admissible range [1, {p_max}) "
                 "implied by the coercivity/diffusion-growth ratios"
             )
-    n_p, n_s = len(p_values), len(x_scales)
-    sup_m = np.zeros((n_p, n_s))
-    sup_se = np.zeros((n_p, n_s))
-    en_m = np.zeros((n_p, n_s))
-    en_se = np.zeros((n_p, n_s))
-    cr_m = np.zeros((n_p, n_s))
-    cr_se = np.zeros((n_p, n_s))
+    shape = (3, len(p_values), len(x_scales))  # the sup, energy and cross families
+    moments, std_errors = np.zeros(shape), np.zeros(shape)
     x_norms_sq = []
     dt = config.dt
     root = math.sqrt(n_paths)
@@ -150,7 +148,7 @@ def estimate_moments(
         x0 = scale * np.asarray(x0_shape, dtype=float)
         x_norms_sq.append(l2_norm(setup.space, x0) ** 2)
         # one column a path: sup of the L2 norm, energy integral, one cross integral per exponent
-        samples = np.empty((2 + n_p, n_paths))
+        samples = np.empty((2 + len(p_values), n_paths))
 
         def reduce_path(j):
             path = _whole(simulate_path(setup, config, x0, path_index=j), j, f"x_scale {scale!r}")
@@ -163,34 +161,26 @@ def estimate_moments(
         run_ensemble(reduce_path, n_paths, MOMENT_PATHS)
         sup_l2, energy, *cross = samples
         for pi, p in enumerate(p_values):
-            sup_samples = sup_l2 ** (2.0 * p)
-            en_samples = energy**p
-            sup_m[pi, si] = sup_samples.mean()
-            sup_se[pi, si] = sup_samples.std(ddof=1) / root
-            en_m[pi, si] = en_samples.mean()
-            en_se[pi, si] = en_samples.std(ddof=1) / root
-            cr_m[pi, si] = cross[pi].mean()
-            cr_se[pi, si] = cross[pi].std(ddof=1) / root
-        if not all(np.isfinite(a[:, si]).all() for a in (sup_m, sup_se, en_m, en_se, cr_m, cr_se)):
+            for fi, family in enumerate((sup_l2 ** (2.0 * p), energy**p, cross[pi])):
+                moments[fi, pi, si] = family.mean()
+                std_errors[fi, pi, si] = family.std(ddof=1) / root
+        if not (np.isfinite(moments[..., si]).all() and np.isfinite(std_errors[..., si]).all()):
             raise EnsembleDiverged(f"the moments at x_scale {scale!r} are not finite; no statistics available")
-    ratios = np.zeros((n_p, n_s))
-    flags = []
-    for pi, p in enumerate(p_values):
-        denom = np.array([1.0 + xn**p for xn in x_norms_sq])
-        ratios[pi] = sup_m[pi] / denom
-        spread = ratios[pi].max() / ratios[pi].min() if ratios[pi].min() > 0 else math.inf
-        flags.append(bool(spread > AFFINITY_FACTOR))
+    # Python's float power (libm pow) for 1 + ||x||^{2p}, as numpy's vector pow can round differently
+    ratios = moments[0] / np.array([[1.0 + xn**p for xn in x_norms_sq] for p in p_values])
+    # a zero minimum ratio is an infinite spread
+    flags = tuple(bool(not lo > 0 or hi / lo > AFFINITY_FACTOR) for lo, hi in zip(ratios.min(1), ratios.max(1)))
     return MomentReport(
         p_values=p_values,
         x_scales=x_scales,
-        sup_moments=sup_m,
-        sup_std_errors=sup_se,
-        energy_moments=en_m,
-        energy_std_errors=en_se,
-        cross_moments=cr_m,
-        cross_std_errors=cr_se,
+        sup_moments=moments[0],
+        sup_std_errors=std_errors[0],
+        energy_moments=moments[1],
+        energy_std_errors=std_errors[1],
+        cross_moments=moments[2],
+        cross_std_errors=std_errors[2],
         affinity_ratios=ratios,
-        affinity_flags=tuple(flags),
+        affinity_flags=flags,
         n_paths=n_paths,
     )
 

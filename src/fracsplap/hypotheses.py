@@ -318,14 +318,11 @@ def admissibility_report(
     lip: LipschitzPerturbationSpec,
     noise: SuperlinearNoiseSpec,
     transport: TransportNoiseSpec | None,
-    lambda_est: PoincareEstimate | float,
+    lambda_est: PoincareEstimate,
     horizon: float,
 ) -> AdmissibilityReport:
     """Evaluate every applicable theorem check and the active parameter algebra."""
-    if isinstance(lambda_est, PoincareEstimate):
-        lam, certified = lambda_est.value, lambda_est.certified
-    else:
-        lam, certified = float(lambda_est), False
+    lam, certified = lambda_est.value, lambda_est.certified
     checks = [check_theorem_1(op_params, drift, noise, lam)]
     notes = [
         "zero diffusion-growth constants make gamma1/gamma2 infinite",

@@ -136,18 +136,16 @@ class SimulationSetup:
             self._reduced[k] = ops
         return ops
 
-    def a1_coeffs(self, z: np.ndarray, nodal: np.ndarray, k: int) -> np.ndarray:
-        """Mode coefficients of the operator action (pairings against h_1..h_k)."""
-        ops = self.reduced(k)
+    def a1_coeffs(self, z: np.ndarray, nodal: np.ndarray, ops: Reduced) -> np.ndarray:
+        """Mode coefficients of the operator action (pairings against h_1..h_k), ``ops = reduced(k)``."""
         if ops.S is not None:
             return -(ops.S @ z)
         _, residual = seminorm_p_with_residual(self.plan, nodal, self.op_params.p)
         return ops.H.T @ (-0.5 * self.op_params.c_kernel * residual)
 
-    def v1_seminorm(self, z: np.ndarray, nodal: np.ndarray, k: int) -> float:
-        S = self.reduced(k).S
-        if S is not None:
-            return math.sqrt(max(2.0 / self.op_params.c_kernel * float(z @ (S @ z)), 0.0))
+    def v1_seminorm(self, z: np.ndarray, nodal: np.ndarray, ops: Reduced) -> float:
+        if ops.S is not None:
+            return math.sqrt(max(2.0 / self.op_params.c_kernel * float(z @ (ops.S @ z)), 0.0))
         return fracop.seminorm_p(self.plan, nodal, self.op_params.p) ** (1.0 / self.op_params.p)
 
     def diffusion_cols(self, t: float, nodal: np.ndarray, n_noise: int) -> np.ndarray:
@@ -195,7 +193,7 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
     def record(i, zi, nodal, zz):
         states[i] = zi
         l2[i] = math.sqrt(zz)
-        v1[i] = setup.v1_seminorm(zi, nodal, k)
+        v1[i] = setup.v1_seminorm(zi, nodal, ops)
         lq[i] = lp_norm(space, nodal, q)
         energy[i] = v1[i] ** p + lq[i] ** q + l2[i] ** 2  # numpy scalars: an overflow gives inf
 
@@ -234,14 +232,14 @@ def simulate_path(
     The taming factor rescales the whole projected drift vector, preserving
     its direction; the diffusion increment is left untouched.
     """
-    dt, taming, n_noise, k = config.dt, config.taming, config.n_noise, config.n_modes
+    dt, taming, n_noise = config.dt, config.taming, config.n_noise
     drift, lip = setup.drift, setup.lip
 
     def stepper(t, z, nodal, dw, ops):
         drift_nodal = drift.f(t, nodal)
         if lip.phi3_amplitude != 0.0:  # the zero perturbation adds nothing
             drift_nodal = drift_nodal + lip.h(t, nodal)
-        D = setup.a1_coeffs(z, nodal, k) + ops.HT_M @ drift_nodal
+        D = setup.a1_coeffs(z, nodal, ops) + ops.HT_M @ drift_nodal
         if taming:
             D = D / (1.0 + dt * math.sqrt(D @ D))
         cols = setup.diffusion_cols(t, nodal, n_noise)

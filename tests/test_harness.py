@@ -58,6 +58,7 @@ def test_moment_report_zero_case(moment_setup):
     assert rep.sup_moments[0, 0] == 0.0
     assert rep.energy_moments[0, 0] == 0.0
     assert rep.cross_moments[0, 0] == 0.0
+    assert rep.affinity_flags == (True,)  # a zero ratio is an infinite spread
 
 
 def test_moment_refuses_inadmissible_exponent(moment_setup):
@@ -65,6 +66,8 @@ def test_moment_refuses_inadmissible_exponent(moment_setup):
     cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=1)
     with pytest.raises(ValueError, match="admissible range"):
         estimate_moments(setup, cfg, shape, [1.0], [2.5], n_paths=100, p_max=2.0)
+    with pytest.raises(ConfigError, match="harness.p_values needs at least one exponent"):
+        estimate_moments(setup, cfg, shape, [1.0], [], n_paths=100)
     with pytest.raises(ValueError):
         estimate_moments(setup, cfg, shape, [1.0], [1.0], n_paths=50)
 
@@ -162,7 +165,10 @@ def test_energy_moment_matches_the_exact_gaussian_law():
     # p = q = 2, additive sigma1 forcing, no taming: the Euler-Maruyama state is Gaussian, with
     # mu <- (I - dt A) mu and P <- (I - dt A) P (I - dt A)^T + dt B B^T, A = S_red + (delta + linear) I,
     # and the recorded energy is z^T Q z, Q = (2/C) S_red + (E H)^T diag(w) (E H) + I, so the exponent-1
-    # energy moment E[int energy dt] is exact for the scheme (4.7252 and 47.661 at x_scales 1 and 4)
+    # energy moment E[int energy dt] is exact for the scheme (4.7252 and 47.661 at x_scales 1 and 4).
+    # So is its sd (2.1720 and 7.3739): with trapezoid weights t_i and the cross-covariances
+    # C_ij = (I - dt A)^(i-j) P_j of z_i and z_j (i >= j), Var sum_i t_i z_i^T Q z_i is
+    # sum_ij t_i t_j [2 tr(Q C_ij Q C_ij^T) + 4 mu_i^T Q C_ij Q mu_j].
     shipped = parse_config_file(FsPath(__file__).parent.parent / "configs" / "moments.cfg").values
     overrides = {"drift.q": 2.0, "noise.beta_b0": 0.0, "noise.gamma_g0": 0.0, "solver.taming": False}
     bundle = build_bundle(ExperimentConfig({**shipped, **overrides}))
@@ -173,16 +179,28 @@ def test_energy_moment_matches_the_exact_gaussian_law():
     E, w = space.gauss_rule(8)
     EH = E @ ops.H
     Q = (2.0 / setup.op_params.c_kernel) * ops.S + EH.T @ (w[:, None] * EH) + np.eye(cfg.n_modes)
-    scales = (1.0, 4.0)
-    rep = estimate_moments(setup, cfg, bundle.x0_shape, x_scales=scales, p_values=(1.0,), n_paths=400)
-    for si, (scale, recorded) in enumerate(zip(scales, (4.7252, 47.661))):
-        mu, P, energy = ops.HT_M @ (scale * bundle.x0_shape), np.zeros_like(Q), []
+    t = np.full(cfg.n_steps + 1, dt)
+    t[0] = t[-1] = 0.5 * dt
+    scales, n_paths = (1.0, 4.0), 400
+    rep = estimate_moments(setup, cfg, bundle.x0_shape, x_scales=scales, p_values=(1.0,), n_paths=n_paths)
+    for si, (scale, recorded, recorded_sd) in enumerate(zip(scales, (4.7252, 47.661), (2.1720, 7.3739))):
+        mu, P, mus, covs = ops.HT_M @ (scale * bundle.x0_shape), np.zeros_like(Q), [], []
         for _ in range(cfg.n_steps + 1):
-            energy.append(mu @ Q @ mu + np.sum(Q * P))
+            mus.append(mu)
+            covs.append(P)
             mu, P = step @ mu, step @ P @ step.T + dt * (B @ B.T)
-        exact = float(np.trapezoid(energy, dx=dt))
+        exact = float(np.trapezoid([m @ Q @ m + np.sum(Q * c) for m, c in zip(mus, covs)], dx=dt))
+        var = 0.0
+        for j, C in enumerate(covs):
+            for i in range(j, len(covs)):
+                QC = Q @ C
+                cov = 2.0 * np.sum(QC * (C @ Q)) + 4.0 * mus[i] @ QC @ Q @ mus[j]
+                var += (1.0 if i == j else 2.0) * t[i] * t[j] * cov
+                C = step @ C
         assert exact == pytest.approx(recorded, rel=1e-4)
+        assert math.sqrt(var) == pytest.approx(recorded_sd, rel=1e-4)
         assert abs(rep.energy_moments[0, si] - exact) < 4.0 * rep.energy_std_errors[0, si]
+        assert rep.energy_std_errors[0, si] * math.sqrt(n_paths) == pytest.approx(math.sqrt(var), rel=0.25)
 
 
 def test_run_ensemble_checks_its_floor():

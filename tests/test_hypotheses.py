@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracsplap import DriftSpec, FracOperatorParams, LipschitzPerturbationSpec, SuperlinearNoiseSpec
+from fracsplap import DriftSpec, FracOperatorParams, LipschitzPerturbationSpec, PoincareEstimate, SuperlinearNoiseSpec
 from fracsplap.hypotheses import (
     HypothesisParams,
     admissibility_report,
@@ -178,8 +178,9 @@ def test_report_determinism_and_content():
     drift = DriftSpec(q=4.0, delta=1.0)
     lip = LipschitzPerturbationSpec(0.1)
     noise = SuperlinearNoiseSpec(p1=3.0, beta_b0=0.1, beta_r=2.0, gamma_g0=0.3, gamma_r=2.0)
-    rep1 = admissibility_report(op, drift, lip, noise, None, 1.3, horizon=1.0)
-    rep2 = admissibility_report(op, drift, lip, noise, None, 1.3, horizon=1.0)
+    lam = PoincareEstimate(1.3, certified=False)
+    rep1 = admissibility_report(op, drift, lip, noise, None, lam, horizon=1.0)
+    rep2 = admissibility_report(op, drift, lip, noise, None, lam, horizon=1.0)
     assert rep1.to_text() == rep2.to_text()
     assert rep1.to_kv() == rep2.to_kv()
     assert rep1.setting == "strong_monotone_drift"
@@ -190,7 +191,7 @@ def test_report_determinism_and_content():
     bad = admissibility_report(
         op, drift, lip,
         SuperlinearNoiseSpec(p1=3.0, beta_b0=2.0, beta_r=2.0, gamma_g0=6.0, gamma_r=2.0),
-        None, 1.3, horizon=1.0,
+        None, lam, horizon=1.0,
     )
     assert not bad.ok
     failing = [c for chk in bad.theorem_checks for c in chk.conditions if not c.ok]
