@@ -23,7 +23,7 @@ Lipschitz bound is checked against a deterministic mean-value constant
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,10 +75,11 @@ class DriftSpec:
     delta: float
     linear: float = 0.0
     delta3: float | None = None
-    delta1: float = field(init=False)
-    delta2: float = field(init=False)
-    phi1_norm: float = field(init=False)
-    phi2_norm: float = field(init=False)
+
+    delta1 = property(lambda self: self.delta)
+    delta2 = property(lambda self: self.delta + self.linear)
+    phi1_norm = property(lambda self: 0.0)
+    phi2_norm = property(lambda self: self.linear)
 
     def __post_init__(self):
         if not self.q >= 2.0:
@@ -91,10 +92,6 @@ class DriftSpec:
             object.__setattr__(self, "delta3", self.delta / 2.0)
         if self.delta3 < 0:
             raise ValueError("delta3 must be nonnegative")
-        object.__setattr__(self, "delta1", self.delta)
-        object.__setattr__(self, "delta2", self.delta + self.linear)
-        object.__setattr__(self, "phi1_norm", 0.0)
-        object.__setattr__(self, "phi2_norm", self.linear)
         self._verify()
 
     def f(self, t, u):
@@ -285,10 +282,10 @@ class TransportNoiseSpec:
     """
 
     g_fields: np.ndarray  # (m, n_g) nodal multipliers
-    linf_norms: np.ndarray
     delta4: float
-    delta5: float
     phi4_amplitude: float = 0.0
+
+    delta5 = property(lambda self: self.delta4)
 
     @property
     def n_g(self) -> int:
@@ -310,17 +307,14 @@ class TransportNoiseSpec:
             raise ValueError("need at least one multiplier field")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing family is rejected below
             g = _sine_family(space, amplitude, decay, n_g)
-            linf = np.max(np.abs(g), axis=0)
-            d = 0.5 * params.c_kernel * float(np.sum(linf**2))
+            d = 0.5 * params.c_kernel * float(np.sum(np.max(np.abs(g), axis=0) ** 2))
         if not math.isfinite(d):
             raise ValueError("multiplier family norms must be summable")
-        return TransportNoiseSpec(g_fields=g, linf_norms=linf, delta4=d, delta5=d, phi4_amplitude=phi4_amplitude)
+        return TransportNoiseSpec(g_fields=g, delta4=d, phi4_amplitude=phi4_amplitude)
 
     def __post_init__(self):
-        if self.delta4 < 0 or self.delta5 < 0:
-            raise ValueError("transport growth constants must be nonnegative")
-        if abs(self.delta5 - self.delta4) > 1e-10 * max(1.0, self.delta4):
-            raise ValueError("delta5 inconsistent with the multiplier family")
+        if self.delta4 < 0:
+            raise ValueError("transport growth constant delta4 must be nonnegative")
         if self.phi4_amplitude < 0:
             raise ValueError("phi4 amplitude must be nonnegative")
 

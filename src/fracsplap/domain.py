@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 
@@ -26,6 +27,8 @@ def kernel_constant(n: int, p: float, s: float) -> float:
         - 0.5 * n * math.log(math.pi)
         - math.lgamma(1.0 - s)
     )
+    if log_c > math.log(sys.float_info.max):
+        raise ValueError(f"kernel constant C(n, p, s) overflows a float at n={n}, p={p}, s={s}")
     return math.exp(log_c)
 
 

@@ -190,6 +190,7 @@ def get_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     return space._cache[key]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # a mesh width whose weights overflow is refused below
 def _build_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     """The quadrature plan of ``(space, s, p)``, not cached: :func:`get_plan` caches it for the sweeps."""
     m, h = space.m, space.h
@@ -217,7 +218,7 @@ def _build_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
 
     # identical elements: closed form for the pure power integral
     alpha = p - 1.0 - ps
-    j_same = 2.0 * h ** (alpha + 2.0) / ((alpha + 1.0) * (alpha + 2.0))
+    j_same = 2.0 * np.float64(h) ** (alpha + 2.0) / ((alpha + 1.0) * (alpha + 2.0))
 
     # exterior tail over the truncated box, graded on the boundary elements
     wt_box = space.domain.exterior_truncation
@@ -258,6 +259,11 @@ def _build_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
     Cadj = np.stack((1.0 - lxa, lxa - (1.0 - lya), -lya))  # the shared node's two values merge as in v(x) - v(y)
     C2 = np.concatenate((np.tile([-1.0 / h, 1.0 / h], (n_el, 1)), np.stack((1.0 - lt, lt), axis=1)))
     wts = np.concatenate((W.reshape(-1), np.tile(Wrel.reshape(-1), n_el - 1), np.full(n_el, j_same), *wt_parts))
+    if not np.isfinite(wts).all():
+        raise ValueError(
+            f"domain.a = {a}, domain.b = {b}: the quadrature weights of the mesh width {h} are not finite"
+            f" at s = {params.s}, p = {p}"
+        )
     return FracPlan(
         wts=wts, sep=sep, adj=adj, two=two, scatter=np.concatenate((sep.ravel(), adj.ravel(), two.ravel())),
         Csep=Csep, Cadj=Cadj, C2=C2, space=space,

@@ -87,19 +87,9 @@ def _min_ratio(params: HypothesisParams) -> float:
     return min(ratios)
 
 
-@dataclass(frozen=True)
-class GapCheck:
-    ok: bool
-    lhs: float  # max kappa
-    rhs: float  # 2 * min gamma1/gamma2
-    margin: float
-
-
-def check_gap(params: HypothesisParams) -> GapCheck:
+def check_gap(params: HypothesisParams) -> TheoremCondition:
     """Strict gap condition ``max_j kappa_j < 2 min_j gamma1_j/gamma2_j``."""
-    lhs = float(np.max(compute_kappa(params)))
-    rhs = 2.0 * _min_ratio(params)
-    return GapCheck(ok=lhs < rhs, lhs=lhs, rhs=rhs, margin=rhs - lhs)
+    return TheoremCondition("gap", float(np.max(compute_kappa(params))), 2.0 * _min_ratio(params))
 
 
 def moment_exponent_range(params: HypothesisParams) -> float:
@@ -113,59 +103,48 @@ def moment_exponent_range(params: HypothesisParams) -> float:
 
 @dataclass(frozen=True)
 class TheoremCondition:
+    """One condition ``lhs < rhs`` (``lhs <= rhs`` when not strict) with its verdict and margin."""
+
     label: str
     lhs: float
     rhs: float
-    strict: bool
-    ok: bool
-    margin: float
+    strict: bool = True
 
-
-def _cond(label: str, lhs: float, rhs: float, strict: bool) -> TheoremCondition:
-    ok = (lhs < rhs) if strict else (lhs <= rhs)
-    return TheoremCondition(label=label, lhs=lhs, rhs=rhs, strict=strict, ok=ok, margin=rhs - lhs)
+    ok = property(lambda self: self.lhs < self.rhs if self.strict else self.lhs <= self.rhs)
+    margin = property(lambda self: self.rhs - self.lhs)
 
 
 @dataclass(frozen=True)
 class TheoremCheck:
     name: str
-    ok: bool
-    conditions: tuple
+    conditions: tuple  # of TheoremCondition
     note: str = ""
+
+    ok = property(lambda self: all(c.ok for c in self.conditions))
 
     def violated(self) -> tuple:
         return tuple(c.label for c in self.conditions if not c.ok)
 
 
-def check_theorem_1(
-    op_params: FracOperatorParams,
-    drift: DriftSpec,
-    noise: SuperlinearNoiseSpec,
-    lambda_hat: float,
-) -> TheoremCheck:
+def check_theorem_1(op_params: FracOperatorParams, noise: SuperlinearNoiseSpec, lambda_hat: float) -> TheoremCheck:
     """General monotone drift: needs s*p > n (n = 1 on an interval) and sum(beta) < lambda*C/6."""
     conds = (
-        _cond("s*p > n (sup-norm embedding)", 1.0, op_params.s * op_params.p, True),
-        _cond("2 <= p1 <= p", noise.p1, op_params.p, False),
-        _cond("sum(beta) < lambda*C/6", noise.beta_sum(), lambda_hat * op_params.c_kernel / 6.0, True),
+        TheoremCondition("s*p > n (sup-norm embedding)", 1.0, op_params.s * op_params.p),
+        TheoremCondition("2 <= p1 <= p", noise.p1, op_params.p, strict=False),
+        TheoremCondition("sum(beta) < lambda*C/6", noise.beta_sum(), lambda_hat * op_params.c_kernel / 6.0),
     )
-    return TheoremCheck(
-        name="general_monotone_drift",
-        ok=all(c.ok for c in conds),
-        conditions=conds,
-        note="conditional on the discrete Poincare estimate",
-    )
+    return TheoremCheck("general_monotone_drift", conds, note="conditional on the discrete Poincare estimate")
 
 
 def check_theorem_2(drift: DriftSpec, noise: SuperlinearNoiseSpec) -> TheoremCheck:
     """Strongly monotone drift: 2 <= p1 < q, sum(beta) < delta1, sum(gamma) <= 2*delta3."""
     conds = (
-        _cond("2 <= p1", 2.0, noise.p1, False),
-        _cond("p1 < q", noise.p1, drift.q, True),
-        _cond("sum(beta) < delta1", noise.beta_sum(), drift.delta1, True),
-        _cond("sum(gamma) <= 2*delta3", noise.gamma_sum(), 2.0 * drift.delta3, False),
+        TheoremCondition("2 <= p1", 2.0, noise.p1, strict=False),
+        TheoremCondition("p1 < q", noise.p1, drift.q),
+        TheoremCondition("sum(beta) < delta1", noise.beta_sum(), drift.delta1),
+        TheoremCondition("sum(gamma) <= 2*delta3", noise.gamma_sum(), 2.0 * drift.delta3, strict=False),
     )
-    return TheoremCheck(name="strong_monotone_drift", ok=all(c.ok for c in conds), conditions=conds)
+    return TheoremCheck("strong_monotone_drift", conds)
 
 
 def check_theorem_3(
@@ -177,13 +156,12 @@ def check_theorem_3(
     """Transport-noise setting on top of the strongly monotone one (p = 2)."""
     if op_params.p != 2.0:
         raise ValueError("the transport-noise setting requires p = 2")
-    base = check_theorem_2(drift, noise)
     c2 = op_params.c_kernel
-    conds = base.conditions + (
-        _cond("delta4 < C(n,2,s)", transport.delta4, c2, True),
-        _cond("delta5 <= C(n,2,s)/2", transport.delta5, 0.5 * c2, False),
+    conds = check_theorem_2(drift, noise).conditions + (
+        TheoremCondition("delta4 < C(n,2,s)", transport.delta4, c2),
+        TheoremCondition("delta5 <= C(n,2,s)/2", transport.delta5, 0.5 * c2, strict=False),
     )
-    return TheoremCheck(name="strong_monotone_with_transport", ok=all(c.ok for c in conds), conditions=conds)
+    return TheoremCheck("strong_monotone_with_transport", conds)
 
 
 def theorem1_hypothesis_params(
@@ -241,18 +219,20 @@ def theorem3_hypothesis_params(
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Structured admissibility result for one configuration."""
+    """Structured admissibility result for one configuration; every verdict is derived from the fields."""
 
     setting: str
     params: HypothesisParams
-    kappa: tuple
-    gap: GapCheck
-    p_max: float
-    empty_moment_range: bool
     theorem_checks: tuple  # of TheoremCheck
-    lambda_hat: float
-    lambda_certified: bool
+    lambda_est: PoincareEstimate
     notes: tuple
+
+    kappa = property(lambda self: tuple(compute_kappa(self.params)))
+    gap = property(lambda self: check_gap(self.params))
+    p_max = property(lambda self: moment_exponent_range(self.params))
+    empty_moment_range = property(lambda self: self.p_max <= 1.0)
+    lambda_hat = property(lambda self: self.lambda_est.value)
+    lambda_certified = property(lambda self: self.lambda_est.certified)
 
     @property
     def ok(self) -> bool:
@@ -322,8 +302,8 @@ def admissibility_report(
     horizon: float,
 ) -> AdmissibilityReport:
     """Evaluate every applicable theorem check and the active parameter algebra."""
-    lam, certified = lambda_est.value, lambda_est.certified
-    checks = [check_theorem_1(op_params, drift, noise, lam)]
+    lam = lambda_est.value
+    checks = [check_theorem_1(op_params, noise, lam)]
     notes = [
         "zero diffusion-growth constants make gamma1/gamma2 infinite",
         "theorem conditions are sufficient, not necessary",
@@ -341,18 +321,4 @@ def admissibility_report(
         setting = "general_monotone_drift"
         params = theorem1_hypothesis_params(op_params, drift, lip, noise, lam, horizon)
         notes.append("theorem check is conditional on the discrete Poincare estimate")
-    kappa = tuple(compute_kappa(params))
-    gap = check_gap(params)
-    p_max = moment_exponent_range(params)
-    return AdmissibilityReport(
-        setting=setting,
-        params=params,
-        kappa=kappa,
-        gap=gap,
-        p_max=p_max,
-        empty_moment_range=p_max <= 1.0,
-        theorem_checks=tuple(checks),
-        lambda_hat=lam,
-        lambda_certified=certified,
-        notes=tuple(notes),
-    )
+    return AdmissibilityReport(setting, params, tuple(checks), lambda_est, tuple(notes))

@@ -238,7 +238,7 @@ def test_a13_transport_adjoint_identity():
         g = sum(c * np.sin((k + 1) * np.pi * xi) for k, c in enumerate(coeffs))
         linf = np.array([np.max(np.abs(g))])
         d = 0.5 * params.c_kernel * float(linf[0] ** 2)
-        tr = TransportNoiseSpec(g_fields=g[:, None], linf_norms=linf, delta4=d, delta5=d)
+        tr = TransportNoiseSpec(g_fields=g[:, None], delta4=d)
         u = rng.standard_normal(64)
         v = rng.standard_normal(64)
         res = check_adjoint_identity(tr, space, params, u, v)
@@ -261,7 +261,7 @@ def test_a14_boundary_semantics():
     assert check_theorem_2(drift, at_gamma).ok
 
     def transport_with(delta):
-        return TransportNoiseSpec(g_fields=np.zeros((8, 1)), linf_norms=np.zeros(1), delta4=delta, delta5=delta)
+        return TransportNoiseSpec(g_fields=np.zeros((8, 1)), delta4=delta)
 
     ok_noise = SuperlinearNoiseSpec(p1=3.0, beta_b0=0.05, beta_r=2.0, gamma_g0=0.2, gamma_r=2.0)
     at_c = check_theorem_3(drift, ok_noise, transport_with(c2), params2)

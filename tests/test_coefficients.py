@@ -289,7 +289,7 @@ def test_transport_requires_p2(space16):
 
 def test_transport_constants_consistent(space16, params_s05_p2):
     tr = TransportNoiseSpec.from_family(space16, params_s05_p2, n_g=3, amplitude=0.4, decay=1.0)
-    d = 0.5 * params_s05_p2.c_kernel * float(np.sum(tr.linf_norms**2))
+    d = 0.5 * params_s05_p2.c_kernel * float(np.sum(np.max(np.abs(tr.g_fields), axis=0) ** 2))
     assert abs(tr.delta4 - d) < 1e-10 * max(1.0, d)
     assert abs(tr.delta5 - d) < 1e-10 * max(1.0, d)
     with pytest.raises(ValueError, match="summable"):
@@ -373,7 +373,7 @@ def test_adjoint_identity_zero_and_random(space64, params_s05_p2):
 def test_adjoint_identity_constant_multiplier(space16, params_s05_p2):
     g = np.ones((16, 1)) * 0.3
     d = 0.5 * params_s05_p2.c_kernel * 0.09
-    tr = TransportNoiseSpec(g_fields=g, linf_norms=np.array([0.3]), delta4=d, delta5=d)
+    tr = TransportNoiseSpec(g_fields=g, delta4=d)
     rng = np.random.default_rng(12)
     u = rng.standard_normal(16)
     assert check_adjoint_identity(tr, space16, params_s05_p2, u, u) < 1e-12

@@ -312,6 +312,11 @@ def _with(text, **values):
         ("uniqueness", {"harness__stability_epsilon": "1e308"},
          "harness.stability_epsilon: the initial state it gives is not finite"),
         ("moments", {"harness__x_scales": "0.0,1e308"}, "harness.x_scales: the initial state it gives is not finite"),
+        ("check-hypotheses", {"operator__p": "400.0"}, "kernel constant C(n, p, s) overflows"),
+        # the mesh width's kernel weights, or its same-element power, leave the float range
+        ("check-hypotheses", {"domain__b": "1e-200"}, "domain.a = 0.0, domain.b = 1e-200"),
+        ("check-hypotheses", {"domain__a": "-1e150", "domain__b": "1e150"}, "domain.a = -1e+150, domain.b = 1e+150"),
+        ("converge", {"domain__b": "1e-200", "harness__mode_ladder": "2,4"}, "quadrature weights"),
     ],
     ids=[
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
@@ -320,7 +325,8 @@ def _with(text, **values):
         "zero-mode-rung", "one-mode-rung",
         "negative-cutoff", "huge-cutoff", "negative-delta3", "huge-mesh", "huge-noise-columns",
         "huge-transport-family", "reference-p", "reference-q", "reference-phi3", "negative-phi4", "overflowing-x0",
-        "overflowing-perturbed-x0", "overflowing-x-scale",
+        "overflowing-perturbed-x0", "overflowing-x-scale", "overflowing-kernel-constant", "tiny-domain",
+        "huge-domain", "tiny-domain-converge",
     ],
 )
 def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):

@@ -45,9 +45,9 @@ def values(*choices):
 # every choice keeps a run that small, or is rejected before any path runs
 FUZZ = {
     "operator.s": values("0.4", "0.9", "0.0", "1.0", "-0.2", "nan", "x"),
-    "operator.p": values("2.0", "3.0", "4.0", "2.5", "1.0", "0.5", "inf"),
-    "domain.a": values("0.0", "-1.0", "1.0", "nan"),
-    "domain.b": values("1.0", "0.0", "2.0", "-inf"),
+    "operator.p": values("2.0", "3.0", "4.0", "2.5", "1.0", "0.5", "inf", "400.0"),
+    "domain.a": values("0.0", "-1.0", "1.0", "nan", "-1e150"),
+    "domain.b": values("1.0", "0.0", "2.0", "-inf", "1e-200", "1e150", "1e-150"),
     "domain.exterior_truncation": values("0.0", "5.0", "-1.0", "1e-300"),
     "domain.mesh_m": values("-1", "0", "1", "2", "8", "2.5"),
     "domain.n_modes": values("-1", "0", "1", "3", "9"),

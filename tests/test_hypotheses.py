@@ -118,12 +118,11 @@ def test_hypothesis_params_validation():
 
 
 def test_theorem_1_gate_and_margin(space16):
-    drift = DriftSpec(q=4.0, delta=1.0)
     op = FracOperatorParams(s=0.6, p=3.0)
     zero_noise = SuperlinearNoiseSpec(p1=2.0)
-    chk = check_theorem_1(op, drift, zero_noise, lambda_hat=1.0)
+    chk = check_theorem_1(op, zero_noise, lambda_hat=1.0)
     assert chk.ok  # zero beta passes strictly
-    bad_embed = check_theorem_1(FracOperatorParams(s=0.4, p=2.0), drift, zero_noise, 1.0)
+    bad_embed = check_theorem_1(FracOperatorParams(s=0.4, p=2.0), zero_noise, 1.0)
     assert not bad_embed.ok
     assert "s*p > n (sup-norm embedding)" in bad_embed.violated()
     # 90% of the beta budget still passes with a 10% margin
@@ -131,7 +130,7 @@ def test_theorem_1_gate_and_margin(space16):
     cap = lam * op.c_kernel / 6.0
     b0_cap = 0.9 * cap / (np.pi**2 / 6.0)
     noise = SuperlinearNoiseSpec(p1=2.0, beta_b0=b0_cap, beta_r=2.0, gamma_g0=b0_cap, gamma_r=2.0)
-    chk = check_theorem_1(op, drift, noise, lam)
+    chk = check_theorem_1(op, noise, lam)
     assert chk.ok
     c3 = chk.conditions[2]
     assert c3.margin == pytest.approx(0.1 * cap, rel=1e-10)
@@ -161,7 +160,7 @@ def test_theorem_3_boundary_semantics(space16, params_s05_p2):
 
     def transport_with(delta):
         g = np.zeros((16, 1))
-        return TransportNoiseSpec(g_fields=g, linf_norms=np.zeros(1), delta4=delta, delta5=delta)
+        return TransportNoiseSpec(g_fields=g, delta4=delta)
 
     at_c = check_theorem_3(drift, noise, transport_with(c2), params_s05_p2)
     assert not at_c.ok and "delta4 < C(n,2,s)" in at_c.violated()
