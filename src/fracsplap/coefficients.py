@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import FracOperatorParams
-from .space import GalerkinSpace
+from .space import GalerkinSpace, _abs_power
 
 
 def noise_lipschitz_constant(p1: float) -> float:
@@ -96,7 +96,8 @@ class DriftSpec:
 
     def f(self, t, u):
         u = np.asarray(u, dtype=float)
-        return -self.delta * np.abs(u) ** (self.q - 2.0) * u - self.linear * u
+        out = -self.delta * _abs_power(u, self.q - 2.0) * u
+        return out - self.linear * u if self.linear else out
 
     def _verify(self):
         bound = (self.delta + self.linear) / 2.0 if self.q == 2.0 else self.delta / 2.0
@@ -225,7 +226,8 @@ class SuperlinearNoiseSpec:
         u = np.asarray(u, dtype=float)
         if self.p1 == 2.0:
             return u
-        return u * (u * u / (1.0 + u * u)) ** ((self.p1 - 2.0) / 4.0)
+        uu = u * u
+        return u * (uu / (1.0 + uu)) ** ((self.p1 - 2.0) / 4.0)
 
     def sigma2(self, i, u):
         return np.sqrt(self.beta(i)) * self.sigma2_profile(u)

@@ -26,7 +26,7 @@ from .coefficients import (
 from . import fracop
 from .domain import FracOperatorParams
 from .fracop import assemble_frac_stiffness, get_plan, seminorm_p_with_residual, sqrt_operator
-from .space import GalerkinSpace, lp_norm
+from .space import GalerkinSpace, _abs_power, lp_norm
 
 
 # Largest n_steps * max(n_modes, n_noise) of one path: its state array and its
@@ -180,34 +180,35 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
         raise ValueError(f"noise increments must have shape {(K, config.n_noise)}, got {dW.shape}")
 
     ops = setup.reduced(k)
-    q = setup.drift.q
-    p = setup.op_params.p
+    p, q = setup.op_params.p, setup.drift.q
     times = config.dt * np.arange(K + 1)
     states = np.full((K + 1, k), np.nan)
-    l2 = np.full(K + 1, np.nan)
+    zz = np.full(K + 1, np.nan)
     v1 = np.full(K + 1, np.nan)
     lq = np.full(K + 1, np.nan)
-    energy = np.full(K + 1, np.nan)
     diverged_at = None
-
-    def record(i, zi, nodal, zz):
-        states[i] = zi
-        l2[i] = math.sqrt(zz)
-        v1[i] = setup.v1_seminorm(zi, nodal, ops)
-        lq[i] = lp_norm(space, nodal, q)
-        energy[i] = v1[i] ** p + lq[i] ** q + l2[i] ** 2  # numpy scalars: an overflow gives inf
 
     with np.errstate(over="ignore", invalid="ignore"):
         z = ops.HT_M @ x0  # projection onto the retained span
         for i in range(K + 1):
-            zz = float(z @ z)
-            if not math.isfinite(zz):  # a non-finite entry, or a norm past the float range
+            zzi = float(z @ z)
+            if not math.isfinite(zzi):  # a non-finite entry, or a norm past the float range
                 diverged_at = i
                 break
             nodal = ops.H @ z
-            record(i, z, nodal, zz)
+            states[i], zz[i] = z, zzi
+            lq[i] = lp_norm(space, nodal, q)
+            if ops.S is None:  # the memoised sweep that the step's drift reads again
+                v1[i] = setup.v1_seminorm(z, nodal, ops)
             if i < K:
                 z = stepper(times[i], z, nodal, dW[i], ops)
+        # the rest of the series, from the recorded rows at once; NaN from diverged_at on
+        l2 = np.sqrt(zz)
+        if ops.S is not None:
+            Z = states[:diverged_at]
+            zSz = np.einsum("ij,ij->i", Z @ ops.S, Z)
+            v1[:diverged_at] = np.sqrt(np.maximum(2.0 / setup.op_params.c_kernel * zSz, 0.0))
+        energy = _abs_power(v1, p) + _abs_power(lq, q) + l2 * l2  # an overflow gives inf
 
     return Path(
         times=times,

@@ -120,14 +120,26 @@ def l2_norm(space: GalerkinSpace, v: np.ndarray) -> float:
     return float(np.sqrt(max(v @ (space.mass_matrix @ v), 0.0)))
 
 
+def _abs_power(x: np.ndarray, p: float) -> np.ndarray:
+    """``|x| ** p``, as products at p = 2 and 4, so that its bits do not depend on numpy's vector ``pow``."""
+    if p == 4.0:
+        x = x * x
+    return x * x if p in (2.0, 4.0) else np.abs(x) ** p
+
+
 def lp_norm(space: GalerkinSpace, v: np.ndarray, p: float, with_grad: bool = False):
     """L^p norm of the hat interpolant, by the 8-point per-element Gauss rule.
 
+    A sum ``w . |v|^p`` outside the normal float range (large p) is taken over ``v / max|v|`` instead.
     With ``with_grad`` also returns the nodal gradient of ``||v||_p^p``.
     """
     E, w = space.gauss_rule(_LP_GAUSS)
     vals = E @ np.asarray(v, dtype=float)
-    norm = float(w @ np.abs(vals) ** p) ** (1.0 / p)
+    total = float(w @ _abs_power(vals, p))
+    norm = total ** (1.0 / p)
+    peak = 0.0 if 2.0**-1022 <= total < np.inf else float(np.max(np.abs(vals)))  # 2^-1022: the least normal
+    if 0.0 < peak < np.inf:
+        norm = peak * float(w @ _abs_power(vals / peak, p)) ** (1.0 / p)
     if not with_grad:
         return norm
     return norm, E.T @ (p * w * np.abs(vals) ** (p - 2.0) * vals)

@@ -266,8 +266,11 @@ def euler_maruyama_oracle(setup, config, x0, dW):
         return seminorm_p_with_residual(setup.plan, nodal, p)[0] ** (1.0 / p)
 
     def lq_of(nodal):
-        vals = np.interp(x_q, space.all_nodes, np.concatenate(([0.0], nodal, [0.0])))
-        return float(np.sum(w_q * np.abs(vals) ** q)) ** (1.0 / q)
+        vals = np.abs(np.interp(x_q, space.all_nodes, np.concatenate(([0.0], nodal, [0.0]))))
+        peak = vals.max()  # summed over vals / peak, the q-th powers neither overflow nor underflow
+        if not 0.0 < peak < np.inf:
+            return float(np.sum(w_q * vals**q)) ** (1.0 / q)
+        return peak * float(np.sum(w_q * (vals / peak) ** q)) ** (1.0 / q)
 
     def step(t, z, nodal, dw):
         drift = setup.drift.f(t, nodal) + setup.lip.h(t, nodal)

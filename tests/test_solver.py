@@ -381,3 +381,37 @@ def test_per_path_call_counts(monkeypatch, superlinear_setup, p3_setup, linear_s
                               "seminorm_p_with_residual": K * n_paths * p3,
                               "seminorm_p": (K + 1) * n_paths * p3}) - Counter()
     assert counts["seminorm_p_with_residual"] + counts["seminorm_p"] == (2 * K + 1) * n_paths * p3
+
+
+@pytest.mark.parametrize(("which", "diverging"), [("p2", False), ("p2", True), ("p3", False), ("p3", True),
+                                                  ("reference", False)])
+def test_derived_series_match_per_state_definitions(superlinear_setup, p3_setup, linear_setup, which, diverging):
+    # the loop records states, z.z and the L^q norm (and the p != 2 seminorm); the rest is formed
+    # after it from the recorded rows, and every index must equal its per-state definition
+    from fracsplap.space import lp_norm
+
+    setup = {"p2": superlinear_setup, "p3": p3_setup, "reference": linear_setup}[which]
+    run = reference_solution_p2_linear if which == "reference" else simulate_path
+    space, p, q = setup.space, setup.op_params.p, setup.drift.q
+    x0 = np.sin(np.pi * space.nodes)
+    base = dict(T=0.5, dt=2.0**-5, n_modes=space.n_modes, n_noise=4, master_seed=13)
+    if diverging:
+        base.update(T=2.0, dt=0.25, taming=False)
+        x0 = 40.0 * x0
+    cfg = SolverConfig(**base)
+    path = run(setup, cfg, x0, path_index=2)
+    n = cfg.n_steps + 1 if path.diverged_at is None else path.diverged_at
+    assert (path.diverged_at is not None) == diverging and n > 1
+    ops = setup.reduced(cfg.n_modes)
+    for i in range(n):
+        z = path.states[i]
+        nodal = ops.H @ z
+        with np.errstate(over="ignore", invalid="ignore"):  # a path about to diverge leaves the float range
+            l2 = np.sqrt(z @ z)
+            v1 = np.float64(setup.v1_seminorm(z, nodal, ops))
+            lq = np.float64(lp_norm(space, nodal, q))
+            want = {"l2_norms": l2, "v1_seminorms": v1, "lq_norms": lq, "energy_series": v1**p + lq**q + l2**2}
+        for name, value in want.items():
+            assert getattr(path, name)[i] == pytest.approx(value, rel=1e-12, abs=0.0), (name, i)
+    for name in ("states", "l2_norms", "v1_seminorms", "lq_norms", "energy_series"):
+        assert np.all(np.isnan(getattr(path, name)[n:])), name

@@ -164,3 +164,33 @@ def test_lp_norm_gradient(space16, p):
         vm[i] -= eps
         fd = (lp_norm(space16, vp, p) ** p - lp_norm(space16, vm, p) ** p) / (2 * eps)
         assert grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0, 6.0, 2.5, 4.5])
+def test_lp_norm_integer_powers_as_products(p):
+    # q = 2 and 4 are formed as products; every other exponent keeps np.abs(E v) ** p, bit for bit
+    space = build_space(DomainSpec(), 24, 12)
+    E, w = space.gauss_rule(8)
+    v = np.random.default_rng(7).standard_normal(space.m)
+    vals = E @ v
+    assert np.any(vals < 0) and np.any(vals > 0)
+    direct = float(w @ np.abs(vals) ** p) ** (1.0 / p)
+    if p == int(p):
+        assert lp_norm(space, v, p) == pytest.approx(direct, rel=1e-14, abs=0.0)
+    else:
+        assert lp_norm(space, v, p) == direct
+
+
+@pytest.mark.parametrize(
+    ("scale", "p"),
+    [(0.01, 400.0), (1e-80, 4.0), (1e-170, 2.0), (1e5, 120.0), (1e80, 4.0)],
+)
+def test_lp_norm_outside_the_float_range_of_its_sum(scale, p):
+    # sum w |v|^p underflows to zero or a subnormal, or overflows, while v is a normal float;
+    # the norm is homogeneous, so it must equal scale times the norm of the unscaled vector
+    space = build_space(DomainSpec(), 24, 12)
+    v = np.sin(np.pi * space.nodes) + 0.3 * np.cos(3.0 * space.nodes)
+    with np.errstate(over="ignore"):  # the direct sum overflows before the fallback runs
+        norm = lp_norm(space, scale * v, p)
+    assert norm == pytest.approx(scale * lp_norm(space, v, p), rel=1e-13, abs=0.0)
+    assert lp_norm(space, np.zeros(space.m), p) == 0.0
