@@ -105,7 +105,7 @@ def poincare_constant(space, params: FracOperatorParams) -> PoincareEstimate:
     plan = fracop.get_plan(space, params)
 
     def quotient_and_grad(v):
-        semi_p, residual = fracop.seminorm_p_with_residual(plan, v, p)
+        semi_p, residual = fracop.seminorm_p_with_residual(plan, v)
         lp, lp_grad = lp_norm(space, v, p, with_grad=True)
         q = semi_p / lp**p
         return q, (p * residual - q * lp_grad) / lp**p

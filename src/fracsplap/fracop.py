@@ -30,8 +30,9 @@ p != 2 sweep applies ``D`` and ``D^T`` through the blocks (:meth:`FracPlan.forwa
 :meth:`FracPlan.adjoint`), and the stiffness sums one small ``C diag(w) C^T`` per
 block, so no sparse matrix is ever formed.
 
-The flux is formed once per nodal vector: the plan keeps the last ``(p, v)``
-with its value and flux, so the stepper's residual at a recorded state reuses
+A plan is built for one exponent and every sweep reads it as ``plan.p``.  The
+flux is formed once per nodal vector: the plan keeps the last ``v`` with its
+value and flux, so the stepper's residual at a recorded state reuses
 the flux of that state's seminorm and applies only ``D^T``.
 
 A plan keeps only what the sweeps and the stiffness read: the sample points of
@@ -59,7 +60,7 @@ _ONE_THREAD_GEMM = 65_536 * 4  # OpenBLAS runs a product of at most this many mu
 
 @dataclass(frozen=True)
 class FracPlan:
-    """Precomputed quadrature data for one (space, s, p) combination.
+    """Precomputed quadrature data for one (space, s, p) combination; every sweep runs at ``p``.
 
     ``D`` (columns = the m interior nodes) maps a nodal vector to its
     sampled values: first ``v(x) - v(y)`` at every pair point, then the slope
@@ -80,7 +81,7 @@ class FracPlan:
     The p = 2 stiffness reads the same blocks with the matching parts of ``wts`` from a plan it builds and
     drops, so only a swept operator's plan is cached.
 
-    ``_memo`` holds the last sweep as one ``((p, v bytes), value, read-only flux)`` tuple, so the flux is
+    ``_memo`` holds the last sweep as one ``(v bytes, value, read-only flux)`` tuple, so the flux is
     formed once per nodal vector: the stepper reuses the recorded state's flux and applies only ``D^T``.
     ``_spare`` hands the sweep's ``D v`` buffer on to the next :meth:`forward`, so a sweep frees one
     ``wts``-sized buffer, not two: freeing two could let glibc trim them off the heap top and fault them back
@@ -95,6 +96,7 @@ class FracPlan:
     Csep: np.ndarray   # (4, G*G)
     Cadj: np.ndarray   # (3, (L*G)^2)
     C2: np.ndarray     # (m + 1 + tail points, 2)
+    p: float
     space: GalerkinSpace = field(repr=False, compare=False)
     _memo: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
     _spare: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -266,16 +268,17 @@ def _build_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
         )
     return FracPlan(
         wts=wts, sep=sep, adj=adj, two=two, scatter=np.concatenate((sep.ravel(), adj.ravel(), two.ravel())),
-        Csep=Csep, Cadj=Cadj, C2=C2, space=space,
+        Csep=Csep, Cadj=Cadj, C2=C2, p=p, space=space,
     )
 
 
-def _flux(plan: FracPlan, v: np.ndarray, p: float):
-    """Sampled values ``D v`` and the weighted flux ``wts * |D v|^(p-2) D v``, formed in one buffer.
+def _flux(plan: FracPlan, v: np.ndarray):
+    """Sampled values ``D v`` and the weighted flux ``wts * |D v|^(p-2) D v`` at ``p = plan.p``, formed in one buffer.
 
     The operations run in the order of ``wts * (|dv| ** (p-2) * dv)``, so every value has that form's bits,
     signed zeros, subnormals, infinities and NaNs included; p = 3 skips the power.
     """
+    p = plan.p
     dv = plan.forward(v)
     f = np.abs(dv)
     if p != 3.0:
@@ -285,13 +288,13 @@ def _flux(plan: FracPlan, v: np.ndarray, p: float):
     return dv, f
 
 
-def _sweep(plan: FracPlan, v: np.ndarray, p: float):
-    """``[v]^p = f . D v`` and the read-only flux ``f``, formed once per ``(p, v)`` and kept on the plan."""
+def _sweep(plan: FracPlan, v: np.ndarray):
+    """``[v]^p = f . D v`` and the read-only flux ``f``, formed once per ``v`` and kept on the plan."""
     v = np.asarray(v, dtype=float)
-    key = (p, v.tobytes())
+    key = v.tobytes()
     entry = plan._memo[0]
     if entry is None or entry[0] != key:
-        dv, f = _flux(plan, v, p)
+        dv, f = _flux(plan, v)
         f.flags.writeable = False
         entry = (key, float(np.einsum("i,i->", f, dv)), f)
         plan._memo[0] = entry
@@ -299,18 +302,18 @@ def _sweep(plan: FracPlan, v: np.ndarray, p: float):
     return entry[1], entry[2]
 
 
-def seminorm_p(plan: FracPlan, v: np.ndarray, p: float) -> float:
+def seminorm_p(plan: FracPlan, v: np.ndarray) -> float:
     """p-th power of the Gagliardo seminorm of the hat interpolant, ``f . D v`` without the residual ``D^T f``."""
-    return _sweep(plan, v, p)[0]
+    return _sweep(plan, v)[0]
 
 
-def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray, p: float):
+def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray):
     """Return ``[v]^p`` together with the form residual ``B(v, e_i)``.
 
     The residual is ``(1/p)`` times the gradient of ``[v]^p`` in the nodal
     values; the weak operator action is ``-(C/2)`` times it.
     """
-    value, f = _sweep(plan, v, p)
+    value, f = _sweep(plan, v)
     return value, plan.adjoint(f)
 
 
@@ -324,14 +327,14 @@ def _nodal(space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
 def gagliardo_seminorm(space: GalerkinSpace, v: np.ndarray, params: FracOperatorParams) -> float:
     """Discrete seminorm ``[v]_{W^{s,p}}`` including the exterior-tail term."""
     v = _nodal(space, v)
-    return seminorm_p(get_plan(space, params), v, params.p) ** (1.0 / params.p)
+    return seminorm_p(get_plan(space, params), v) ** (1.0 / params.p)
 
 
 def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: FracOperatorParams) -> float:
     """Duality pairing of the operator action at v against u (both nodal)."""
     v, u = _nodal(space, v), _nodal(space, u)
     plan = get_plan(space, params)
-    f = _sweep(plan, v, params.p)[1]
+    f = _sweep(plan, v)[1]
     return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.forward(u)))
 
 

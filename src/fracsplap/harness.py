@@ -296,6 +296,8 @@ def dt_ladder_grid(dt_ladder, T: float, ref_refine: int):
         ratio = d / dt_fine
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("every harness.dt_ladder rung must be a multiple of the refined step")
+        if round(K_fine) % round(ratio):
+            raise ConfigError("every harness.dt_ladder rung must divide solver.T")
     if len({round(d / dt_fine) for d in dts}) < len(dts):  # two rungs of one step count fit no slope
         raise ConfigError("harness.dt_ladder rungs must be distinct")
     return dts, dt_fine, int(round(K_fine))

@@ -49,7 +49,7 @@ class SolverConfig:
         if not (self.T > 0 and self.dt > 0):
             raise ValueError("horizon and time step must be positive")
         steps = self.T / self.dt
-        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ValueError(f"dt must divide T, got T/dt = {steps}")
         if self.n_modes < 1 or self.n_noise < 1:
             raise ValueError("n_modes and n_noise must be >= 1")
@@ -119,12 +119,7 @@ class SimulationSetup:
         else:
             self.S_red = None
             self.plan = get_plan(space, op_params)
-        if transport is not None:
-            if op_params.p != 2.0:
-                raise ValueError("transport noise requires p = 2")
-            self.R = sqrt_operator(space, op_params)
-        else:
-            self.R = None
+        self.R = None if transport is None else sqrt_operator(space, op_params)  # raises unless p = 2
         self._reduced = {}
 
     def reduced(self, k: int) -> Reduced:
@@ -135,18 +130,6 @@ class SimulationSetup:
             ops = Reduced(np.ascontiguousarray(self.H[:, :k]), np.ascontiguousarray(self.HT_M[:k]), S)
             self._reduced[k] = ops
         return ops
-
-    def a1_coeffs(self, z: np.ndarray, nodal: np.ndarray, ops: Reduced) -> np.ndarray:
-        """Mode coefficients of the operator action (pairings against h_1..h_k), ``ops = reduced(k)``."""
-        if ops.S is not None:
-            return -(ops.S @ z)
-        _, residual = seminorm_p_with_residual(self.plan, nodal, self.op_params.p)
-        return ops.H.T @ (-0.5 * self.op_params.c_kernel * residual)
-
-    def v1_seminorm(self, z: np.ndarray, nodal: np.ndarray, ops: Reduced) -> float:
-        if ops.S is not None:
-            return math.sqrt(max(2.0 / self.op_params.c_kernel * float(z @ (ops.S @ z)), 0.0))
-        return fracop.seminorm_p(self.plan, nodal, self.op_params.p) ** (1.0 / self.op_params.p)
 
     def diffusion_cols(self, t: float, nodal: np.ndarray, n_noise: int) -> np.ndarray:
         cols = eval_B(self.noise, self.space, t, nodal, n_noise)
@@ -199,7 +182,7 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
             states[i], zz[i] = z, zzi
             lq[i] = lp_norm(space, nodal, q)
             if ops.S is None:  # the memoised sweep that the step's drift reads again
-                v1[i] = setup.v1_seminorm(z, nodal, ops)
+                v1[i] = fracop.seminorm_p(setup.plan, nodal) ** (1.0 / p)
             if i < K:
                 z = stepper(times[i], z, nodal, dW[i], ops)
         # the rest of the series, from the recorded rows at once; NaN from diverged_at on
@@ -234,13 +217,17 @@ def simulate_path(
     its direction; the diffusion increment is left untouched.
     """
     dt, taming, n_noise = config.dt, config.taming, config.n_noise
-    drift, lip = setup.drift, setup.lip
+    drift, lip, c = setup.drift, setup.lip, setup.op_params.c_kernel
 
     def stepper(t, z, nodal, dw, ops):
         drift_nodal = drift.f(t, nodal)
         if lip.phi3_amplitude != 0.0:  # the zero perturbation adds nothing
             drift_nodal = drift_nodal + lip.h(t, nodal)
-        D = setup.a1_coeffs(z, nodal, ops) + ops.HT_M @ drift_nodal
+        if ops.S is not None:  # the operator action's pairings against h_1..h_k
+            a1 = -(ops.S @ z)
+        else:
+            a1 = ops.H.T @ (-0.5 * c * seminorm_p_with_residual(setup.plan, nodal)[1])
+        D = a1 + ops.HT_M @ drift_nodal
         if taming:
             D = D / (1.0 + dt * math.sqrt(D @ D))
         cols = setup.diffusion_cols(t, nodal, n_noise)

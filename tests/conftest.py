@@ -1,9 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+# the child interpreters of the demo, trace, CLI and import tests fail on an escaped RuntimeWarning, as the
+# suite does in process (pyproject's filterwarnings)
+os.environ["PYTHONWARNINGS"] = "error::RuntimeWarning"
 
 from fracsplap import DomainSpec, FracOperatorParams, build_space
 

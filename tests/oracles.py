@@ -232,7 +232,7 @@ def poincare_lbfgsb(space, params):
 
     def quotient_and_grad(z):
         v = B @ z
-        semi_p, residual = seminorm_p_with_residual(plan, v, p)
+        semi_p, residual = seminorm_p_with_residual(plan, v)
         lp, lp_grad = lp_norm(space, v, p, with_grad=True)
         q = semi_p / lp**p
         return q, B.T @ (p * residual - q * lp_grad) / lp**p
@@ -263,7 +263,7 @@ def euler_maruyama_oracle(setup, config, x0, dW):
     def v1_of(z, nodal):
         if p == 2.0:
             return np.sqrt(max(2.0 / c * float(z @ (setup.S_red[:k, :k] @ z)), 0.0))
-        return seminorm_p_with_residual(setup.plan, nodal, p)[0] ** (1.0 / p)
+        return seminorm_p_with_residual(setup.plan, nodal)[0] ** (1.0 / p)
 
     def lq_of(nodal):
         vals = np.abs(np.interp(x_q, space.all_nodes, np.concatenate(([0.0], nodal, [0.0]))))
@@ -277,7 +277,7 @@ def euler_maruyama_oracle(setup, config, x0, dW):
         if p == 2.0:
             a1 = -(setup.S_red[:k, :k] @ z)
         else:
-            a1 = H.T @ (-0.5 * c * seminorm_p_with_residual(setup.plan, nodal, p)[1])
+            a1 = H.T @ (-0.5 * c * seminorm_p_with_residual(setup.plan, nodal)[1])
         D = a1 + HT_M @ drift
         if config.taming:
             D = D / (1.0 + dt * np.sqrt(D @ D))
@@ -316,7 +316,7 @@ def euler_maruyama_oracle(setup, config, x0, dW):
 
 def apply_A1_residual(space, v, params):
     """Pairings of the operator action at v against every interior hat, in one sweep."""
-    _, residual = seminorm_p_with_residual(get_plan(space, params), np.asarray(v, dtype=float), params.p)
+    _, residual = seminorm_p_with_residual(get_plan(space, params), np.asarray(v, dtype=float))
     return -0.5 * params.c_kernel * residual
 
 

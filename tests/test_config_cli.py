@@ -273,6 +273,7 @@ def _with(text, **values):
         ("moments", {"harness__x_scales": "0.0,nan"}, "harness.x_scales"),
         ("simulate", {"solver__T": "1e300"}, "n_steps * max(n_modes, n_noise)"),
         ("simulate", {"solver__T": "0.5", "solver__dt": "1e-320"}, "dt must divide T"),
+        ("simulate", {"solver__dt": "1e10"}, "dt must divide T"),  # T/dt rounds to zero steps
         ("simulate", {"solver__n_noise": "1500000"}, "n_steps * max(n_modes, n_noise)"),
         ("converge", {"harness__dt_ladder": "0.03125,0.015625", "harness__ref_refine": "100000000"},
          "n_steps * max(n_modes, n_noise)"),
@@ -280,6 +281,11 @@ def _with(text, **values):
         ("converge", {"harness__dt_ladder": "0.03125"}, "at least two rungs"),
         ("converge", {"harness__dt_ladder": "0.03125,0.03"}, "must divide solver.T"),
         ("converge", {"harness__dt_ladder": "0.1,0.0625"}, "multiple of the refined step"),
+        # multiples of the refined step that do not divide T = 0.25
+        ("converge", {"harness__dt_ladder": "0.2,0.1", "drift__q": "2.0", "harness__n_paths": "2"},
+         "every harness.dt_ladder rung must divide solver.T"),
+        ("converge", {"harness__dt_ladder": "1.0,0.5", "drift__q": "2.0", "harness__n_paths": "2"},
+         "every harness.dt_ladder rung must divide solver.T"),
         ("converge", {"harness__dt_ladder": "0.03125,0.0"}, "must be positive"),
         ("converge", {"harness__dt_ladder": "0.03125,0.03125"}, "harness.dt_ladder rungs must be distinct"),
         ("converge", {"harness__dt_ladder": "0.03125,0.0312500000001"}, "harness.dt_ladder rungs must be distinct"),
@@ -319,10 +325,10 @@ def _with(text, **values):
         ("converge", {"domain__b": "1e-200", "harness__mode_ladder": "2,4"}, "quadrature weights"),
     ],
     ids=[
-        "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "noise", "reference-steps", "refine",
-        "one-rung", "fine-step", "rung-multiple", "zero-rung", "repeated-rung", "near-repeated-rung", "moment-exponent",
-        "no-exponents", "no-scales", "no-paths-modes", "no-paths-dt", "no-paths-stability", "negative-paths",
-        "zero-mode-rung", "one-mode-rung",
+        "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "zero-steps", "noise", "reference-steps",
+        "refine", "one-rung", "fine-step", "rung-multiple", "rung-not-dividing-T", "rung-over-T", "zero-rung",
+        "repeated-rung", "near-repeated-rung", "moment-exponent", "no-exponents", "no-scales", "no-paths-modes",
+        "no-paths-dt", "no-paths-stability", "negative-paths", "zero-mode-rung", "one-mode-rung",
         "negative-cutoff", "huge-cutoff", "negative-delta3", "huge-mesh", "huge-noise-columns",
         "huge-transport-family", "reference-p", "reference-q", "reference-phi3", "negative-phi4", "overflowing-x0",
         "overflowing-perturbed-x0", "overflowing-x-scale", "overflowing-kernel-constant", "tiny-domain",

@@ -114,9 +114,9 @@ def test_residual_is_seminorm_gradient(unit_domain, p, m):
     space = build_space(unit_domain, m=m, n_modes=m)
     plan = get_plan(space, FracOperatorParams(s=0.5, p=p))
     v = np.random.default_rng(m).standard_normal(m)
-    value, residual = seminorm_p_with_residual(plan, v, p)
+    value, residual = seminorm_p_with_residual(plan, v)
     # the recorded state's value-only sweep has the bits of the stepper's sweep
-    assert value == seminorm_p(plan, v, p)
+    assert value == seminorm_p(plan, v)
     # the block adjoint gives the stacked CSR's residual to rounding
     D = sampling_operator_csr(plan)
     dv = D @ v
@@ -124,7 +124,7 @@ def test_residual_is_seminorm_gradient(unit_domain, p, m):
     assert np.max(np.abs(residual - ref)) <= 1e-14 * np.max(np.abs(ref))
     eps = 1e-5
     grad = np.array(
-        [(seminorm_p(plan, v + eps * e, p) - seminorm_p(plan, v - eps * e, p)) / (2.0 * eps) for e in np.eye(m)]
+        [(seminorm_p(plan, v + eps * e) - seminorm_p(plan, v - eps * e)) / (2.0 * eps) for e in np.eye(m)]
     )
     np.testing.assert_allclose(residual, grad / p, rtol=1e-6, atol=1e-6 * np.max(np.abs(residual)))
 
@@ -236,12 +236,12 @@ def test_odd_power_multiplies_with_the_bits_of_pow():
         np.random.default_rng(3).standard_normal(10_000) * np.logspace(-320, 300, 10_000),
     ))
     wts = np.random.default_rng(4).uniform(0.1, 10.0, x.size)
-    plan = SimpleNamespace(forward=lambda v: x.copy(), wts=wts)
     # the in-place flux has the bits of the power form on every value: the signs of zeros, subnormals,
     # infinities and NaNs included, at p = 3 (no power) and through np.power(out=) at p = 2, 2.5 and 4
     for p in (2.0, 2.5, 3.0, 4.0):
+        plan = SimpleNamespace(forward=lambda v: x.copy(), wts=wts, p=p)
         with np.errstate(over="ignore", invalid="ignore"):
-            (dv, ours), ref = _flux(plan, None, p), wts * (np.abs(x) ** (p - 2.0) * x)
+            (dv, ours), ref = _flux(plan, None), wts * (np.abs(x) ** (p - 2.0) * x)
         assert np.isnan(ref).sum() == 2
         assert np.array_equal(bits(dv), bits(x))
         assert np.array_equal(bits(ours), bits(ref)), p
@@ -256,27 +256,26 @@ def test_memo_keeps_the_bits_of_an_uncached_plan():
     v_nan[3] = np.nan
     plus, minus = np.zeros(8), np.zeros(8)
     minus[2:5] = -0.0
-    calls = [(v1, 3.0), (v1, 3.0), (v2, 3.0), (v1, 3.0), (v_nan, 3.0), (v_nan, 3.0), (plus, 3.0), (minus, 3.0),
-             (plus, 3.0), (v2, 2.5), (v2, 3.0), (v2, 2.5), (v2.tolist(), 2.5)]
+    calls = [v1, v1, v2, v1, v_nan, v_nan, plus, minus, plus, v2, v2.tolist()]
     with np.errstate(invalid="ignore"):
-        for v, p in calls:
+        for v in calls:
             fresh = dataclasses.replace(plan)
-            assert np.array_equal(bits(seminorm_p(plan, v, p)), bits(seminorm_p(fresh, v, p)))
-            value, residual = seminorm_p_with_residual(plan, v, p)
-            fresh_value, fresh_residual = seminorm_p_with_residual(dataclasses.replace(plan), v, p)
+            assert np.array_equal(bits(seminorm_p(plan, v)), bits(seminorm_p(fresh, v)))
+            value, residual = seminorm_p_with_residual(plan, v)
+            fresh_value, fresh_residual = seminorm_p_with_residual(dataclasses.replace(plan), v)
             assert np.array_equal(bits(value), bits(fresh_value))
             assert np.array_equal(bits(residual), bits(fresh_residual))
-            assert np.array_equal(bits(_sweep(plan, v, p)[1]), bits(_sweep(dataclasses.replace(plan), v, p)[1]))
+            assert np.array_equal(bits(_sweep(plan, v)[1]), bits(_sweep(dataclasses.replace(plan), v)[1]))
     # -0.0 and +0.0 are different keys
-    _sweep(plan, plus, 3.0)
+    _sweep(plan, plus)
     entry = plan._memo[0]
-    _sweep(plan, minus, 3.0)
+    _sweep(plan, minus)
     assert plan._memo[0] is not entry
 
 
 def test_memo_flux_is_read_only(space16):
     plan = get_plan(space16, FracOperatorParams(s=0.6, p=3.0))
-    f = _sweep(plan, np.random.default_rng(12).standard_normal(16), 3.0)[1]
+    f = _sweep(plan, np.random.default_rng(12).standard_normal(16))[1]
     assert not f.flags.writeable
     with pytest.raises(ValueError):
         f[0] = 1.0
@@ -286,10 +285,10 @@ def test_a_sweep_allocates_one_wts_sized_buffer(space16):
     # D v goes into the buffer the previous sweep left in _spare, so a sweep allocates only the flux it keeps
     plan = dataclasses.replace(get_plan(space16, FracOperatorParams(s=0.6, p=3.0)))
     v1, v2 = np.random.default_rng(15).standard_normal((2, 16))
-    _sweep(plan, v1, 3.0)
+    _sweep(plan, v1)
     tracemalloc.start()
     try:
-        _sweep(plan, v2, 3.0)
+        _sweep(plan, v2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,10 +349,10 @@ def test_bundle_holds_little_after_admissibility(name, held_mb):
 def test_memo_hit_on_another_thread(space16, monkeypatch):
     plan = get_plan(space16, FracOperatorParams(s=0.3, p=3.0))
     v = np.random.default_rng(13).standard_normal(16)
-    value, residual = seminorm_p_with_residual(plan, v, 3.0)
+    value, residual = seminorm_p_with_residual(plan, v)
     forward, calls, results = FracPlan.forward, [], []
     monkeypatch.setattr(FracPlan, "forward", lambda plan, v: calls.append(1) or forward(plan, v))
-    worker = threading.Thread(target=lambda: results.append(seminorm_p_with_residual(plan, v.copy(), 3.0)))
+    worker = threading.Thread(target=lambda: results.append(seminorm_p_with_residual(plan, v.copy())))
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive() and not calls
@@ -365,13 +364,13 @@ def test_memo_under_threads_returns_each_callers_own_bits(space16):
     # threads that overwrite one another's memo entries still each read a key with its own value and flux
     plan = get_plan(space16, FracOperatorParams(s=0.7, p=3.0))
     vs = np.random.default_rng(14).standard_normal((6, 16))
-    fresh = [seminorm_p_with_residual(dataclasses.replace(plan), v, 3.0) for v in vs]
+    fresh = [seminorm_p_with_residual(dataclasses.replace(plan), v) for v in vs]
     wrong = []
 
     def work(t):
         for i in range(1000):
             j = (t + i) % len(vs)
-            value, residual = seminorm_p_with_residual(plan, vs[j], 3.0)
+            value, residual = seminorm_p_with_residual(plan, vs[j])
             if bits(value) != bits(fresh[j][0]) or not np.array_equal(bits(residual), bits(fresh[j][1])):
                 wrong.append((t, i))
 
@@ -392,7 +391,7 @@ def test_memo_under_threads_returns_each_callers_own_bits(space16):
 def test_plan_equality_and_repr_ignore_the_memo(space16):
     plan = get_plan(space16, FracOperatorParams(s=0.5, p=3.0))
     fresh = dataclasses.replace(plan)
-    seminorm_p(plan, np.ones(16), 3.0)
+    seminorm_p(plan, np.ones(16))
     assert plan._memo[0] is not None and fresh._memo[0] is None
     assert plan == fresh
     assert repr(plan) == repr(fresh)
@@ -444,8 +443,8 @@ def test_sampling_operator_matches_stacked_csr(domain, m):
             v, u, f = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal(D.shape[0])
             dv = D @ v
             flux = plan.wts * np.abs(dv) ** (p - 2.0) * dv
-            value, residual = seminorm_p_with_residual(plan, v, p)
-            assert value == seminorm_p(plan, v, p)
+            value, residual = seminorm_p_with_residual(plan, v)
+            assert value == seminorm_p(plan, v)
             errors = (rel(plan.forward(v), dv), rel(plan.adjoint(f), D.T @ f), rel(residual, D.T @ flux),
                       rel(value, flux @ dv))
             assert all(e <= bound for e, bound in zip(errors, CSR_BOUNDS[m])), (s, p, errors)
@@ -502,7 +501,7 @@ def test_galerkin_solution_converges_to_manufactured_solution(p, measured):
         b = E.T @ (w * quartic_bump_load(x, params))
 
         def energy_and_gradient(v):
-            value, residual = seminorm_p_with_residual(plan, v, p)
+            value, residual = seminorm_p_with_residual(plan, v)
             return c / (2.0 * p) * value - b @ v, 0.5 * c * residual - b
 
         v = minimize(energy_and_gradient, quartic_bump(space.nodes), jac=True, method="L-BFGS-B",

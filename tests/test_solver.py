@@ -50,6 +50,8 @@ def linear_setup():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(T=1.0, dt=0.3, n_modes=4, n_noise=2)  # dt does not divide T
+    with pytest.raises(ValueError, match="dt must divide T"):
+        SolverConfig(T=0.5, dt=1e10, n_modes=4, n_noise=2)  # T/dt rounds to zero steps
     with pytest.raises(ValueError):
         SolverConfig(T=1.0, dt=0.25, n_modes=0, n_noise=2)
     for seed in (-1, 2**64):
@@ -122,7 +124,8 @@ def test_norms_recomputable(linear_setup):
     z = path.states[k]
     nodal = linear_setup.space.h_basis[:, :12] @ z
     assert path.l2_norms[k] == pytest.approx(float(np.sqrt(z @ z)), rel=1e-14)
-    assert path.v1_seminorms[k] == pytest.approx(linear_setup.v1_seminorm(z, nodal, linear_setup.reduced(12)), rel=1e-14)
+    S, c = linear_setup.reduced(12).S, linear_setup.op_params.c_kernel
+    assert path.v1_seminorms[k] == pytest.approx(math.sqrt(2.0 / c * (z @ S @ z)), rel=1e-14)
     from fracsplap.space import lp_norm
 
     assert path.lq_norms[k] == pytest.approx(lp_norm(linear_setup.space, nodal, 2.0), rel=1e-14)
@@ -328,8 +331,10 @@ def _assert_matches_oracle(path, want):
         got, ref = getattr(path, name), want[name]
         finite = np.isfinite(ref)
         assert np.array_equal(got[~finite], ref[~finite], equal_nan=True), name
-        scale = np.max(np.abs(ref[finite]), initial=0.0)
-        assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12 * scale), name
+        # relative to each series entry, and to each state's largest entry, so that no later entry's size
+        # (3.5e113 on the diverging p = 2 path) hides an earlier one
+        scale = np.abs(ref) if ref.ndim == 1 else np.broadcast_to(np.max(np.abs(ref), axis=1, keepdims=True), ref.shape)
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12 * scale[finite]), name
 
 
 @pytest.mark.parametrize("which", ["p2", "p3"])
@@ -388,6 +393,7 @@ def test_per_path_call_counts(monkeypatch, superlinear_setup, p3_setup, linear_s
 def test_derived_series_match_per_state_definitions(superlinear_setup, p3_setup, linear_setup, which, diverging):
     # the loop records states, z.z and the L^q norm (and the p != 2 seminorm); the rest is formed
     # after it from the recorded rows, and every index must equal its per-state definition
+    from fracsplap import gagliardo_seminorm
     from fracsplap.space import lp_norm
 
     setup = {"p2": superlinear_setup, "p3": p3_setup, "reference": linear_setup}[which]
@@ -408,7 +414,7 @@ def test_derived_series_match_per_state_definitions(superlinear_setup, p3_setup,
         nodal = ops.H @ z
         with np.errstate(over="ignore", invalid="ignore"):  # a path about to diverge leaves the float range
             l2 = np.sqrt(z @ z)
-            v1 = np.float64(setup.v1_seminorm(z, nodal, ops))
+            v1 = np.float64(gagliardo_seminorm(space, nodal, setup.op_params))
             lq = np.float64(lp_norm(space, nodal, q))
             want = {"l2_norms": l2, "v1_seminorms": v1, "lq_norms": lq, "energy_series": v1**p + lq**q + l2**2}
         for name, value in want.items():
