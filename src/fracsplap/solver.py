@@ -34,6 +34,12 @@ from .space import GalerkinSpace, _abs_power, lp_norm
 MAX_PATH_ENTRIES = 10_000_000
 
 
+def is_whole(ratio: float) -> bool:
+    """Whether a step ratio such as ``T/dt`` is a whole number up to its rounding: within 1e-9, or within
+    4 ulps where that is wider (from 2^21 on; above 2^23 one float spacing alone passes 1e-9)."""
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= max(1e-9, 4.0 * math.ulp(ratio))
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Time grid, truncation ranks, taming and the noise seed."""
@@ -49,7 +55,7 @@ class SolverConfig:
         if not (self.T > 0 and self.dt > 0):
             raise ValueError("horizon and time step must be positive")
         steps = self.T / self.dt
-        if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
+        if not is_whole(steps) or round(steps) < 1:
             raise ValueError(f"dt must divide T, got T/dt = {steps}")
         if self.n_modes < 1 or self.n_noise < 1:
             raise ValueError("n_modes and n_noise must be >= 1")
@@ -135,7 +141,7 @@ class SimulationSetup:
         cols = eval_B(self.noise, self.space, t, nodal, n_noise)
         if self.transport is not None:
             ng = min(self.transport.n_g, n_noise)
-            gcols = self.transport.g_fields[:, :ng] * (self.R @ nodal)[:, None]
+            gcols = self.transport.g_fields[:, :ng] * self.R.dot(nodal)[:, None]
             cols[:, :ng] += gcols
         return cols
 
@@ -172,14 +178,15 @@ def _integrate(setup: SimulationSetup, config: SolverConfig, x0, path_index: int
     diverged_at = None
 
     with np.errstate(over="ignore", invalid="ignore"):
-        z = ops.HT_M @ x0  # projection onto the retained span
+        z = ops.HT_M.dot(x0)  # projection onto the retained span
         for i in range(K + 1):
-            zzi = float(z @ z)
+            zzi = float(z.dot(z))
             if not math.isfinite(zzi):  # a non-finite entry, or a norm past the float range
                 diverged_at = i
                 break
-            nodal = ops.H @ z
-            states[i], zz[i] = z, zzi
+            nodal = ops.H.dot(z)
+            states[i] = z
+            zz[i] = zzi
             lq[i] = lp_norm(space, nodal, q)
             if ops.S is None:  # the memoised sweep that the step's drift reads again
                 v1[i] = fracop.seminorm_p(setup.plan, nodal) ** (1.0 / p)
@@ -224,14 +231,14 @@ def simulate_path(
         if lip.phi3_amplitude != 0.0:  # the zero perturbation adds nothing
             drift_nodal = drift_nodal + lip.h(t, nodal)
         if ops.S is not None:  # the operator action's pairings against h_1..h_k
-            a1 = -(ops.S @ z)
+            a1 = -ops.S.dot(z)
         else:
             a1 = ops.H.T @ (-0.5 * c * seminorm_p_with_residual(setup.plan, nodal)[1])
-        D = a1 + ops.HT_M @ drift_nodal
+        D = a1 + ops.HT_M.dot(drift_nodal)
         if taming:
-            D = D / (1.0 + dt * math.sqrt(D @ D))
+            D = D / (1.0 + dt * math.sqrt(D.dot(D)))
         cols = setup.diffusion_cols(t, nodal, n_noise)
-        return z + dt * D + ops.HT_M @ (cols @ dw)
+        return z + dt * D + ops.HT_M.dot(cols.dot(dw))
 
     return _integrate(setup, config, x0, path_index, dW, stepper)
 
@@ -269,7 +276,7 @@ def reference_solution_p2_linear(
 
     def stepper(t, z, nodal, dw, ops):
         cols = setup.diffusion_cols(t, nodal, n_noise)
-        return decay @ z + ops.HT_M @ (cols @ dw)
+        return decay.dot(z) + ops.HT_M.dot(cols.dot(dw))
 
     return _integrate(setup, config, x0, path_index, dW, stepper)
 

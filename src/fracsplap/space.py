@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,14 +63,15 @@ class GalerkinSpace:
         sparse one, whose call overhead dominates a 24-column product.
         """
         key = ("gauss", n_points)
-        if key not in self._cache:
+        rule = self._cache.get(key)
+        if rule is None:
             xi, w = np.polynomial.legendre.leggauss(n_points)
             loc = 0.5 * (xi + 1.0)
             cols, weights = self.point_weights(np.repeat(np.arange(self.m + 1), n_points), np.tile(loc, self.m + 1))
             E = np.zeros((cols.shape[0], self.m))
             np.add.at(E, (np.arange(cols.shape[0])[:, None], cols), weights)
-            self._cache[key] = (E, np.tile(0.5 * self.h * w, self.m + 1))
-        return self._cache[key]
+            rule = self._cache[key] = (E, np.tile(0.5 * self.h * w, self.m + 1))
+        return rule
 
 
 def mass_orthonormal_basis(mass: np.ndarray) -> np.ndarray:
@@ -134,12 +136,13 @@ def lp_norm(space: GalerkinSpace, v: np.ndarray, p: float, with_grad: bool = Fal
     With ``with_grad`` also returns the nodal gradient of ``||v||_p^p``.
     """
     E, w = space.gauss_rule(_LP_GAUSS)
-    vals = E @ np.asarray(v, dtype=float)
-    total = float(w @ _abs_power(vals, p))
+    vals = E.dot(np.asarray(v, dtype=float))
+    total = float(w.dot(_abs_power(vals, p)))
     norm = total ** (1.0 / p)
-    peak = 0.0 if 2.0**-1022 <= total < np.inf else float(np.max(np.abs(vals)))  # 2^-1022: the least normal
-    if 0.0 < peak < np.inf:
-        norm = peak * float(w @ _abs_power(vals / peak, p)) ** (1.0 / p)
+    if not 2.0**-1022 <= total < math.inf:  # 2^-1022: the least normal
+        peak = float(np.max(np.abs(vals)))
+        if 0.0 < peak < math.inf:
+            norm = peak * float(w.dot(_abs_power(vals / peak, p))) ** (1.0 / p)
     if not with_grad:
         return norm
     return norm, E.T @ (p * w * np.abs(vals) ** (p - 2.0) * vals)

@@ -430,6 +430,15 @@ def test_galerkin_ladder_validation(ladder_setup):
         galerkin_convergence_study(setup, cfg, x0, [8, 64], n_paths=2)
 
 
+def test_dt_ladder_accepts_a_refined_step_past_2_23_steps():
+    # T / dt_fine = 9999999.999999998 for dt_fine = 7e-8, which divides T = 0.7: past 2^23 steps one float
+    # spacing (1.9e-9) exceeds 1e-9, so the count is whole up to the ratio's rounding
+    dts, dt_fine, K_fine = harness.dt_ladder_grid((7e-7, 1.4e-6), 0.7, 10)
+    assert dts == (1.4e-6, 7e-7) and dt_fine == 7e-7 / 10 and K_fine == 10_000_000
+    with pytest.raises(ConfigError, match="must divide solver.T"):
+        harness.dt_ladder_grid((0.3, 0.6), 1.0, 1)
+
+
 def test_strong_order_slope_window():
     space = build_space(DomainSpec(), 8, 4)
     params = FracOperatorParams(s=0.15, p=2.0)

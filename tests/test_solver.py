@@ -60,6 +60,8 @@ def test_config_validation():
     assert SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2, master_seed=2**64 - 1).master_seed == 2**64 - 1
     cfg = SolverConfig(T=1.0, dt=0.25, n_modes=4, n_noise=2)
     assert cfg.n_steps == 4
+    # T/dt = 9999999.999999998: past 2^23 steps one float spacing (1.9e-9) exceeds 1e-9, and dt divides T
+    assert SolverConfig(T=0.7, dt=7e-8, n_modes=1, n_noise=1).n_steps == 10_000_000
 
 
 def test_zero_state_is_fixed_point(scalar_setup):
@@ -260,6 +262,22 @@ def test_reference_solution_eigen_decay(linear_setup):
     assert np.all(zero.states == 0.0)
 
 
+def test_reference_matches_per_step_oracle(linear_setup):
+    # the exponential stepper with noise, against expm(-dt (S_k + c I)) applied one step at a time; the
+    # worst entry sat 1.0e-13 of its state's largest at 64 steps and 2.0e-12 at 256, so the path stays short
+    from oracles import exponential_reference_oracle
+
+    cfg = SolverConfig(T=0.5, dt=2.0**-7, n_modes=12, n_noise=4, master_seed=7)
+    x0 = np.sin(np.pi * linear_setup.space.nodes)
+    path = reference_solution_p2_linear(linear_setup, cfg, x0, path_index=3)
+    want = exponential_reference_oracle(
+        linear_setup, cfg, x0, brownian_increments(cfg.master_seed, 3, cfg.n_steps, cfg.n_noise, cfg.dt)
+    )
+    assert path.diverged_at is None and path.states.shape == want.shape == (65, 12)
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(path.states - want) <= 1e-12 * scale)
+
+
 def test_reference_rejects_nonlinear_configs(linear_setup):
     space = linear_setup.space
     cfg = SolverConfig(T=0.5, dt=2.0**-4, n_modes=8, n_noise=2, master_seed=0)
@@ -421,3 +439,38 @@ def test_derived_series_match_per_state_definitions(superlinear_setup, p3_setup,
             assert getattr(path, name)[i] == pytest.approx(value, rel=1e-12, abs=0.0), (name, i)
     for name in ("states", "l2_norms", "v1_seminorms", "lq_norms", "energy_series"):
         assert np.all(np.isnan(getattr(path, name)[n:])), name
+
+
+@pytest.mark.parametrize("which", ["p2", "p3", "reference"])
+def test_step_operands_dot_with_the_bits_of_matmul(monkeypatch, superlinear_setup, p3_setup, linear_setup, which):
+    # the loop multiplies these operands with ndarray.dot, which costs less per call than the @ gufunc;
+    # the artifacts keep their bits because, on C-contiguous float64 operands, both reach one BLAS
+    # routine (gemv, ddot).  A numpy that splits the two paths fails here.
+    from fracsplap import solver
+    from fracsplap.fracop import sqrt_operator
+
+    setup = {"p2": superlinear_setup, "p3": p3_setup, "reference": linear_setup}[which]
+    space, k, n_noise = setup.space, setup.space.n_modes, 4
+    ops = setup.reduced(k)
+    E, w = space.gauss_rule(8)
+    rng = np.random.default_rng(11)
+    nodal = ops.H @ rng.standard_normal(k)
+    operands = {"H": ops.H, "HT_M": ops.HT_M, "E": E, "cols": setup.diffusion_cols(0.25, nodal, n_noise)}
+    if ops.S is not None:  # p = 2: the stiffness, and the transport noise's square root
+        operands["S"] = ops.S
+        operands["R"] = sqrt_operator(space, setup.op_params)
+    if which == "reference":  # the propagator lives in the stepper's closure
+        steppers = []
+        monkeypatch.setattr(solver, "_integrate", lambda *args: steppers.append(args[-1]))
+        cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=k, n_noise=n_noise, master_seed=0)
+        reference_solution_p2_linear(setup, cfg, np.zeros(space.m))
+        (stepper,) = steppers
+        closure = dict(zip(stepper.__code__.co_freevars, (cell.cell_contents for cell in stepper.__closure__)))
+        operands["decay"] = closure["decay"]
+    for name, A in operands.items():
+        assert A.dtype == np.float64 and A.flags.c_contiguous, name
+        x = rng.standard_normal(A.shape[1])
+        assert A.dot(x).tobytes() == (A @ x).tobytes(), name
+    z, v = rng.standard_normal(k), rng.standard_normal(w.shape[0])
+    for a, b in ((z, z), (w, v)):  # the loop's z.z and lp_norm's w . |E v|^p
+        assert np.float64(a.dot(b)).tobytes() == np.float64(a @ b).tobytes()
