@@ -24,9 +24,9 @@ print(f"\nn_paths = {rep.n_paths} per scale, p = 1")
 print("  scale   E sup||Z||^2   (stderr)     E energy     (stderr)     E cross      affinity ratio")
 for si, scale in enumerate(rep.x_scales):
     print(
-        f"  {scale:4.1f}   {rep.sup_moments[0, si]:10.4f}   ({rep.sup_std_errors[0, si]:.4f})   "
-        f"{rep.energy_moments[0, si]:10.4f}   ({rep.energy_std_errors[0, si]:.4f})   "
-        f"{rep.cross_moments[0, si]:10.4f}   {rep.affinity_ratios[0, si]:.4f}"
+        f"  {scale:4.1f}   {rep.moments[0, 0, si]:10.4f}   ({rep.std_errors[0, 0, si]:.4f})   "
+        f"{rep.moments[1, 0, si]:10.4f}   ({rep.std_errors[1, 0, si]:.4f})   "
+        f"{rep.moments[2, 0, si]:10.4f}   {rep.affinity_ratios[0, si]:.4f}"
     )
 ratios = rep.affinity_ratios[0]
 print(f"\nratio spread = {ratios.max() / ratios.min():.2f} (flag at {AFFINITY_FACTOR}x: {rep.affinity_flags[0]})")

@@ -124,17 +124,11 @@ def cmd_moments(bundle: Bundle, out: FsPath, args) -> int:
         f"# affinity_flags = {','.join(fmt(f) for f in rep.affinity_flags)}",
         "p,x_scale,sup_moment,energy_moment,cross_moment,std_err,affinity_ratio",
     ]
+    ratios = rep.affinity_ratios
     for pi, p in enumerate(rep.p_values):
         for si, scale in enumerate(rep.x_scales):
-            rows.append(
-                ",".join(
-                    fmt(v)
-                    for v in (
-                        p, scale, rep.sup_moments[pi, si], rep.energy_moments[pi, si],
-                        rep.cross_moments[pi, si], rep.sup_std_errors[pi, si], rep.affinity_ratios[pi, si],
-                    )
-                )
-            )
+            row = (p, scale, *rep.moments[:, pi, si], rep.std_errors[0, pi, si], ratios[pi, si])
+            rows.append(",".join(fmt(v) for v in row))
     _write_artifact(out / "moments.csv", bundle, rows)
     print(f"wrote {out / 'moments.csv'}")
     return EXIT_OK
@@ -146,30 +140,21 @@ def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
     config = bundle.config
     x0 = config["solver.x0_scale"] * bundle.x0_shape
     n_paths = config["harness.n_paths"]
+    if not (config["harness.mode_ladder"] or config["harness.dt_ladder"]):
+        raise ConfigError("converge needs harness.mode_ladder or harness.dt_ladder")
     rows = ["rung,gap,slope"]
-    mode_rep = None
     if config["harness.mode_ladder"]:
-        mode_rep = galerkin_convergence_study(bundle.setup, cfg, x0, config["harness.mode_ladder"], n_paths)
-        ladder = mode_rep.mode_ladder
-        prev = None
-        for (a, b), gap in zip(zip(ladder, ladder[1:]), mode_rep.pairwise_gaps):
-            slope = float("nan") if prev is None else float(np.log2(prev / gap))
-            rows.append(f"{a}->{b},{fmt(gap)},{fmt(slope)}")
-            prev = gap
-        rows.insert(1, f"# gaps_monotone = {fmt(mode_rep.gaps_monotone)}")
-    dt_rep = None
+        rep = galerkin_convergence_study(bundle.setup, cfg, x0, config["harness.mode_ladder"], n_paths)
+        for a, b, gap, order in zip(rep.mode_ladder, rep.mode_ladder[1:], rep.pairwise_gaps, rep.gap_orders):
+            rows.append(f"{a}->{b},{fmt(gap)},{fmt(order)}")
+        rows.insert(1, f"# gaps_monotone = {fmt(rep.gaps_monotone)}")
     if config["harness.dt_ladder"]:
-        dt_rep = strong_order_study(
+        rep = strong_order_study(
             bundle.setup, cfg, x0, config["harness.dt_ladder"], n_paths, ref_refine=config["harness.ref_refine"]
         )
-        rows.append(f"# strong_order_slope = {fmt(dt_rep.strong_slope)}")
-        prev = None
-        for dt, err in zip(dt_rep.dt_ladder, dt_rep.strong_errors):
-            slope = float("nan") if prev is None else float(np.log2(prev[1] / err) / np.log2(prev[0] / dt))
-            rows.append(f"dt={fmt(dt)},{fmt(err)},{fmt(slope)}")
-            prev = (dt, err)
-    if mode_rep is None and dt_rep is None:
-        raise ConfigError("converge needs harness.mode_ladder or harness.dt_ladder")
+        rows.append(f"# strong_order_slope = {fmt(rep.strong_slope)}")
+        for dt, err, order in zip(rep.dt_ladder, rep.strong_errors, rep.strong_orders):
+            rows.append(f"dt={fmt(dt)},{fmt(err)},{fmt(order)}")
     _write_artifact(out / "convergence.csv", bundle, rows)
     print(f"wrote {out / 'convergence.csv'}")
     return EXIT_OK
@@ -177,18 +162,14 @@ def cmd_converge(bundle: Bundle, out: FsPath, args) -> int:
 
 def cmd_uniqueness(bundle: Bundle, out: FsPath, args) -> int:
     bundle = _seeded(bundle, args.seed)
-    report = bundle.admissibility()
+    g_l1 = bundle.admissibility().params.g_l1_norm
     cfg = bundle.solver_config
     config = bundle.config
     x0 = config["solver.x0_scale"] * bundle.x0_shape
     n_paths = config["harness.n_paths"]
-    identical = pathwise_stability_study(
-        bundle.setup, cfg, x0, x0.copy(), min(n_paths, 16), g_l1_norm=report.params.g_l1_norm
-    )
+    identical = pathwise_stability_study(bundle.setup, cfg, x0, x0.copy(), min(n_paths, 16), g_l1_norm=g_l1)
     eps = config["harness.stability_epsilon"]
-    perturbed = pathwise_stability_study(
-        bundle.setup, cfg, x0, x0 + eps * bundle.x0_shape, n_paths, g_l1_norm=report.params.g_l1_norm
-    )
+    perturbed = pathwise_stability_study(bundle.setup, cfg, x0, x0 + eps * bundle.x0_shape, n_paths, g_l1_norm=g_l1)
     rows = [
         f"# identical_data_bitwise = {fmt(identical.bitwise_identical)}",
         f"# epsilon = {fmt(eps)}",
@@ -197,8 +178,8 @@ def cmd_uniqueness(bundle: Bundle, out: FsPath, args) -> int:
         f"# gap_nonincreasing = {fmt(perturbed.gap_nonincreasing)}",
         "path,sup_gap_sq,gronwall_ratio",
     ]
-    for j in range(perturbed.n_paths):
-        rows.append(f"{j},{fmt(perturbed.sup_gap_sq[j])},{fmt(perturbed.gronwall_ratios[j])}")
+    for j, (gap, ratio) in enumerate(zip(perturbed.sup_gap_sq, perturbed.gronwall_ratios)):
+        rows.append(f"{j},{fmt(gap)},{fmt(ratio)}")
     _write_artifact(out / "stability.csv", bundle, rows)
     if not identical.bitwise_identical:
         print("identical initial data did not reproduce bitwise-identical paths", file=sys.stderr)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,20 +97,27 @@ def _whole(path: Path, j: int, what: str) -> Path:
 
 @dataclass
 class MomentReport:
-    """Monte Carlo estimates of the three bounded moment families.  The moment and std error
-    fields are views of one ``(3, n_p, n_scales)`` table each, with the families on the first axis."""
+    """Monte Carlo estimates of the three bounded moment families: one ``(3, n_p, n_scales)`` table
+    each of moments and std errors, with the sup, energy and cross families on the first axis."""
 
     p_values: tuple
     x_scales: tuple
-    sup_moments: np.ndarray      # (n_p, n_scales)
-    sup_std_errors: np.ndarray
-    energy_moments: np.ndarray
-    energy_std_errors: np.ndarray
-    cross_moments: np.ndarray
-    cross_std_errors: np.ndarray
-    affinity_ratios: np.ndarray  # sup moment / (1 + ||x||^{2p})
-    affinity_flags: tuple        # per p: True when ratios spread beyond AFFINITY_FACTOR
+    moments: np.ndarray
+    std_errors: np.ndarray
+    x_norms_sq: tuple  # ||x||^2 per scale
     n_paths: int
+
+    @property
+    def affinity_ratios(self) -> np.ndarray:  # sup moment / (1 + ||x||^{2p}), (n_p, n_scales)
+        # Python's float power (libm pow) for 1 + ||x||^{2p}, as numpy's vector pow can round differently
+        return self.moments[0] / np.array([[1.0 + xn**p for xn in self.x_norms_sq] for p in self.p_values])
+
+    @property
+    @np.errstate(over="ignore")
+    def affinity_flags(self) -> tuple:
+        """Per p: True when the ratios spread beyond AFFINITY_FACTOR; a zero minimum ratio is an infinite spread."""
+        ratios = self.affinity_ratios
+        return tuple(bool(not lo > 0 or hi / lo > AFFINITY_FACTOR) for lo, hi in zip(ratios.min(1), ratios.max(1)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing sample or statistic is refused below
@@ -168,23 +175,7 @@ def estimate_moments(
                 std_errors[fi, pi, si] = family.std(ddof=1) / root
         if not (np.isfinite(moments[..., si]).all() and np.isfinite(std_errors[..., si]).all()):
             raise EnsembleDiverged(f"the moments at x_scale {scale!r} are not finite; no statistics available")
-    # Python's float power (libm pow) for 1 + ||x||^{2p}, as numpy's vector pow can round differently
-    ratios = moments[0] / np.array([[1.0 + xn**p for xn in x_norms_sq] for p in p_values])
-    # a zero minimum ratio is an infinite spread
-    flags = tuple(bool(not lo > 0 or hi / lo > AFFINITY_FACTOR) for lo, hi in zip(ratios.min(1), ratios.max(1)))
-    return MomentReport(
-        p_values=p_values,
-        x_scales=x_scales,
-        sup_moments=moments[0],
-        sup_std_errors=std_errors[0],
-        energy_moments=moments[1],
-        energy_std_errors=std_errors[1],
-        cross_moments=moments[2],
-        cross_std_errors=std_errors[2],
-        affinity_ratios=ratios,
-        affinity_flags=flags,
-        n_paths=n_paths,
-    )
+    return MomentReport(p_values, x_scales, moments, std_errors, tuple(x_norms_sq), n_paths)
 
 
 def time_seminorm_sq(values: np.ndarray, dt: float, sigma: float) -> float:
@@ -231,15 +222,49 @@ def slobodeckij_time_seminorm(path: Path, sigma: float) -> float:
 
 @dataclass
 class ConvergenceReport:
-    """Mode-ladder gaps and/or dt-ladder strong errors with fitted orders."""
+    """Per-path squared gaps between mode-ladder rungs and/or squared endpoint errors on a dt ladder;
+    their RMS values, orders (NaN at the first rung) and fitted slope are derived."""
 
     mode_ladder: tuple = ()
-    pairwise_gaps: tuple = ()
-    gaps_monotone: bool = True
+    gap_sq: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (n_paths, rungs - 1)
     dt_ladder: tuple = ()
-    strong_errors: tuple = ()
-    strong_slope: float = math.nan
-    n_paths: int = 0
+    err_sq: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))  # (n_paths, rungs)
+
+    @property
+    def n_paths(self) -> int:
+        return max(len(self.gap_sq), len(self.err_sq))
+
+    @property
+    def pairwise_gaps(self) -> tuple:
+        return tuple(np.sqrt(self.gap_sq.mean(axis=0))) if self.gap_sq.size else ()
+
+    @property
+    def gaps_monotone(self) -> bool:
+        gaps = self.pairwise_gaps
+        return all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    @property
+    @np.errstate(divide="ignore", invalid="ignore")  # a zero gap or error has no order
+    def gap_orders(self) -> tuple:
+        gaps = self.pairwise_gaps
+        return (math.nan,) + tuple(float(np.log2(prev / gap)) for prev, gap in zip(gaps, gaps[1:]))
+
+    @property
+    def strong_errors(self) -> tuple:
+        return tuple(np.sqrt(self.err_sq.mean(axis=0))) if self.err_sq.size else ()
+
+    @property
+    @np.errstate(divide="ignore", invalid="ignore")
+    def strong_orders(self) -> tuple:
+        d, e = self.dt_ladder, self.strong_errors
+        return (math.nan,) + tuple(float(np.log2(e[i - 1] / e[i]) / np.log2(d[i - 1] / d[i])) for i in range(1, len(d)))
+
+    @property
+    @np.errstate(divide="ignore", invalid="ignore")
+    def strong_slope(self) -> float:
+        if not self.dt_ladder:
+            return math.nan
+        return float(np.polyfit(np.log2(self.dt_ladder), np.log2(self.strong_errors), 1)[0])
 
 
 def _pairwise_gap_sq(path_a: Path, path_b: Path, dt: float) -> float:
@@ -274,10 +299,7 @@ def galerkin_convergence_study(
             paths.append(_whole(simulate_path(setup, cfg, x0, path_index=j, dW=dW), j, f"{nm}-mode rung"))
         return [_pairwise_gap_sq(a, b, config.dt) for a, b in zip(paths, paths[1:])]
 
-    gaps_sq = np.array(run_ensemble(one, n_paths))  # (n_paths, n_rungs-1)
-    gaps = tuple(np.sqrt(gaps_sq.mean(axis=0)))
-    monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
-    return ConvergenceReport(mode_ladder=ladder, pairwise_gaps=gaps, gaps_monotone=monotone, n_paths=n_paths)
+    return ConvergenceReport(mode_ladder=ladder, gap_sq=np.array(run_ensemble(one, n_paths)))
 
 
 def dt_ladder_grid(dt_ladder, T: float, ref_refine: int):
@@ -332,10 +354,7 @@ def strong_order_study(
             errs.append(float(np.sum((em.states[-1] - ref.states[-1]) ** 2)))
         return errs
 
-    err_sq = np.array(run_ensemble(one, n_paths))
-    rms = np.sqrt(err_sq.mean(axis=0))
-    slope = float(np.polyfit(np.log2(dts), np.log2(rms), 1)[0])
-    return ConvergenceReport(dt_ladder=dts, strong_errors=tuple(rms), strong_slope=slope, n_paths=n_paths)
+    return ConvergenceReport(dt_ladder=dts, err_sq=np.array(run_ensemble(one, n_paths)))
 
 
 @dataclass
@@ -344,11 +363,24 @@ class StabilityReport:
 
     initial_gap_sq: float
     sup_gap_sq: np.ndarray  # per path
-    gronwall_ratios: np.ndarray
-    exp_factor: float
+    g_l1_norm: float
     bitwise_identical: bool
     gap_nonincreasing: bool
-    n_paths: int
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.sup_gap_sq)
+
+    @property
+    def exp_factor(self) -> float:
+        return math.exp(self.g_l1_norm)
+
+    @property
+    def gronwall_ratios(self) -> np.ndarray:
+        """Each sup gap over ``initial_gap_sq * exp_factor``; from equal data, inf where it is positive, else 0."""
+        if self.initial_gap_sq > 0:
+            return self.sup_gap_sq / (self.initial_gap_sq * self.exp_factor)
+        return np.where(self.sup_gap_sq > 0, math.inf, 0.0)
 
 
 def pathwise_stability_study(
@@ -368,8 +400,8 @@ def pathwise_stability_study(
     """
     x0 = np.asarray(x0, dtype=float)
     x0_perturbed = np.asarray(x0_perturbed, dtype=float)
-    gap0 = l2_norm(setup.space, x0 - x0_perturbed) ** 2
-    exp_factor = math.exp(g_l1_norm)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the paths run: an overflowing gap diverges there
+        gap0 = l2_norm(setup.space, x0 - x0_perturbed) ** 2
     K = config.n_steps
 
     def one(j):
@@ -381,20 +413,5 @@ def pathwise_stability_study(
         nonincr = bool(np.all(np.diff(diff) <= 1e-14 * max(diff[0], 1e-300)))
         return float(np.max(diff)), identical, nonincr
 
-    rows = run_ensemble(one, n_paths)
-    sup_gap = np.array([r[0] for r in rows])
-    identical = all(r[1] for r in rows)
-    nonincr = all(r[2] for r in rows)
-    if gap0 > 0:
-        ratios = sup_gap / (gap0 * exp_factor)
-    else:
-        ratios = np.where(sup_gap > 0, math.inf, 0.0)
-    return StabilityReport(
-        initial_gap_sq=gap0,
-        sup_gap_sq=sup_gap,
-        gronwall_ratios=ratios,
-        exp_factor=exp_factor,
-        bitwise_identical=identical,
-        gap_nonincreasing=nonincr,
-        n_paths=n_paths,
-    )
+    sup_gap, identical, nonincr = zip(*run_ensemble(one, n_paths))
+    return StabilityReport(gap0, np.array(sup_gap), g_l1_norm, all(identical), all(nonincr))

@@ -323,6 +323,9 @@ def _with(text, **values):
         ("check-hypotheses", {"domain__b": "1e-200"}, "domain.a = 0.0, domain.b = 1e-200"),
         ("check-hypotheses", {"domain__a": "-1e150", "domain__b": "1e150"}, "domain.a = -1e+150, domain.b = 1e+150"),
         ("converge", {"domain__b": "1e-200", "harness__mode_ladder": "2,4"}, "quadrature weights"),
+        # a bump far narrower than the mesh spacing is zero at every node, without an overflow warning
+        ("uniqueness", {"solver__x0_width": "1e-200"}, "initial profile vanishes on the mesh"),
+        ("uniqueness", {"solver__x0_width": "1e-320"}, "initial profile vanishes on the mesh"),
     ],
     ids=[
         "nan", "inf", "minus-inf", "nan-in-list", "steps", "steps-overflow", "zero-steps", "noise", "reference-steps",
@@ -332,7 +335,7 @@ def _with(text, **values):
         "negative-cutoff", "huge-cutoff", "negative-delta3", "huge-mesh", "huge-noise-columns",
         "huge-transport-family", "reference-p", "reference-q", "reference-phi3", "negative-phi4", "overflowing-x0",
         "overflowing-perturbed-x0", "overflowing-x-scale", "overflowing-kernel-constant", "tiny-domain",
-        "huge-domain", "tiny-domain-converge",
+        "huge-domain", "tiny-domain-converge", "tiny-x0-width", "subnormal-x0-width",
     ],
 )
 def test_nonfinite_and_oversized_configs_exit_2(tmp_path, capsys, command, values, needle):
@@ -484,19 +487,21 @@ def test_overflowing_moments_exit_3(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name, command, x0_scale, needle",
+    "name, command, overrides, needle",
     [
-        ("galerkin_ladder", "converge", "1e300", "path 0 (8-mode rung) diverged at step 0"),
-        ("strong_order", "converge", "1e200", "path 0 (reference) diverged at step 0"),
-        ("uniqueness", "uniqueness", "1e300", "path 0 (first initial state) diverged at step 0"),
+        ("galerkin_ladder", "converge", {"solver__x0_scale": "1e300"}, "path 0 (8-mode rung) diverged at step 0"),
+        ("strong_order", "converge", {"solver__x0_scale": "1e200"}, "path 0 (reference) diverged at step 0"),
+        ("uniqueness", "uniqueness", {"solver__x0_scale": "1e300"}, "path 0 (first initial state) diverged at step 0"),
+        ("uniqueness", "uniqueness", {"harness__stability_epsilon": "1e160"},
+         "path 0 (second initial state) diverged at step 0"),
     ],
-    ids=["mode-ladder", "strong-order", "stability"],
+    ids=["mode-ladder", "strong-order", "stability", "perturbation"],
 )
-def test_diverged_study_path_exits_3(tmp_path, name, command, x0_scale, needle):
-    # the squared norm of the initial state overflows: one line naming the path and its step, no numpy
-    # warning, nothing written
+def test_diverged_study_path_exits_3(tmp_path, name, command, overrides, needle):
+    # the squared norm of an initial state, or of the initial gap, overflows: one line naming the path and its
+    # step, no numpy warning, nothing written
     cfg_path = tmp_path / "diverge.cfg"
-    text = _with((CONFIG_DIR / f"{name}.cfg").read_text(), harness__n_paths="2", solver__x0_scale=x0_scale)
+    text = _with((CONFIG_DIR / f"{name}.cfg").read_text(), harness__n_paths="2", **overrides)
     cfg_path.write_text(text)
     out = tmp_path / "out"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

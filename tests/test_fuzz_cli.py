@@ -4,9 +4,9 @@ Each example writes a small config (a mesh of at most 8 nodes, at most 4 steps a
 ensembles of at most 101 paths) with up to three keys overridden by in-range, out-of-range,
 non-finite or unparsable values, then runs one command in process; ``--config`` may instead name a directory or
 a missing file, and ``--out`` an existing directory or file.  The run must return 0, 2 (validation) or 3
-(numerical), print no traceback, and an exit-2 run must write nothing: no new directory, no new or changed file.
-An exit-0 ``simulate`` run must write a ``path.csv`` of finite numbers only, and an exit-0 ``converge`` run must
-report distinct dt rungs, coarsest first.
+(numerical), print no traceback and let no warning escape, and an exit-2 run must write nothing: no new directory,
+no new or changed file.  An exit-0 ``simulate`` run must write a ``path.csv`` of finite numbers only, and an exit-0
+``converge`` run must report distinct dt rungs, coarsest first.
 """
 
 import contextlib
@@ -77,7 +77,7 @@ FUZZ = {
     "solver.x0_profile": values("bump", "sine", "flat"),
     "solver.x0_scale": values("1.0", "0.0", "1e300", "-2.0"),
     "solver.x0_center": values("0.25", "0.5", "-1.0", "1e300"),
-    "solver.x0_width": values("0.1", "0.0", "-1.0"),
+    "solver.x0_width": values("0.1", "0.0", "-1.0", "1e-200"),
     "solver.x0_support": values("0", "2", "-1", "99"),
     "harness.n_paths": values("100", "101", "99", "1", "0", "-1"),
     "harness.p_values": values("1.0,2.0", "4.0", "", "-1.0", "nan"),
@@ -85,7 +85,7 @@ FUZZ = {
     "harness.mode_ladder": values("1,3", "", "3,1", "0", "2,99"),
     "harness.dt_ladder": values("", "0.125,0.0625", "0.0", "0.07"),
     "harness.ref_refine": values("2", "1", "0", "-1"),
-    "harness.stability_epsilon": values("1e-3", "0.0", "-1.0"),
+    "harness.stability_epsilon": values("1e-3", "0.0", "-1.0", "1e160"),
 }
 
 
@@ -166,7 +166,7 @@ def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, confi
         argv = [command, "--config", str(cfg), "--out", str(out)] + ([] if seed is None else ["--seed", str(seed)])
         stderr = io.StringIO()
         with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             rc = main(argv)
         assert rc in (0, 2, 3), (rc, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from fracsplap import (
+    ConvergenceReport,
     DomainSpec,
     DriftSpec,
     FracOperatorParams,
     LipschitzPerturbationSpec,
+    MomentReport,
     SimulationSetup,
     SolverConfig,
+    StabilityReport,
     SuperlinearNoiseSpec,
     build_space,
     estimate_moments,
@@ -55,9 +58,9 @@ def test_moment_report_zero_case(moment_setup):
     )
     cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=8, n_noise=2, master_seed=1)
     rep = estimate_moments(silent, cfg, shape, x_scales=[0.0], p_values=[1.0], n_paths=100)
-    assert rep.sup_moments[0, 0] == 0.0
-    assert rep.energy_moments[0, 0] == 0.0
-    assert rep.cross_moments[0, 0] == 0.0
+    assert rep.moments[0, 0, 0] == 0.0
+    assert rep.moments[1, 0, 0] == 0.0
+    assert rep.moments[2, 0, 0] == 0.0
     assert rep.affinity_flags == (True,)  # a zero ratio is an infinite spread
 
 
@@ -80,8 +83,8 @@ def test_moment_dissipative_deterministic(moment_setup):
     cfg = SolverConfig(T=0.25, dt=2.0**-6, n_modes=8, n_noise=2, master_seed=1)
     rep = estimate_moments(silent, cfg, shape, x_scales=[2.0], p_values=[1.0], n_paths=100)
     x_sq = l2_norm(setup.space, 2.0 * shape) ** 2
-    assert rep.sup_moments[0, 0] <= x_sq * (1.0 + 1e-10)
-    assert rep.sup_std_errors[0, 0] == 0.0  # deterministic ensemble
+    assert rep.moments[0, 0, 0] <= x_sq * (1.0 + 1e-10)
+    assert rep.std_errors[0, 0, 0] == 0.0  # deterministic ensemble
 
 
 def test_moment_affinity_and_self_consistency(moment_setup):
@@ -89,12 +92,12 @@ def test_moment_affinity_and_self_consistency(moment_setup):
     cfg = SolverConfig(T=0.25, dt=2.0**-6, n_modes=8, n_noise=4, master_seed=5)
     rep = estimate_moments(setup, cfg, shape, x_scales=[0.0, 1.0, 2.0], p_values=[1.0], n_paths=200)
     assert not rep.affinity_flags[0]
-    assert np.all(rep.sup_std_errors >= 0)
-    assert np.all(np.isfinite(rep.energy_moments))
-    assert np.all(np.isfinite(rep.cross_moments))
+    assert np.all(rep.std_errors[0] >= 0)
+    assert np.all(np.isfinite(rep.moments[1]))
+    assert np.all(np.isfinite(rep.moments[2]))
     rep2 = estimate_moments(setup, cfg, shape, x_scales=[0.0, 1.0, 2.0], p_values=[1.0], n_paths=400)
-    gap = abs(rep2.sup_moments[0, 1] - rep.sup_moments[0, 1])
-    assert gap < 4.0 * (rep.sup_std_errors[0, 1] + rep2.sup_std_errors[0, 1])
+    gap = abs(rep2.moments[0, 0, 1] - rep.moments[0, 0, 1])
+    assert gap < 4.0 * (rep.std_errors[0, 0, 1] + rep2.std_errors[0, 0, 1])
 
 
 def test_moment_study_stops_at_the_first_diverged_path(moment_setup, monkeypatch):
@@ -127,9 +130,9 @@ def test_moment_statistics_read_every_path(moment_setup):
         en = np.array([path.energy_series for path in paths])
         for pi, p in enumerate(p_values):
             for samples, moments, std_errors in (
-                (l2.max(axis=1) ** (2 * p), rep.sup_moments, rep.sup_std_errors),
-                (np.trapezoid(en, dx=cfg.dt, axis=1) ** p, rep.energy_moments, rep.energy_std_errors),
-                (np.trapezoid(l2 ** (2 * p - 2) * en, dx=cfg.dt, axis=1), rep.cross_moments, rep.cross_std_errors),
+                (l2.max(axis=1) ** (2 * p), rep.moments[0], rep.std_errors[0]),
+                (np.trapezoid(en, dx=cfg.dt, axis=1) ** p, rep.moments[1], rep.std_errors[1]),
+                (np.trapezoid(l2 ** (2 * p - 2) * en, dx=cfg.dt, axis=1), rep.moments[2], rep.std_errors[2]),
             ):
                 assert moments[pi, si] == pytest.approx(samples.mean(), rel=1e-13, abs=0)
                 assert std_errors[pi, si] == pytest.approx(samples.std(ddof=1) / math.sqrt(n), rel=1e-12, abs=0)
@@ -199,8 +202,8 @@ def test_energy_moment_matches_the_exact_gaussian_law():
                 C = step @ C
         assert exact == pytest.approx(recorded, rel=1e-4)
         assert math.sqrt(var) == pytest.approx(recorded_sd, rel=1e-4)
-        assert abs(rep.energy_moments[0, si] - exact) < 4.0 * rep.energy_std_errors[0, si]
-        assert rep.energy_std_errors[0, si] * math.sqrt(n_paths) == pytest.approx(math.sqrt(var), rel=0.25)
+        assert abs(rep.moments[1, 0, si] - exact) < 4.0 * rep.std_errors[1, 0, si]
+        assert rep.std_errors[1, 0, si] * math.sqrt(n_paths) == pytest.approx(math.sqrt(var), rel=0.25)
 
 
 def test_run_ensemble_checks_its_floor():
@@ -452,6 +455,33 @@ def test_strong_order_slope_window():
     rep = strong_order_study(setup, cfg, x0, [2.0**-5, 2.0**-6, 2.0**-7], n_paths=64, ref_refine=64)
     assert 0.35 <= rep.strong_slope <= 0.65
     assert all(a > b for a, b in zip(rep.strong_errors, rep.strong_errors[1:]))
+
+
+def test_reports_derive_their_orders_verdicts_and_ratios():
+    # squared endpoint errors whose RMS over the two paths halves with dt: order 1 at every rung and in the fit
+    rep = ConvergenceReport(dt_ladder=(0.25, 0.125, 0.0625), err_sq=np.array([[2.0, 0.5, 0.125], [6.0, 1.5, 0.375]]))
+    assert rep.strong_errors == (2.0, 1.0, 0.5) and rep.n_paths == 2
+    assert math.isnan(rep.strong_orders[0]) and rep.strong_orders[1:] == (1.0, 1.0)
+    assert rep.strong_slope == pytest.approx(1.0, rel=1e-12)
+    assert rep.pairwise_gaps == () and math.isnan(ConvergenceReport(mode_ladder=(2, 4)).strong_slope)
+    # gaps 4, 2, 2: order 1, then 0, and the last rung does not shrink the gap
+    rep = ConvergenceReport(mode_ladder=(1, 2, 4, 8), gap_sq=np.array([[15.0, 3.0, 5.0], [17.0, 5.0, 3.0]]))
+    assert rep.pairwise_gaps == (4.0, 2.0, 2.0) and rep.n_paths == 2
+    assert math.isnan(rep.gap_orders[0]) and rep.gap_orders[1:] == (1.0, 0.0)
+    assert not rep.gaps_monotone
+    assert ConvergenceReport(mode_ladder=(1, 2, 4), gap_sq=np.array([[4.0, 1.0]])).gaps_monotone
+    # from equal initial data the Gronwall ratio is inf where the gap is positive and 0 elsewhere
+    rep = StabilityReport(0.0, np.array([0.0, 1e-3, 0.0]), 0.5, False, True)
+    assert rep.gronwall_ratios.tolist() == [0.0, math.inf, 0.0] and rep.n_paths == 3
+    rep = StabilityReport(2.0, np.array([1.0, 4.0]), 0.5, False, True)
+    assert rep.exp_factor == math.exp(0.5)
+    assert rep.gronwall_ratios.tolist() == [1.0 / (2.0 * math.exp(0.5)), 4.0 / (2.0 * math.exp(0.5))]
+    # sup moments over 1 + ||x||^{2p}: a zero minimum ratio is flagged, an even spread is not
+    moments = np.zeros((3, 2, 2))
+    moments[0] = [[0.0, 1.0], [1.0, 2.0]]
+    rep = MomentReport((1.0, 2.0), (0.0, 1.0), moments, np.zeros((3, 2, 2)), (0.0, 1.0), 100)
+    assert rep.affinity_ratios.tolist() == [[0.0, 0.5], [1.0, 1.0]]
+    assert rep.affinity_flags == (True, False)
 
 
 def test_stability_bitwise_and_monotone(moment_setup):
