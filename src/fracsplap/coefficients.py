@@ -261,17 +261,19 @@ def eval_B(spec: SuperlinearNoiseSpec, space: GalerkinSpace, t: float, v: np.nda
 
     The state-free parts, ``sqrt(beta_i)`` and the forcing columns (which do
     not depend on t), are computed once per ``(spec, n_noise)`` and kept in
-    the space's cache; the returned array is always a fresh one.
+    the space's cache; the returned array is always a fresh one.  The key
+    holds ``id(spec)``, so a step hashes no spec field, and the entry holds the
+    spec, so that id cannot pass to another spec while the entry lives.
     """
-    key = ("eval_B", spec, n_noise)
+    key = ("eval_B", id(spec), n_noise)
     try:
-        scale, forcing = space._cache[key]
+        _, scale, forcing = space._cache[key]
     except KeyError:
         if n_noise < 1:
             raise ValueError("n_noise must be >= 1") from None
         scale = np.sqrt(spec.beta(np.arange(1, n_noise + 1)))
         forcing = spec.sigma1_nodal(space, t, n_noise)
-        space._cache[key] = scale, forcing
+        space._cache[key] = spec, scale, forcing
     return scale * spec.sigma2_profile(v)[:, None] + forcing
 
 

@@ -17,10 +17,11 @@ those samples and one weight vector ``wts``: ``v(x) - v(y)`` per pair point,
 the slope per element and ``v(t)`` per tail point.  ``D`` is kept only in the
 rule's block structure: each separated or adjacent element pair reads its four
 or three nodes through one coefficient block, and each element or tail row two
-nodes.  With ``dv = D v`` and the flux ``f = wts * |dv|^{p-2} dv``:
+nodes.  With ``dv = D v``, the flux ``f = wts * |dv|^{p-2} dv`` and the
+residual ``r = D^T f``:
 
-* ``[v]^p = f . dv``, by :func:`seminorm_p` alone (the recorded state's sweep) or with the residual,
-* the form residual ``B(v, e_i)`` is ``D^T f`` and ``B(v, u) = f . (D u)``,
+* ``B(v, e_i) = r_i`` and ``B(v, u) = r . u``,
+* ``[v]^p = B(v, v) = r . v``, the coercivity identity of the p-homogeneous form,
 * the p = 2 stiffness is ``(C/2) D^T diag(wts) D``, and its eigenpairs against the mass matrix
   (:func:`frac_eigenpairs`) are the one p = 2 spectrum: the Poincare search and the transport noise read it.
 
@@ -28,12 +29,14 @@ Because every form reads the same samples, the algebraic identities between the
 seminorm, the weak form and the stiffness matrix hold to rounding accuracy.  The
 p != 2 sweep applies ``D`` and ``D^T`` through the blocks (:meth:`FracPlan.forward`,
 :meth:`FracPlan.adjoint`), and the stiffness sums one small ``C diag(w) C^T`` per
-block, so no sparse matrix is ever formed.
+block, so no sparse matrix is ever formed.  Every adjacent pair has the same
+weights on the uniform mesh, so the plan folds them into the block its ``D^T``
+reads (``Cadj_w``) and the sweep's flux leaves them out.
 
 A plan is built for one exponent and every sweep reads it as ``plan.p``.  The
-flux is formed once per nodal vector: the plan keeps the last ``v`` with its
-value and flux, so the stepper's residual at a recorded state reuses
-the flux of that state's seminorm and applies only ``D^T``.
+residual is formed once per nodal vector: the plan keeps the last ``v`` with
+its value and residual, so the stepper's residual at a recorded state is the
+one that state's seminorm formed.
 
 A plan keeps only what the sweeps and the stiffness read: the sample points of
 the rule are derived on each read, and the stiffness caches its matrix but not
@@ -43,6 +46,7 @@ space's cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +82,17 @@ class FracPlan:
     ``G*G`` rows of a separated pair are one row of ``vp[sep] @ Csep`` (its four nodes), the ``(L*G)^2``
     rows of an adjacent pair one row of ``vp[adj] @ Cadj`` (its three nodes), and an element or tail row
     is ``vp[two] . C2`` over its two nodes.  ``scatter`` lists the same nodes in that order for ``D^T``.
+    ``Cadj_w`` is ``Cadj diag(w_adj)`` with the weights that every adjacent pair shares, so the sweep's
+    flux weighs only the separated and two-node rows and its ``D^T`` reads ``Cadj_w`` on the adjacent ones.
     The p = 2 stiffness reads the same blocks with the matching parts of ``wts`` from a plan it builds and
     drops, so only a swept operator's plan is cached.
 
-    ``_memo`` holds the last sweep as one ``(v bytes, value, read-only flux)`` tuple, so the flux is
-    formed once per nodal vector: the stepper reuses the recorded state's flux and applies only ``D^T``.
-    ``_spare`` hands the sweep's ``D v`` buffer on to the next :meth:`forward`, so a sweep frees one
-    ``wts``-sized buffer, not two: freeing two could let glibc trim them off the heap top and fault them back
-    in on every sweep (about 137,000 page faults in one 64-path p = 3 study at m = 24).
+    ``_memo`` holds the last sweep as one ``(v bytes, value, read-only residual)`` tuple, so the residual is
+    formed once per nodal vector: the stepper reuses the recorded state's.  ``_spare`` holds the
+    :class:`_Workspace` buffers between sweeps; a sweep pops one (or builds one when none is left, as for a
+    second thread) and pushes it back, so a steady sweep allocates no ``wts``-sized array.  Freeing such
+    buffers on every sweep could let glibc trim them off the heap top and fault them back in each time (about
+    137,000 page faults in one 64-path p = 3 study at m = 24).
     """
 
     wts: np.ndarray
@@ -95,6 +102,7 @@ class FracPlan:
     scatter: np.ndarray
     Csep: np.ndarray   # (4, G*G)
     Cadj: np.ndarray   # (3, (L*G)^2)
+    Cadj_w: np.ndarray  # (3, (L*G)^2)
     C2: np.ndarray     # (m + 1 + tail points, 2)
     p: float
     space: GalerkinSpace = field(repr=False, compare=False)
@@ -125,28 +133,39 @@ class FracPlan:
         b = a + adj_shape[0] * adj_shape[1]
         return x[:a].reshape(sep_shape), x[a:b].reshape(adj_shape), x[b:]
 
-    def forward(self, v: np.ndarray) -> np.ndarray:
-        """``D v``: the sampled values of the interior nodal vector ``v``."""
-        vp = np.zeros(self.space.m + 2)
-        vp[1:-1] = v
-        try:
-            dv = self._spare.pop()
-        except IndexError:
-            dv = np.empty(self.wts.size)
-        sep, adj, two = self._blocks(dv)
-        _matmul_rows(vp[self.sep], self.Csep, sep)
-        _matmul_rows(vp[self.adj], self.Cadj, adj)
-        np.einsum("ij,ij->i", vp[self.two], self.C2, out=two)
-        return dv
+    def forward(self, v: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+        """``D v``: the sampled values of the interior nodal vector ``v``, in ``ws.dv`` (a new workspace's)."""
+        ws = ws or _Workspace(self)
+        ws.vp[1:-1] = v
+        ws.vp.take(self.scatter, out=ws.flat_parts, mode="clip")  # in range; "raise" would buffer the output
+        (gsep, gadj, gtwo), (sep, adj, two) = ws.parts, ws.dv_blocks  # the parts hold each block's nodes for now
+        _matmul_rows(gsep, self.Csep, sep)
+        _matmul_rows(gadj, self.Cadj, adj)
+        np.einsum("ij,ij->i", gtwo, self.C2, out=two)
+        return ws.dv
 
-    def adjoint(self, f: np.ndarray) -> np.ndarray:
-        """``D^T f`` for ``f`` over the rows of ``D``."""
+    def adjoint(self, f: np.ndarray, ws: _Workspace | None = None, cadj: np.ndarray | None = None) -> np.ndarray:
+        """``D^T f`` for ``f`` over the rows of ``D``, reading ``cadj`` (default ``Cadj``) on the adjacent rows."""
+        ws = ws or _Workspace(self)
         sep, adj, two = self._blocks(f)
-        parts = (np.empty(self.sep.shape), np.empty(self.adj.shape), two[:, None] * self.C2)
-        _matmul_rows(sep, self.Csep.T, parts[0])
-        _matmul_rows(adj, self.Cadj.T, parts[1])
-        vp = np.bincount(self.scatter, np.concatenate([x.ravel() for x in parts]), self.space.m + 2)
-        return vp[1:-1]
+        _matmul_rows(sep, self.Csep.T, ws.parts[0])
+        _matmul_rows(adj, (self.Cadj if cadj is None else cadj).T, ws.parts[1])
+        np.multiply(two[:, None], self.C2, out=ws.parts[2])
+        return np.bincount(self.scatter, ws.flat_parts, self.space.m + 2)[1:-1]
+
+
+class _Workspace:
+    """One sweep's buffers: the padded nodal vector ``vp`` (its two exterior zeros never change), ``D v``, the
+    flux ``f`` and the adjoint's per-block ``parts`` over the plan's ``scatter`` nodes, with the separated,
+    adjacent and two-node views of each and of the plan's weights."""
+
+    def __init__(self, plan: FracPlan):
+        self.vp = np.zeros(plan.space.m + 2)
+        self.dv, self.f = np.empty(plan.wts.size), np.empty(plan.wts.size)
+        self.flat_parts = np.empty(plan.scatter.size)
+        self.dv_blocks, self.f_blocks, self.w_blocks = (plan._blocks(x) for x in (self.dv, self.f, plan.wts))
+        blocks = np.split(self.flat_parts, (plan.sep.size, plan.sep.size + plan.adj.size))
+        self.parts = tuple(x.reshape(nodes.shape) for x, nodes in zip(blocks, (plan.sep, plan.adj, plan.two)))
 
 
 def _matmul_rows(a, c, out):
@@ -268,53 +287,62 @@ def _build_plan(space: GalerkinSpace, params: FracOperatorParams) -> FracPlan:
         )
     return FracPlan(
         wts=wts, sep=sep, adj=adj, two=two, scatter=np.concatenate((sep.ravel(), adj.ravel(), two.ravel())),
-        Csep=Csep, Cadj=Cadj, C2=C2, p=p, space=space,
+        Csep=Csep, Cadj=Cadj, Cadj_w=Cadj * Wrel.reshape(-1), C2=C2, p=p, space=space,
     )
 
 
-def _flux(plan: FracPlan, v: np.ndarray):
-    """Sampled values ``D v`` and the weighted flux ``wts * |D v|^(p-2) D v`` at ``p = plan.p``, formed in one buffer.
+def _flux(p: float, dv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The unweighted flux ``|dv|^(p-2) dv``, formed in ``out``.
 
-    The operations run in the order of ``wts * (|dv| ** (p-2) * dv)``, so every value has that form's bits,
-    signed zeros, subnormals, infinities and NaNs included; p = 3 skips the power.
+    The operations run in the order of ``|dv| ** (p-2) * dv``, so every value has that form's bits, signed
+    zeros, subnormals, infinities and NaNs included; p = 3 skips the power.
     """
-    p = plan.p
-    dv = plan.forward(v)
-    f = np.abs(dv)
+    np.abs(dv, out=out)
     if p != 3.0:
-        np.power(f, p - 2.0, out=f)
-    f *= dv
-    f *= plan.wts
-    return dv, f
+        np.power(out, p - 2.0, out=out)
+    out *= dv
+    return out
 
 
 def _sweep(plan: FracPlan, v: np.ndarray):
-    """``[v]^p = f . D v`` and the read-only flux ``f``, formed once per ``v`` and kept on the plan."""
+    """``[v]^p = r . v`` and the read-only residual ``r = D^T f``, formed once per ``v`` and kept on the plan."""
     v = np.asarray(v, dtype=float)
     key = v.tobytes()
     entry = plan._memo[0]
     if entry is None or entry[0] != key:
-        dv, f = _flux(plan, v)
-        f.flags.writeable = False
-        entry = (key, float(np.einsum("i,i->", f, dv)), f)
+        try:
+            ws = plan._spare.pop()
+        except IndexError:
+            ws = _Workspace(plan)
+        dv = plan.forward(v, ws)
+        f = _flux(plan.p, dv, ws.f)
+        (fsep, fadj, ftwo), (wsep, wadj, wtwo) = ws.f_blocks, ws.w_blocks
+        fsep *= wsep
+        ftwo *= wtwo  # the adjacent rows' weights are in Cadj_w
+        r = plan.adjoint(f, ws, plan.Cadj_w)
+        value = float(r.dot(v))
+        if not math.isfinite(value):  # an overflowed flux: r . v can read NaN where the sum f . D v reads inf
+            fadj *= wadj
+            value = float(np.einsum("i,i->", f, dv))
+        plan._spare.append(ws)
+        r.flags.writeable = False
+        entry = (key, value, r)
         plan._memo[0] = entry
-        plan._spare.append(dv)
     return entry[1], entry[2]
 
 
 def seminorm_p(plan: FracPlan, v: np.ndarray) -> float:
-    """p-th power of the Gagliardo seminorm of the hat interpolant, ``f . D v`` without the residual ``D^T f``."""
+    """p-th power of the Gagliardo seminorm of the hat interpolant, ``(D^T f) . v``."""
     return _sweep(plan, v)[0]
 
 
 def seminorm_p_with_residual(plan: FracPlan, v: np.ndarray):
-    """Return ``[v]^p`` together with the form residual ``B(v, e_i)``.
+    """Return ``[v]^p`` together with the form residual ``B(v, e_i)``, read-only: the plan's memo holds it.
 
     The residual is ``(1/p)`` times the gradient of ``[v]^p`` in the nodal
     values; the weak operator action is ``-(C/2)`` times it.
     """
-    value, f = _sweep(plan, v)
-    return value, plan.adjoint(f)
+    return _sweep(plan, v)
 
 
 def _nodal(space: GalerkinSpace, v: np.ndarray) -> np.ndarray:
@@ -333,9 +361,7 @@ def gagliardo_seminorm(space: GalerkinSpace, v: np.ndarray, params: FracOperator
 def apply_A1_weak(space: GalerkinSpace, v: np.ndarray, u: np.ndarray, params: FracOperatorParams) -> float:
     """Duality pairing of the operator action at v against u (both nodal)."""
     v, u = _nodal(space, v), _nodal(space, u)
-    plan = get_plan(space, params)
-    f = _sweep(plan, v)[1]
-    return float(-0.5 * params.c_kernel * np.einsum("i,i->", f, plan.forward(u)))
+    return float(-0.5 * params.c_kernel * _sweep(get_plan(space, params), v)[1].dot(u))
 
 
 def assemble_frac_stiffness(space: GalerkinSpace, params: FracOperatorParams) -> np.ndarray:

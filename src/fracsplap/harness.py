@@ -373,7 +373,11 @@ class StabilityReport:
 
     @property
     def exp_factor(self) -> float:
-        return math.exp(self.g_l1_norm)
+        """``exp(g_l1_norm)``; inf past the float range (a weight above about 709.78), so every ratio reads 0."""
+        try:
+            return math.exp(self.g_l1_norm)
+        except OverflowError:
+            return math.inf
 
     @property
     def gronwall_ratios(self) -> np.ndarray:

@@ -400,7 +400,10 @@ def test_eval_B_cache_is_bitwise_and_per_spec(unit_domain):
     assert np.array_equal(eval_B(forced, space, 0.0, v, 6), fresh(forced, 6))
     assert np.array_equal(eval_B(cut, space, 0.0, v, 6), fresh(cut, 6))
     assert np.array_equal(eval_B(forced, space, 0.0, v, 4), fresh(forced, 4))
-    keys = {key[1:] for key in space._cache if key[0] == "eval_B"}
-    assert keys == {(forced, 6), (cut, 6), (forced, 4)}
+    # keyed by the spec's id; each entry keeps its spec, so that id cannot pass to another spec
+    owners = {id(forced): forced, id(cut): cut}
+    entries = {key[1:]: value[0] for key, value in space._cache.items() if key[0] == "eval_B"}
+    assert set(entries) == {(id(forced), 6), (id(cut), 6), (id(forced), 4)}
+    assert all(spec is owners[i] for (i, _), spec in entries.items())
     with pytest.raises(ValueError):
         eval_B(forced, space, 0.0, v, 0)

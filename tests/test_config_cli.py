@@ -514,6 +514,19 @@ def test_diverged_study_path_exits_3(tmp_path, name, command, overrides, needle)
     assert not out.exists()
 
 
+def test_uniqueness_past_the_exp_range_exits_0(tmp_path, capsys):
+    # 3 * sum(gamma) * T = 3 * 300 * zeta(2) * 0.5 = 740 > log(DBL_MAX): the envelope is inf and every ratio 0
+    cfg_path = tmp_path / "weight.cfg"
+    cfg_path.write_text(_with((CONFIG_DIR / "uniqueness.cfg").read_text(), noise__gamma_g0="300", harness__n_paths="2"))
+    rc = main(["uniqueness", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "out" / "stability.csv").read_text()
+    assert "# exp_factor = inf" in text
+    rows = text.split("path,sup_gap_sq,gronwall_ratio\n")[1].splitlines()
+    assert len(rows) == 2 and all(row.endswith(",0.0") for row in rows)
+
+
 def test_readme_cli_block_lists_the_commands():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)

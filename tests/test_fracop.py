@@ -4,7 +4,6 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,6 +128,42 @@ def test_residual_is_seminorm_gradient(unit_domain, p, m):
     np.testing.assert_allclose(residual, grad / p, rtol=1e-6, atol=1e-6 * np.max(np.abs(residual)))
 
 
+@pytest.mark.parametrize("m", [8, 24, 64])
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+def test_seminorm_from_the_residual_matches_the_csr_flux(unit_domain, p, m):
+    # the sweep's [v]^p = (D^T f) . v, the p-homogeneous form's coercivity identity, against the stacked CSR's
+    # f . D v: the worst relative difference measured on this grid was 3.3e-15 (m = 64, p = 2.5, s = 0.6), and
+    # sum |v_i r_i| stayed within 1.18 [v]^p, so the m-term dot cancels little
+    space = build_space(unit_domain, m=m, n_modes=1)
+    rng = np.random.default_rng(m)
+    hat = np.zeros(m)
+    hat[m // 2] = 1.0
+    vectors = {
+        "random": rng.standard_normal(m), "alternating": (-1.0) ** np.arange(m), "hat": hat,
+        "near-constant": 1.0 + 1e-3 * rng.standard_normal(m), "linspace": np.linspace(-1.0, 1.0, m),
+    }
+    for s in (0.1, 0.4, 0.6, 0.9):
+        plan = get_plan(space, FracOperatorParams(s=s, p=p))
+        D = sampling_operator_csr(plan)
+        for name, v in vectors.items():
+            dv = D @ v
+            ref = (plan.wts * np.abs(dv) ** (p - 2.0) * dv) @ dv
+            value = seminorm_p(plan, v)
+            assert value >= 0.0 and abs(value - ref) <= 1e-14 * ref, (s, name, value, ref)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_an_overflowing_flux_gives_an_infinite_seminorm(p):
+    # past the float range the residual's D^T sums inf - inf, so r . v is NaN; the value stays the sum f . D v, inf
+    space = build_space(DomainSpec(), 8, 4)
+    plan = get_plan(space, FracOperatorParams(s=0.4, p=p))
+    v = 1e307 * np.random.default_rng(1).standard_normal(8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, residual = seminorm_p_with_residual(plan, v)
+    assert np.isnan(residual).any()
+    assert value == math.inf
+
+
 def test_stiffness_symmetric_and_consistent(space32, params_s05_p2):
     S = assemble_frac_stiffness(space32, params_s05_p2)
     assert np.max(np.abs(S - S.T)) < 1e-12
@@ -235,13 +270,13 @@ def test_odd_power_multiplies_with_the_bits_of_pow():
         [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.inf, -np.inf, np.nan, -np.nan, 1e154, -1e155, 1.0, -1.0],
         np.random.default_rng(3).standard_normal(10_000) * np.logspace(-320, 300, 10_000),
     ))
-    wts = np.random.default_rng(4).uniform(0.1, 10.0, x.size)
-    # the in-place flux has the bits of the power form on every value: the signs of zeros, subnormals,
-    # infinities and NaNs included, at p = 3 (no power) and through np.power(out=) at p = 2, 2.5 and 4
+    # the in-place unweighted flux has the bits of the power form on every value: the signs of zeros,
+    # subnormals, infinities and NaNs included, at p = 3 (no power) and through np.power(out=) at p = 2, 2.5 and 4
     for p in (2.0, 2.5, 3.0, 4.0):
-        plan = SimpleNamespace(forward=lambda v: x.copy(), wts=wts, p=p)
+        out, dv = np.empty_like(x), x.copy()
         with np.errstate(over="ignore", invalid="ignore"):
-            (dv, ours), ref = _flux(plan, None), wts * (np.abs(x) ** (p - 2.0) * x)
+            ours, ref = _flux(p, dv, out), np.abs(x) ** (p - 2.0) * x
+        assert ours is out
         assert np.isnan(ref).sum() == 2
         assert np.array_equal(bits(dv), bits(x))
         assert np.array_equal(bits(ours), bits(ref)), p
@@ -273,16 +308,18 @@ def test_memo_keeps_the_bits_of_an_uncached_plan():
     assert plan._memo[0] is not entry
 
 
-def test_memo_flux_is_read_only(space16):
+def test_memo_residual_is_read_only(space16):
     plan = get_plan(space16, FracOperatorParams(s=0.6, p=3.0))
-    f = _sweep(plan, np.random.default_rng(12).standard_normal(16))[1]
-    assert not f.flags.writeable
+    v = np.random.default_rng(12).standard_normal(16)
+    r = _sweep(plan, v)[1]
+    assert seminorm_p_with_residual(plan, v)[1] is r
+    assert not r.flags.writeable
     with pytest.raises(ValueError):
-        f[0] = 1.0
+        r[0] = 1.0
 
 
-def test_a_sweep_allocates_one_wts_sized_buffer(space16):
-    # D v goes into the buffer the previous sweep left in _spare, so a sweep allocates only the flux it keeps
+def test_a_steady_sweep_allocates_less_than_one_wts_buffer(space16):
+    # D v, the flux and the adjoint's parts go into the workspace the previous sweep pushed back to _spare
     plan = dataclasses.replace(get_plan(space16, FracOperatorParams(s=0.6, p=3.0)))
     v1, v2 = np.random.default_rng(15).standard_normal((2, 16))
     _sweep(plan, v1)
@@ -292,7 +329,7 @@ def test_a_sweep_allocates_one_wts_sized_buffer(space16):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert plan.wts.nbytes <= peak < 2 * plan.wts.nbytes
+    assert peak < plan.wts.nbytes, peak
 
 
 def test_p3_path_forms_one_flux_per_state(monkeypatch):
@@ -305,7 +342,7 @@ def test_p3_path_forms_one_flux_per_state(monkeypatch):
     )
     cfg = SolverConfig(T=0.25, dt=2.0**-5, n_modes=6, n_noise=3, master_seed=21)
     forward, calls = FracPlan.forward, []
-    monkeypatch.setattr(FracPlan, "forward", lambda plan, v: calls.append(1) or forward(plan, v))
+    monkeypatch.setattr(FracPlan, "forward", lambda plan, v, ws=None: calls.append(1) or forward(plan, v, ws))
     path = simulate_path(setup, cfg, np.sin(np.pi * space.nodes))
     assert path.diverged_at is None
     assert len(calls) == cfg.n_steps + 1

@@ -151,6 +151,10 @@ OUT_AT = values("new", "new", "new", "existing directory", "existing file")
     command="converge", overrides={"drift.q": "2.0", "harness.dt_ladder": "0.0625,0.0625"}, extra="", seed=None,
     config_at="file", out_at="new",
 )
+# a Gronwall weight past exp's float range (3 * sum(gamma) * T = 1234 here) writes the envelope as inf and exits 0
+@example(
+    command="uniqueness", overrides={"noise.gamma_g0": "1000.0"}, extra="", seed=None, config_at="file", out_at="new",
+)
 def test_cli_exits_with_a_documented_code(command, overrides, extra, seed, config_at, out_at):
     config = {**BASE, **overrides}
     text = "\n".join([f"{k} = {v}" for k, v in config.items()] + [extra]) + "\n"
